@@ -24,6 +24,10 @@
 #                                 tiny scale; asserts
 #                                 results/BENCH_fault_tolerance.json is
 #                                 produced and well-formed
+#   9. benchmark self-test        perfbench/selftest.py: every workload
+#                                 at tiny size, untraced and traced;
+#                                 checks metric names, units and
+#                                 failed_frac 0
 #
 # Exit codes:
 #   0  everything passed
@@ -35,6 +39,7 @@
 #   6  schedule-mode ablation failed or wrote a malformed artifact
 #   7  obs stats artifact missing or malformed
 #   8  chaos suite failed, or fault-tolerance artifact missing/malformed
+#   9  benchmark self-test failed (or python3 missing)
 set -u
 
 cd "$(dirname "$0")" || exit 2
@@ -138,6 +143,9 @@ else
     grep -q '"mode": "spark-recompute"' results/BENCH_fault_tolerance.json || exit 8
     grep -q '"checksum_failover"' results/BENCH_fault_tolerance.json || exit 8
 fi
+
+echo "ci: benchmark self-test (perfbench/selftest.py, tiny size)"
+python3 perfbench/selftest.py || exit 9
 
 echo "ci: ok"
 exit 0

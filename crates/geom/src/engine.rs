@@ -4,8 +4,9 @@
 //! spatial refinement: SpatialSpark uses JTS, ISP-MC uses GEOS, and the
 //! 3.3–3.9× gap between the two dominates end-to-end performance (§V.B).
 //! This module captures that as a trait so the join layer can be generic
-//! over the engine, with [`PreparedEngine`] standing in for JTS and
-//! [`NaiveEngine`] for GEOS.
+//! over the engine, with [`FlatEngine`] standing in for JTS,
+//! [`NaiveEngine`] for GEOS, and [`PreparedEngine`] as a beyond-paper
+//! indexed engine.
 
 use crate::geometry::Geometry;
 use crate::naive;

@@ -11,15 +11,18 @@
 //! * the computational-geometry predicates used by the paper's two join
 //!   types: point-in-polygon tests (`Within`) and point-to-polyline
 //!   distance (`NearestD`),
-//! * two interchangeable *refinement engines* (see [`engine`]):
-//!   [`engine::PreparedEngine`] models JTS (flat arrays, prepared
-//!   geometries, no per-call allocation) and [`engine::NaiveEngine`]
-//!   models GEOS as characterised by the paper — it "frequently creates
-//!   and destroys small objects", which is exactly what makes it slow.
+//! * three interchangeable *refinement engines* (see [`engine`]):
+//!   [`engine::FlatEngine`] models JTS as the paper's Fig. 2 calls it
+//!   (flat arrays, full edge scans, no per-call allocation),
+//!   [`engine::NaiveEngine`] models GEOS as characterised by the paper —
+//!   it "frequently creates and destroys small objects", which is
+//!   exactly what makes it slow — and [`engine::PreparedEngine`] adds a
+//!   banded edge index beyond both libraries.
 //!
-//! Both engines produce bit-identical predicate results; they differ only
-//! in memory discipline and therefore speed. The paper attributes most of
-//! SpatialSpark's advantage over ISP-MC to this difference (§V.B).
+//! All engines produce bit-identical predicate results; they differ only
+//! in memory discipline and indexing, and therefore speed. The paper
+//! attributes most of SpatialSpark's advantage over ISP-MC to the
+//! JTS/GEOS difference (§V.B).
 
 pub mod algorithms;
 pub mod binary;

@@ -121,6 +121,7 @@ fn write_polygon_body(poly: &Polygon, out: &mut String) {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -128,6 +129,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Parser<'a> {
         Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
         }
@@ -142,8 +144,8 @@ impl<'a> Parser<'a> {
 
     // The per-coordinate scanning primitives. Every coordinate of every
     // record funnels through these, so they must never touch the
-    // allocator; the allocating helpers (`consume`'s error message,
-    // `keyword`'s owned string) live below, outside the region.
+    // allocator; the allocating helper (`consume`'s error message)
+    // lives below, outside the region.
     // tidy:alloc-free:start
     fn at_end(&self) -> bool {
         self.pos >= self.bytes.len()
@@ -193,13 +195,28 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.error("expected a number"));
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("number is not ASCII"))?
+        // Every byte matched above is ASCII, so both ends of the token
+        // are char boundaries of the source and no UTF-8 check is needed.
+        self.src[start..self.pos]
             .parse::<f64>()
             .map_err(|_| GeomError::WktParse {
                 message: "malformed number".into(),
                 offset: start,
             })
+    }
+
+    /// Reads the next alphabetic keyword, as written in the source.
+    fn keyword(&mut self) -> Result<&'a str, GeomError> {
+        self.skip_ws();
+        let start = self.pos;
+        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_alphabetic() {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.error("expected a keyword"));
+        }
+        // ASCII letters only, so both ends are char boundaries.
+        Ok(&self.src[start..self.pos])
     }
     // tidy:alloc-free:end
 
@@ -211,21 +228,6 @@ impl<'a> Parser<'a> {
         } else {
             Err(self.error(&format!("expected '{}'", b as char)))
         }
-    }
-
-    /// Reads the next alphabetic keyword, upper-cased.
-    fn keyword(&mut self) -> Result<String, GeomError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_alphabetic() {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.error("expected a keyword"));
-        }
-        let word = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("keyword is not ASCII"))?;
-        Ok(word.to_ascii_uppercase())
     }
 
     /// `( x y, x y, ... )` — a parenthesised coordinate list, returned flat.
@@ -259,75 +261,72 @@ impl<'a> Parser<'a> {
 
     fn parse_geometry(&mut self) -> Result<Geometry, GeomError> {
         let kw = self.keyword()?;
-        match kw.as_str() {
-            "POINT" => {
-                self.consume(b'(')?;
+        let is = |name: &str| kw.eq_ignore_ascii_case(name);
+        if is("POINT") {
+            self.consume(b'(')?;
+            let x = self.number()?;
+            let y = self.number()?;
+            self.consume(b')')?;
+            Ok(Geometry::Point(Point::new(x, y)))
+        } else if is("LINESTRING") {
+            let coords = self.coord_list()?;
+            Ok(Geometry::LineString(LineString::new(coords)?))
+        } else if is("POLYGON") {
+            Ok(Geometry::Polygon(self.polygon_body()?))
+        } else if is("MULTIPOINT") {
+            if self.try_empty() {
+                return Ok(Geometry::MultiPoint(MultiPoint::new(vec![])));
+            }
+            self.consume(b'(')?;
+            let mut points = Vec::new();
+            loop {
+                // Both `(x y)` and bare `x y` member syntax are legal WKT.
+                let parenthesised = self.consume_if(b'(');
                 let x = self.number()?;
                 let y = self.number()?;
-                self.consume(b')')?;
-                Ok(Geometry::Point(Point::new(x, y)))
+                if parenthesised {
+                    self.consume(b')')?;
+                }
+                points.push(Point::new(x, y));
+                if !self.consume_if(b',') {
+                    break;
+                }
             }
-            "LINESTRING" => {
-                let coords = self.coord_list()?;
-                Ok(Geometry::LineString(LineString::new(coords)?))
+            self.consume(b')')?;
+            Ok(Geometry::MultiPoint(MultiPoint::new(points)))
+        } else if is("MULTILINESTRING") {
+            if self.try_empty() {
+                return Ok(Geometry::MultiLineString(MultiLineString::new(vec![])));
             }
-            "POLYGON" => Ok(Geometry::Polygon(self.polygon_body()?)),
-            "MULTIPOINT" => {
-                if self.try_empty() {
-                    return Ok(Geometry::MultiPoint(MultiPoint::new(vec![])));
+            self.consume(b'(')?;
+            let mut lines = Vec::new();
+            loop {
+                lines.push(LineString::new(self.coord_list()?)?);
+                if !self.consume_if(b',') {
+                    break;
                 }
-                self.consume(b'(')?;
-                let mut points = Vec::new();
-                loop {
-                    // Both `(x y)` and bare `x y` member syntax are legal WKT.
-                    let parenthesised = self.consume_if(b'(');
-                    let x = self.number()?;
-                    let y = self.number()?;
-                    if parenthesised {
-                        self.consume(b')')?;
-                    }
-                    points.push(Point::new(x, y));
-                    if !self.consume_if(b',') {
-                        break;
-                    }
-                }
-                self.consume(b')')?;
-                Ok(Geometry::MultiPoint(MultiPoint::new(points)))
             }
-            "MULTILINESTRING" => {
-                if self.try_empty() {
-                    return Ok(Geometry::MultiLineString(MultiLineString::new(vec![])));
-                }
-                self.consume(b'(')?;
-                let mut lines = Vec::new();
-                loop {
-                    lines.push(LineString::new(self.coord_list()?)?);
-                    if !self.consume_if(b',') {
-                        break;
-                    }
-                }
-                self.consume(b')')?;
-                Ok(Geometry::MultiLineString(MultiLineString::new(lines)))
+            self.consume(b')')?;
+            Ok(Geometry::MultiLineString(MultiLineString::new(lines)))
+        } else if is("MULTIPOLYGON") {
+            if self.try_empty() {
+                return Ok(Geometry::MultiPolygon(MultiPolygon::new(vec![])));
             }
-            "MULTIPOLYGON" => {
-                if self.try_empty() {
-                    return Ok(Geometry::MultiPolygon(MultiPolygon::new(vec![])));
+            self.consume(b'(')?;
+            let mut polygons = Vec::new();
+            loop {
+                polygons.push(self.polygon_body()?);
+                if !self.consume_if(b',') {
+                    break;
                 }
-                self.consume(b'(')?;
-                let mut polygons = Vec::new();
-                loop {
-                    polygons.push(self.polygon_body()?);
-                    if !self.consume_if(b',') {
-                        break;
-                    }
-                }
-                self.consume(b')')?;
-                Ok(Geometry::MultiPolygon(MultiPolygon::new(polygons)))
             }
-            other => Err(GeomError::WktParse {
-                message: format!("unknown geometry type '{other}'"),
+            self.consume(b')')?;
+            Ok(Geometry::MultiPolygon(MultiPolygon::new(polygons)))
+        } else {
+            Err(GeomError::WktParse {
+                message: format!("unknown geometry type '{}'", kw.to_ascii_uppercase()),
                 offset: 0,
-            }),
+            })
         }
     }
 }
@@ -342,6 +341,23 @@ mod tests {
         let g = parse("POINT (-73.97 40.75)").unwrap();
         assert_eq!(g, Geometry::Point(Point::new(-73.97, 40.75)));
         assert_eq!(write(&g), "POINT (-73.97 40.75)");
+        // 17 significant digits, negative values and extreme exponents
+        // must survive write -> parse bit for bit.
+        for (x, y) in [
+            (-73.985_428_380_966_19, 40.748_440_170_288_086),
+            (0.1 + 0.2, -1.0 / 3.0),
+            (-1.234_567_890_123_456_7e-300, 9.876_543_210_987_654e300),
+            (-0.0, f64::MIN_POSITIVE),
+            (123_456.789_012_345_67, -119_999.999_999_999_99),
+        ] {
+            let g = Geometry::Point(Point::new(x, y));
+            let p = parse(&write(&g)).unwrap().as_point().unwrap();
+            assert_eq!(
+                (p.x.to_bits(), p.y.to_bits()),
+                (x.to_bits(), y.to_bits()),
+                "{x} {y}"
+            );
+        }
     }
 
     #[test]
@@ -350,6 +366,14 @@ mod tests {
         assert_eq!(g.as_point(), Some(Point::new(1.0, 2.0)));
         let g2 = parse("LineString ( 0 0 , 1 1 )").unwrap();
         assert_eq!(g2.type_name(), "LINESTRING");
+        let poly = parse("Polygon((0 0,1 0,1 1,0 0))").unwrap();
+        assert_eq!(poly, parse("POLYGON ((0 0, 1 0, 1 1, 0 0))").unwrap());
+        let multi = parse("multiPOLYGON (((0 0, 1 0, 1 1, 0 0)))").unwrap();
+        assert_eq!(multi.type_name(), "MULTIPOLYGON");
+        assert_eq!(
+            parse("multipoint empty").unwrap(),
+            parse("MULTIPOINT EMPTY").unwrap()
+        );
     }
 
     #[test]
@@ -393,6 +417,13 @@ mod tests {
     fn scientific_notation() {
         let g = parse("POINT (1.5e2 -2.5E-1)").unwrap();
         assert_eq!(g.as_point(), Some(Point::new(150.0, -0.25)));
+        let g = parse("POINT (-7.3985428380966187E+1 4.0748440170288086e1)").unwrap();
+        assert_eq!(
+            g.as_point(),
+            Some(Point::new(-73.985_428_380_966_18, 40.748_440_170_288_086))
+        );
+        let g = parse("POINT (1e-320 -2.5E+300)").unwrap();
+        assert_eq!(g.as_point(), Some(Point::new(1e-320, -2.5e300)));
     }
 
     #[test]
@@ -402,7 +433,13 @@ mod tests {
             GeomError::WktParse { offset, .. } => assert!(offset >= 8),
             other => panic!("expected parse error, got {other:?}"),
         }
-        assert!(parse("CIRCLE (0 0)").is_err());
+        match parse("  Circle (0 0)").unwrap_err() {
+            GeomError::WktParse { message, offset } => {
+                assert_eq!(message, "unknown geometry type 'CIRCLE'");
+                assert_eq!(offset, 0);
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
         assert!(parse("POINT (1 2) junk").is_err());
         assert!(parse("").is_err());
         assert!(parse("POLYGON ((0 0, 1 1))").is_err()); // ring too short

@@ -13,7 +13,7 @@ use std::time::Instant;
 use crate::catalog::Catalog;
 use crate::error::ImpalaError;
 use crate::plan::{plan_query, PhysicalPlan};
-use crate::row::{Row, RowBatch};
+use crate::row::{split_record, Row, RowBatch};
 use crate::sql::parse_query;
 
 /// Backend configuration.
@@ -376,10 +376,10 @@ impl Impalad {
         let t0 = Instant::now();
         let mut entries: Vec<(geom::Envelope, (i64, Geometry))> = Vec::new();
         for line in &right_lines {
-            if let Some(row) = Row::from_line(line, plan.right_geom_col) {
-                if let Ok(g) = geom::wkt::parse(&row.wkt) {
+            if let Some((id, wkt)) = split_record(line, plan.right_geom_col) {
+                if let Ok(g) = geom::wkt::parse(wkt) {
                     let env = g.envelope().expanded_by(radius);
-                    entries.push((env, (row.id, engine.prepare(&g))));
+                    entries.push((env, (id, engine.prepare(&g))));
                 }
             }
         }

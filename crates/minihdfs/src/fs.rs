@@ -411,7 +411,7 @@ impl MiniDfs {
     /// Fails with [`DfsError::NotFound`] for unknown paths.
     pub fn read_all_lines(&self, path: &str) -> Result<Vec<String>, DfsError> {
         let blocks = self.blocks(path)?;
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(blocks.iter().map(|b| b.num_records).sum());
         for b in blocks {
             out.extend(b.lines().map(str::to_string));
         }
