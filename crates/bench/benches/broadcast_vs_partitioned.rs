@@ -6,7 +6,7 @@
 
 use bench::timing::{BenchId, Harness};
 use geom::engine::{PreparedEngine, SpatialPredicate};
-use spatialjoin::join::{broadcast_index_join, partitioned_join};
+use spatialjoin::JoinRequest;
 use std::hint::black_box;
 
 fn bench_strategies(c: &mut Harness) {
@@ -26,25 +26,21 @@ fn bench_strategies(c: &mut Harness) {
         group.sample_size(10);
         group.bench_function(BenchId::from_parameter("broadcast"), |b| {
             b.iter(|| {
-                broadcast_index_join(
-                    black_box(&points),
-                    black_box(&polys),
-                    SpatialPredicate::Within,
-                    &PreparedEngine,
-                )
-                .len()
+                JoinRequest::new(black_box(&points), black_box(&polys), &PreparedEngine)
+                    .predicate(SpatialPredicate::Within)
+                    .run()
+                    .pairs
+                    .len()
             })
         });
         group.bench_function(BenchId::from_parameter("partitioned"), |b| {
             b.iter(|| {
-                partitioned_join(
-                    black_box(&points),
-                    black_box(&polys),
-                    SpatialPredicate::Within,
-                    &PreparedEngine,
-                    2_000,
-                )
-                .len()
+                JoinRequest::new(black_box(&points), black_box(&polys), &PreparedEngine)
+                    .predicate(SpatialPredicate::Within)
+                    .partitioned(2_000)
+                    .run()
+                    .pairs
+                    .len()
             })
         });
         group.finish();

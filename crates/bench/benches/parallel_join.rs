@@ -3,7 +3,7 @@
 //!
 //! Two numbers come out of every configuration:
 //!
-//! * **measured** wall-clock of `PreparedSet::par_probe` on this
+//! * **measured** wall-clock of `PreparedSet::par_probe_observed` on this
 //!   machine (bounded by the physical core count), and
 //! * **replay** speedup from feeding the measured per-morsel timings
 //!   through the discrete-event simulator (`cluster::simulate`) on a
@@ -12,7 +12,7 @@
 //!   one local run.
 //!
 //! Every parallel result is checked for exact equality with the serial
-//! `broadcast_index_join` output before it is reported. The run writes
+//! `JoinRequest` output before it is reported. The run writes
 //! `results/BENCH_parallel_join.json` (hand-rolled JSON, no external
 //! serializer) and also times the `geom_col == 1` record-parse fast
 //! path against the general column scan.
@@ -20,9 +20,8 @@
 use bench::timing::{BenchId, Harness};
 use cluster::{ClusterSpec, ScheduleMode, Scheduler, TaskSpec};
 use geom::engine::{PreparedEngine, SpatialPredicate};
-use spatialjoin::join::{broadcast_index_join, parse_point_records};
 use spatialjoin::parallel::{MorselConfig, PreparedSet};
-use spatialjoin::{GeomRecord, PointRecord};
+use spatialjoin::{GeomRecord, JoinRequest, PointRecord, RecordReader};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -67,7 +66,7 @@ fn measure(
     let mut kept = None;
     for _ in 0..REPETITIONS {
         let start = Instant::now();
-        let (pairs, timings) = set.par_probe_timed(left, &PreparedEngine, cfg);
+        let (pairs, timings, _) = set.par_probe_observed(left, &PreparedEngine, cfg);
         let secs = start.elapsed().as_secs_f64();
         if secs < best {
             best = secs;
@@ -83,8 +82,8 @@ fn measure(
 /// schedule mode.
 fn replay(timings: &[cluster::TaskTiming], threads: usize, mode: ScheduleMode) -> f64 {
     let mut tasks: Vec<TaskSpec> = timings.iter().map(|t| TaskSpec::of_cost(t.secs)).collect();
-    // run_morsels reports timings in completion order; replay wants
-    // input order so static chunking matches the pool's assignment.
+    // Replay wants input order so static chunking matches the pool's
+    // assignment.
     let mut by_index: Vec<(usize, TaskSpec)> = timings
         .iter()
         .zip(tasks.iter())
@@ -116,7 +115,7 @@ fn mode_name(mode: ScheduleMode) -> &'static str {
 fn sweep() -> (f64, Vec<ConfigResult>, usize) {
     let (left, right) = workload();
     let engine = PreparedEngine;
-    let serial_reference = broadcast_index_join(&left, &right, SpatialPredicate::Within, &engine);
+    let serial_reference = JoinRequest::new(&left, &right, &engine).run().pairs;
     let set = PreparedSet::prepare(&right, SpatialPredicate::Within, &engine);
 
     // Serial baseline through the same morsel driver (threads = 1 runs
@@ -251,10 +250,10 @@ fn bench_parse_records(c: &mut Harness) {
     let mut group = c.benchmark_group("parse-records/50k-points");
     group.sample_size(7);
     group.bench_function(BenchId::from_parameter("geom-col-1-fast-path"), |b| {
-        b.iter(|| parse_point_records(black_box(&col1), 1).len())
+        b.iter(|| RecordReader::new(1).read_points(black_box(&col1)).0.len())
     });
     group.bench_function(BenchId::from_parameter("geom-col-3-column-scan"), |b| {
-        b.iter(|| parse_point_records(black_box(&col3), 3).len())
+        b.iter(|| RecordReader::new(3).read_points(black_box(&col3)).0.len())
     });
     group.finish();
 }

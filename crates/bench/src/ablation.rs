@@ -24,12 +24,11 @@
 use crate::{BenchError, Experiment, Replay, Workload};
 use cluster::{scan_range_assignment, simulate, ClusterSpec, ScheduleMode, Scheduler, TaskSpec};
 use geom::engine::RefinementEngine;
-use spatialjoin::join::parse_geom_records;
-use spatialjoin::join::parse_point_records;
 use spatialjoin::parallel::{
-    partition_blocks, spatial_sort_points, timings_to_taskspecs, MorselConfig, PreparedSet,
-    DEFAULT_MORSEL_SIZE, LOCALITY_GRID_SIDE,
+    morsel_partitions, partition_blocks, spatial_sort_points, timings_to_taskspecs, MorselConfig,
+    PreparedSet, DEFAULT_MORSEL_SIZE, LOCALITY_GRID_SIDE,
 };
+use spatialjoin::RecordReader;
 use std::fmt::Write as _;
 
 /// Node counts of the paper's Fig. 4/5 sweep.
@@ -122,13 +121,14 @@ pub fn ablate_experiment<E: RefinementEngine>(
     replay: &Replay,
 ) -> Result<ExperimentAblation, BenchError> {
     // Counter window: parsing plus the first (reference) measurement
-    // pass below. The pool wrappers fold worker counts back into this
-    // thread, so the snapshot delta is exact at any thread count.
+    // pass below. That pass runs inline on this thread, so the snapshot
+    // delta is exact.
     let before = obs::thread_snapshot();
     let left_lines = w.dfs.read_all_lines(exp.left_path())?;
     let right_lines = w.dfs.read_all_lines(exp.right_path())?;
-    let mut left = parse_point_records(&left_lines, 1);
-    let right = parse_geom_records(&right_lines, 1);
+    let reader = RecordReader::new(1);
+    let mut left = reader.read_points(&left_lines).0;
+    let right = reader.read_geoms(&right_lines).0;
     drop(left_lines);
     drop(right_lines);
 
@@ -154,16 +154,17 @@ pub fn ablate_experiment<E: RefinementEngine>(
         mode: ScheduleMode::Static,
         morsel_size,
     };
-    let (pairs, mut timings, partitions) = set.par_probe_tagged(&left, engine, measure_cfg);
+    let (pairs, mut timings, _) = set.par_probe_observed(&left, engine, measure_cfg);
     let stats = obs::thread_snapshot().minus(&before);
     let serial = &pairs;
+    let partitions = morsel_partitions(&left, morsel_size, LOCALITY_GRID_SIDE);
 
     // Per-morsel minimum over three passes: at small scales a morsel
     // runs in microseconds, where one cache miss or timer hiccup can
     // double a reading — the min is the morsel's intrinsic cost.
     timings.sort_by_key(|t| t.index);
     for _ in 0..2 {
-        let (_, mut again, _) = set.par_probe_tagged(&left, engine, measure_cfg);
+        let (_, mut again, _) = set.par_probe_observed(&left, engine, measure_cfg);
         again.sort_by_key(|t| t.index);
         for (t, a) in timings.iter_mut().zip(&again) {
             t.secs = t.secs.min(a.secs);
@@ -183,7 +184,7 @@ pub fn ablate_experiment<E: RefinementEngine>(
             mode,
             morsel_size,
         };
-        identical &= set.par_probe(&left, engine, cfg) == *serial;
+        identical &= set.par_probe_observed(&left, engine, cfg).0 == *serial;
     }
     assert!(
         identical,

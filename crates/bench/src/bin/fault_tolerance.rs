@@ -15,7 +15,7 @@
 //!   harness restarts it from scratch (fresh fault draws) until it
 //!   completes or the restart budget is spent;
 //! * `pool-retry` — the shared morsel pool retries panicking morsels in
-//!   place under a bounded [`RetryPolicy`].
+//!   place, up to a bounded number of attempts each.
 //!
 //! Every recovered run is checked bit-identical to its fault-free
 //! twin, and a separate phase plants replica corruption on a
@@ -34,7 +34,7 @@ use bench::{
 };
 use cluster::{
     simulate, simulate_with_recompute, simulate_with_restart, Chaos, ChaosConfig, ClusterSpec,
-    Failure, RetryPolicy, Scheduler,
+    Failure, Scheduler,
 };
 use spatialjoin::{MorselConfig, PreparedSet, RecordReader};
 
@@ -104,7 +104,7 @@ fn main() -> Result<(), BenchError> {
     let set = PreparedSet::prepare(&right, exp.predicate(), &engine);
     let cfg = MorselConfig::new(threads);
     let t0 = Instant::now();
-    let pool_base = set.par_probe(&left, &engine, cfg);
+    let (pool_base, _, _) = set.par_probe_observed(&left, &engine, cfg);
     let pool_base_secs = t0.elapsed().as_secs_f64();
 
     eprintln!(
@@ -280,13 +280,7 @@ fn pool_retry_row(
     let before = obs::thread_snapshot();
     let chaos = Chaos::new(ChaosConfig::uniform(SEED, rate));
     let t0 = Instant::now();
-    let outcome = set.par_probe_faulted(
-        left,
-        engine,
-        cfg,
-        &chaos,
-        RetryPolicy::attempts(POOL_ATTEMPTS),
-    );
+    let outcome = set.par_probe_faulted(left, engine, cfg, &chaos, POOL_ATTEMPTS);
     let wall_secs = t0.elapsed().as_secs_f64();
     let delta = obs::thread_snapshot().minus(&before);
     let (completed, bit_identical) = match &outcome {

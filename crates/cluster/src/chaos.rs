@@ -38,9 +38,11 @@ use datagen::rng::StdRng;
 /// draws independent faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosSite {
-    /// A task in `cluster::pool::run_tasks_faulted` (sparklet stages).
+    /// A sparklet stage task: a [`crate::dispatch`] unit that yields
+    /// one partition.
     Task,
-    /// A morsel in `cluster::pool::run_morsels_faulted` (probe loops).
+    /// A probe morsel: a [`crate::dispatch`] unit that appends one
+    /// slice's join pairs.
     Morsel,
     /// A DFS block read (transient errors) or `(block, replica)`
     /// corruption decision.

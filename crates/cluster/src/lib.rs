@@ -27,10 +27,6 @@ pub mod topology;
 pub use chaos::{Chaos, ChaosConfig, ChaosEvent, ChaosSite, FaultKind};
 pub use failure::{simulate_with_recompute, simulate_with_restart, Failure, FailureReport};
 pub use network::NetworkModel;
-pub use pool::{
-    run_morsels, run_morsels_faulted, run_morsels_hinted, run_morsels_hinted_observed,
-    run_morsels_observed, run_tasks, run_tasks_faulted, run_tasks_observed, FaultedMorsels,
-    FaultedTasks, RetryPolicy, ScheduleMode, TaskFailure, TaskTiming,
-};
+pub use pool::{dispatch, Dispatch, Dispatched, ScheduleMode, TaskFailure, TaskTiming};
 pub use sim::{scan_range_assignment, simulate, Scheduler, SimReport, TaskSpec};
 pub use topology::ClusterSpec;

@@ -1,42 +1,50 @@
-//! Real parallel execution with per-task timing.
+//! Real parallel execution with per-unit timing.
 //!
-//! This is where the join work actually happens. Items are processed on
-//! `threads` OS threads under either dynamic (work-queue) or static
-//! (pre-chunked) scheduling — mirroring the Spark-vs-OpenMP-static
-//! contrast the paper analyses — and each item's wall-clock cost is
-//! recorded so the [`crate::sim`] replay can scale the run to any
-//! cluster size.
+//! This is where the join work actually happens. [`dispatch`] runs `n`
+//! units of work on `threads` OS threads under dynamic (work-queue) or
+//! static (pre-chunked) scheduling — mirroring the Spark-vs-OpenMP-static
+//! contrast the paper analyses — and records each unit's wall-clock
+//! cost so the [`crate::sim`] replay can scale the run to any cluster
+//! size.
+//!
+//! There is one dispatch core. A unit appends any number of results to
+//! its worker's buffer (a task is a unit that appends exactly one); the
+//! driver stitches the buffers back in unit order, so the concatenated
+//! output is identical to running the units serially. Every unit runs
+//! under `catch_unwind` with bounded in-place retry: a panicking attempt
+//! has its partial output rolled back, and a unit that exhausts its
+//! attempts is reported as a [`TaskFailure`] instead of unwinding the
+//! driver.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// How items are handed to worker threads.
+/// How units are handed to worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleMode {
-    /// Shared counter; each worker grabs the next unprocessed item.
+    /// Shared counter; each worker grabs the next unprocessed unit.
     Dynamic,
     /// Contiguous chunks assigned up front (OpenMP `schedule(static)`).
     Static,
-    /// Static assignment by a per-item locality hint (Impala's
+    /// Static assignment by a per-unit locality hint (Impala's
     /// scan-range assignment, stood in for by the grid/STR partition of
-    /// the data): item `i` is pre-assigned to worker `hint[i] % threads`.
-    /// Items without a hint — or runs without any hints at all, such as
-    /// [`run_tasks`] and plain [`run_morsels`] — fall back to static
-    /// chunking. Hints are supplied via [`run_morsels_hinted`].
+    /// the data): unit `i` is pre-assigned to worker `hints[i] % threads`.
+    /// Units without a hint — including every unit of a dispatch with
+    /// empty [`Dispatch::hints`] — fall back to static chunking.
     StaticLocality,
 }
 
-/// Worker pre-assigned to item `i` of `n` under static chunking — the
+/// Worker pre-assigned to unit `i` of `n` under static chunking — the
 /// exact inverse of the `[w*n/threads, (w+1)*n/threads)` chunk bounds
-/// the static arms iterate, so hint fallback and plain static mode
-/// agree on every item.
+/// the static arm iterates, so hint fallback and plain static mode
+/// agree on every unit.
 #[inline]
 fn chunk_worker(i: usize, n: usize, threads: usize) -> usize {
     ((i + 1) * threads).div_ceil(n.max(1)).saturating_sub(1)
 }
 
-/// Worker pre-assigned to item `i` under [`ScheduleMode::StaticLocality`]:
+/// Worker pre-assigned to unit `i` under [`ScheduleMode::StaticLocality`]:
 /// the hinted worker when a hint exists, the static chunk otherwise.
 #[inline]
 fn hinted_worker(i: usize, n: usize, threads: usize, hints: &[usize]) -> usize {
@@ -46,18 +54,91 @@ fn hinted_worker(i: usize, n: usize, threads: usize, hints: &[usize]) -> usize {
     }
 }
 
-/// Measured timing of one item.
+/// Measured timing of one unit.
 #[derive(Debug, Clone, Copy)]
 pub struct TaskTiming {
-    /// Item index in the input order.
+    /// Unit index in the input order.
     pub index: usize,
-    /// Worker thread that ran the item.
+    /// Worker thread that ran the unit.
     pub worker: usize,
-    /// Wall-clock seconds the item took.
+    /// Wall-clock seconds the unit took, across all its attempts.
     pub secs: f64,
 }
 
-/// The obs dispatch label for a schedule mode. Items are charged to the
+/// One unit that still had a panic in flight after every permitted
+/// attempt. The panic payload is flattened to its message so failures
+/// stay `Send + Clone` and printable.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TaskFailure {
+    /// Unit index in the input order.
+    pub index: usize,
+    /// Attempts consumed (equals [`Dispatch::attempts`]).
+    pub attempts: u32,
+    /// The panic message of the final attempt.
+    pub message: String,
+}
+
+/// How a [`dispatch`] call hands out and retries its units.
+#[derive(Debug, Clone, Copy)]
+pub struct Dispatch<'h> {
+    /// Worker threads; 1 runs every unit inline on the calling thread.
+    pub threads: usize,
+    /// How units are handed to workers.
+    pub mode: ScheduleMode,
+    /// Per-unit preferred-worker keys (a partition or block id, taken
+    /// modulo `threads`). Only [`ScheduleMode::StaticLocality`] reads
+    /// them; a slice shorter than the unit count falls back to static
+    /// chunking for the uncovered tail.
+    pub hints: &'h [usize],
+    /// Total attempts per unit, including the first (clamped to ≥ 1).
+    /// One attempt is fail-fast: a panic fails the unit immediately.
+    pub attempts: u32,
+}
+
+impl Dispatch<'_> {
+    /// `threads` workers under `mode`, no hints, one attempt per unit.
+    pub fn new(threads: usize, mode: ScheduleMode) -> Self {
+        Dispatch {
+            threads,
+            mode,
+            hints: &[],
+            attempts: 1,
+        }
+    }
+}
+
+/// What a [`dispatch`] produced.
+#[derive(Debug)]
+pub struct Dispatched<R> {
+    /// Concatenated output of every successful unit, in unit order.
+    /// A failed unit contributes nothing — its partial output is
+    /// rolled back, never leaked.
+    pub out: Vec<R>,
+    /// Timings of successful units, in unit order.
+    pub timings: Vec<TaskTiming>,
+    /// Units that exhausted every attempt, in unit order.
+    pub failures: Vec<TaskFailure>,
+    /// Scoped-worker counters (zero when the units ran inline on the
+    /// calling thread, where counts land in the caller's cells) plus
+    /// per-worker busy/wait accounting. The pool never folds these
+    /// counters into the calling thread; callers that want them there
+    /// call `obs::add_thread(&exec.worker_counters)`.
+    pub exec: obs::ExecStats,
+}
+
+impl<R> Dispatched<R> {
+    /// Re-raises the first failure's panic message on the calling
+    /// thread — for callers with no recovery logic, where a panicking
+    /// unit is a bug in the closure.
+    pub fn or_raise(self) -> Self {
+        if let Some(failure) = self.failures.first() {
+            std::panic::panic_any(failure.message.clone());
+        }
+        self
+    }
+}
+
+/// The obs dispatch label for a schedule mode. Units are charged to the
 /// *requested* mode even where the implementation degenerates (locality
 /// without hints, the single-thread inline path), so counters are
 /// identical across thread counts.
@@ -74,442 +155,6 @@ fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Runs `f` over `items` on `threads` threads, returning the results in
-/// input order together with per-item timings.
-///
-/// The closure runs on multiple threads, hence `Sync`; results are
-/// collected per worker and stitched back in order. Worker-side obs
-/// counters are folded into the calling thread's cells; use
-/// [`run_tasks_observed`] to receive them explicitly instead.
-pub fn run_tasks<T, R, F>(
-    items: Vec<T>,
-    threads: usize,
-    mode: ScheduleMode,
-    f: F,
-) -> (Vec<R>, Vec<TaskTiming>)
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let (results, timings, exec) = run_tasks_observed(items, threads, mode, f);
-    obs::add_thread(&exec.worker_counters);
-    (results, timings)
-}
-
-/// [`run_tasks`] returning an [`obs::ExecStats`]: the scoped workers'
-/// counters (zero on the inline single-thread path, where counts land in
-/// the calling thread's cells) plus per-worker busy/wait accounting.
-pub fn run_tasks_observed<T, R, F>(
-    items: Vec<T>,
-    threads: usize,
-    mode: ScheduleMode,
-    f: F,
-) -> (Vec<R>, Vec<TaskTiming>, obs::ExecStats)
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.max(1);
-    let n = items.len();
-    let dmode = dispatch_mode(mode);
-    if n == 0 {
-        return (Vec::new(), Vec::new(), obs::ExecStats::default());
-    }
-    // Single-threaded fast path keeps the measurement overhead obvious.
-    if threads == 1 {
-        let mut results = Vec::with_capacity(n);
-        let mut timings = Vec::with_capacity(n);
-        let mut busy_ns: u64 = 0;
-        for (index, item) in items.iter().enumerate() {
-            let t0 = Instant::now();
-            results.push(f(item));
-            let elapsed = t0.elapsed();
-            busy_ns = busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-            obs::morsel(dmode);
-            timings.push(TaskTiming {
-                index,
-                worker: 0,
-                secs: elapsed.as_secs_f64(),
-            });
-        }
-        let exec = obs::ExecStats {
-            worker_counters: obs::Counters::default(),
-            workers: vec![obs::WorkerStats {
-                worker: 0,
-                items: n as u64,
-                busy_ns,
-                wait_ns: 0,
-            }],
-        };
-        return (results, timings, exec);
-    }
-
-    let counter = AtomicUsize::new(0);
-    let items_ref = &items;
-    let f_ref = &f;
-    let mut per_worker: Vec<Vec<(usize, R, f64)>> = Vec::with_capacity(threads);
-    let mut exec = obs::ExecStats::default();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let counter = &counter;
-            handles.push(scope.spawn(move || {
-                let wall0 = Instant::now();
-                let mut busy_ns: u64 = 0;
-                let mut local: Vec<(usize, R, f64)> = Vec::with_capacity(n / threads + 1);
-                match mode {
-                    ScheduleMode::Dynamic => loop {
-                        let i = counter.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let t0 = Instant::now();
-                        let r = f_ref(&items_ref[i]);
-                        let elapsed = t0.elapsed();
-                        busy_ns =
-                            busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-                        obs::morsel(dmode);
-                        local.push((i, r, elapsed.as_secs_f64()));
-                    },
-                    // run_tasks carries no per-item hints, so locality
-                    // degenerates to its static-chunking fallback.
-                    ScheduleMode::Static | ScheduleMode::StaticLocality => {
-                        let start = (w * n) / threads;
-                        let end = ((w + 1) * n) / threads;
-                        for (off, item) in items_ref[start..end].iter().enumerate() {
-                            let t0 = Instant::now();
-                            let r = f_ref(item);
-                            let elapsed = t0.elapsed();
-                            busy_ns = busy_ns
-                                .saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-                            obs::morsel(dmode);
-                            local.push((start + off, r, elapsed.as_secs_f64()));
-                        }
-                    }
-                }
-                let wall_ns = elapsed_ns(wall0);
-                let stats = obs::WorkerStats {
-                    worker: w,
-                    items: local.len() as u64,
-                    busy_ns,
-                    wait_ns: wall_ns.saturating_sub(busy_ns),
-                };
-                // Fresh scoped threads start with zeroed cells, so the
-                // drain is exactly what this worker accumulated.
-                (local, stats, obs::take_thread())
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok((local, stats, counters)) => {
-                    per_worker.push(local);
-                    exec.workers.push(stats);
-                    exec.worker_counters = exec.worker_counters.plus(&counters);
-                }
-                // A worker panicking is a bug in the caller's closure;
-                // surface it on the driver thread with the same message.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    // Stitch results back into input order. Workers process disjoint
-    // index sets covering 0..n, so sorting the tagged results restores
-    // the original order without an Option-per-slot intermediate.
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(n);
-    let mut timings = Vec::with_capacity(n);
-    for (w, local) in per_worker.into_iter().enumerate() {
-        for (index, r, secs) in local {
-            indexed.push((index, r));
-            timings.push(TaskTiming {
-                index,
-                worker: w,
-                secs,
-            });
-        }
-    }
-    timings.sort_by_key(|t| t.index);
-    indexed.sort_by_key(|&(index, _)| index);
-    let results = indexed.into_iter().map(|(_, r)| r).collect();
-    (results, timings, exec)
-}
-
-/// Runs `f` over fixed-size morsels (slices of some larger input) on
-/// `threads` threads, concatenating the per-morsel output segments back
-/// in input order.
-///
-/// Unlike [`run_tasks`], the closure appends an arbitrary number of
-/// results per morsel into a thread-local buffer; the driver records
-/// each segment's length and stitches the buffers so the concatenated
-/// output is byte-identical to running the morsels serially. Timings
-/// are per morsel, indexed by morsel position.
-pub fn run_morsels<T, R, F>(
-    morsels: &[&[T]],
-    threads: usize,
-    mode: ScheduleMode,
-    f: F,
-) -> (Vec<R>, Vec<TaskTiming>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T], &mut Vec<R>) + Sync,
-{
-    run_morsels_hinted(morsels, &[], threads, mode, f)
-}
-
-/// [`run_morsels`] returning an [`obs::ExecStats`] (see
-/// [`run_tasks_observed`] for the collection contract).
-pub fn run_morsels_observed<T, R, F>(
-    morsels: &[&[T]],
-    threads: usize,
-    mode: ScheduleMode,
-    f: F,
-) -> (Vec<R>, Vec<TaskTiming>, obs::ExecStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T], &mut Vec<R>) + Sync,
-{
-    run_morsels_hinted_observed(morsels, &[], threads, mode, f)
-}
-
-/// [`run_morsels`] with per-morsel locality hints.
-///
-/// `hints[i]` is morsel `i`'s preferred-worker key (a partition or
-/// block id — any `usize`; it is taken modulo `threads`). Hints only
-/// decide *who* runs a morsel under [`ScheduleMode::StaticLocality`];
-/// output order and content are identical to every other mode. A
-/// `hints` slice shorter than `morsels` (including empty) falls back to
-/// static chunking for the uncovered tail.
-pub fn run_morsels_hinted<T, R, F>(
-    morsels: &[&[T]],
-    hints: &[usize],
-    threads: usize,
-    mode: ScheduleMode,
-    f: F,
-) -> (Vec<R>, Vec<TaskTiming>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T], &mut Vec<R>) + Sync,
-{
-    let (out, timings, exec) = run_morsels_hinted_observed(morsels, hints, threads, mode, f);
-    obs::add_thread(&exec.worker_counters);
-    (out, timings)
-}
-
-/// [`run_morsels_hinted`] returning an [`obs::ExecStats`] (see
-/// [`run_tasks_observed`] for the collection contract).
-pub fn run_morsels_hinted_observed<T, R, F>(
-    morsels: &[&[T]],
-    hints: &[usize],
-    threads: usize,
-    mode: ScheduleMode,
-    f: F,
-) -> (Vec<R>, Vec<TaskTiming>, obs::ExecStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T], &mut Vec<R>) + Sync,
-{
-    let threads = threads.max(1);
-    let n = morsels.len();
-    let dmode = dispatch_mode(mode);
-    if n == 0 {
-        return (Vec::new(), Vec::new(), obs::ExecStats::default());
-    }
-    if threads == 1 {
-        let mut out = Vec::new();
-        let mut timings = Vec::with_capacity(n);
-        let mut busy_ns: u64 = 0;
-        for (index, m) in morsels.iter().enumerate() {
-            let t0 = Instant::now();
-            f(m, &mut out);
-            let elapsed = t0.elapsed();
-            busy_ns = busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-            obs::morsel(dmode);
-            timings.push(TaskTiming {
-                index,
-                worker: 0,
-                secs: elapsed.as_secs_f64(),
-            });
-        }
-        let exec = obs::ExecStats {
-            worker_counters: obs::Counters::default(),
-            workers: vec![obs::WorkerStats {
-                worker: 0,
-                items: n as u64,
-                busy_ns,
-                wait_ns: 0,
-            }],
-        };
-        return (out, timings, exec);
-    }
-
-    let counter = AtomicUsize::new(0);
-    let f_ref = &f;
-    // Each worker returns its output buffer plus, per morsel it ran,
-    // `(morsel index, segment length, secs)`.
-    type Segs = Vec<(usize, usize, f64)>;
-    let mut per_worker: Vec<(Vec<R>, Segs)> = Vec::with_capacity(threads);
-    let mut exec = obs::ExecStats::default();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let counter = &counter;
-            handles.push(scope.spawn(move || {
-                let wall0 = Instant::now();
-                let mut busy_ns: u64 = 0;
-                let mut buf: Vec<R> = Vec::new();
-                let mut segs: Segs = Vec::with_capacity(n / threads + 1);
-                let mut run = |i: usize, m: &[T]| {
-                    let before = buf.len();
-                    let t0 = Instant::now();
-                    f_ref(m, &mut buf);
-                    let elapsed = t0.elapsed();
-                    busy_ns =
-                        busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-                    obs::morsel(dmode);
-                    segs.push((i, buf.len() - before, elapsed.as_secs_f64()));
-                };
-                match mode {
-                    ScheduleMode::Dynamic => loop {
-                        let i = counter.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        run(i, morsels[i]);
-                    },
-                    ScheduleMode::Static => {
-                        let start = (w * n) / threads;
-                        let end = ((w + 1) * n) / threads;
-                        for i in start..end {
-                            run(i, morsels[i]);
-                        }
-                    }
-                    // Pre-assigned by hint; indices stay strictly
-                    // increasing per worker, which the stitch below
-                    // relies on.
-                    ScheduleMode::StaticLocality => {
-                        for i in 0..n {
-                            if hinted_worker(i, n, threads, hints) == w {
-                                run(i, morsels[i]);
-                            }
-                        }
-                    }
-                }
-                drop(run);
-                let wall_ns = elapsed_ns(wall0);
-                let stats = obs::WorkerStats {
-                    worker: w,
-                    items: segs.len() as u64,
-                    busy_ns,
-                    wait_ns: wall_ns.saturating_sub(busy_ns),
-                };
-                (buf, segs, stats, obs::take_thread())
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok((buf, segs, stats, counters)) => {
-                    per_worker.push((buf, segs));
-                    exec.workers.push(stats);
-                    exec.worker_counters = exec.worker_counters.plus(&counters);
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    // Stitch: a worker's morsel indices are strictly increasing under
-    // both modes, so each buffer is already ordered internally; a merge
-    // over `(morsel index → worker, segment length)` drains every
-    // buffer front-to-back without cloning any element.
-    let mut order: Vec<(usize, usize, usize)> = Vec::with_capacity(n); // (index, worker, len)
-    let mut timings = Vec::with_capacity(n);
-    for (w, (_, segs)) in per_worker.iter().enumerate() {
-        for &(index, len, secs) in segs {
-            order.push((index, w, len));
-            timings.push(TaskTiming {
-                index,
-                worker: w,
-                secs,
-            });
-        }
-    }
-    order.sort_unstable_by_key(|&(index, _, _)| index);
-    timings.sort_by_key(|t| t.index);
-    let total: usize = order.iter().map(|&(_, _, len)| len).sum();
-    let mut iters: Vec<std::vec::IntoIter<R>> = per_worker
-        .into_iter()
-        .map(|(buf, _)| buf.into_iter())
-        .collect();
-    let mut out = Vec::with_capacity(total);
-    for (_, w, len) in order {
-        out.extend(iters[w].by_ref().take(len));
-    }
-    (out, timings, exec)
-}
-
-// ---------------------------------------------------------------------
-// fault-tolerant execution: catch_unwind capture + bounded re-dispatch
-// ---------------------------------------------------------------------
-
-/// How many times a panicking item is re-dispatched before it is
-/// reported as failed, and how long to back off between attempts.
-///
-/// `max_attempts` counts *total* attempts, so `RetryPolicy::none()`
-/// (one attempt, no retry) reproduces fail-fast semantics and
-/// `attempts(3)` allows two re-dispatches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per item, including the first. Clamped to ≥ 1.
-    pub max_attempts: u32,
-    /// Sleep between attempts (a stand-in for task re-launch latency).
-    pub backoff: Duration,
-}
-
-impl RetryPolicy {
-    /// One attempt, no backoff: a panic fails the item immediately.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
-    }
-
-    /// `n` total attempts with no backoff.
-    pub fn attempts(n: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: n.max(1),
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy::none()
-    }
-}
-
-/// One item that still had a panic in flight after every permitted
-/// attempt. The panic payload is flattened to its message so failures
-/// stay `Send + Clone` and printable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskFailure {
-    /// Item index in the input order.
-    pub index: usize,
-    /// Attempts consumed (equals the policy's `max_attempts`).
-    pub attempts: u32,
-    /// The panic message of the final attempt.
-    pub message: String,
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).into()
@@ -520,424 +165,239 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Outcome of [`run_tasks_faulted`]: results in input order with
-/// `None` holes where an item exhausted its attempts.
-#[derive(Debug)]
-pub struct FaultedTasks<R> {
-    /// Per-item results in input order; `None` marks a failed item.
-    pub results: Vec<Option<R>>,
-    /// Items that exhausted every attempt, in index order.
-    pub failures: Vec<TaskFailure>,
-    /// Timings of successful items (covering all attempts, including
-    /// failed ones that were retried).
-    pub timings: Vec<TaskTiming>,
-    /// Worker counters and busy/wait accounting.
-    pub exec: obs::ExecStats,
-}
-
-impl<R> FaultedTasks<R> {
-    /// True when every item completed.
-    pub fn all_ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// Unwraps into plain results when nothing failed.
-    pub fn into_results(self) -> Result<Vec<R>, Vec<TaskFailure>> {
-        if self.failures.is_empty() {
-            Ok(self.results.into_iter().flatten().collect())
-        } else {
-            Err(self.failures)
-        }
-    }
-}
-
-/// Outcome of [`run_morsels_faulted`]: the stitched output of every
-/// *successful* morsel (failed morsels contribute nothing — their
-/// partial output is rolled back, never leaked).
-#[derive(Debug)]
-pub struct FaultedMorsels<R> {
-    /// Concatenated output of successful morsels, in input order.
-    pub out: Vec<R>,
-    /// Morsels that exhausted every attempt, in index order.
-    pub failures: Vec<TaskFailure>,
-    /// Timings of successful morsels.
-    pub timings: Vec<TaskTiming>,
-    /// Worker counters and busy/wait accounting.
-    pub exec: obs::ExecStats,
-}
-
-impl<R> FaultedMorsels<R> {
-    /// True when every morsel completed.
-    pub fn all_ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Runs one item to completion or exhaustion under `policy`, capturing
-/// panics with `catch_unwind`. Returns the result and the attempts
-/// consumed. The closure receives the zero-based attempt number so a
-/// deterministic injector can fail early attempts and pass later ones.
-fn attempt_loop<R>(
-    policy: RetryPolicy,
-    mut body: impl FnMut(u32) -> R,
-) -> (Result<R, String>, u32) {
-    let max = policy.max_attempts.max(1);
+/// Runs one unit to completion or exhaustion of `attempts`, capturing
+/// panics with `catch_unwind`. Returns the panic message and attempts
+/// consumed on failure. The body receives the zero-based attempt number
+/// so a deterministic injector can fail early attempts and pass later
+/// ones.
+fn attempt_loop(attempts: u32, mut body: impl FnMut(u32)) -> Result<(), (u32, String)> {
+    let max = attempts.max(1);
     let mut attempt = 0u32;
     loop {
         match catch_unwind(AssertUnwindSafe(|| body(attempt))) {
-            Ok(r) => return (Ok(r), attempt + 1),
+            Ok(()) => return Ok(()),
             Err(payload) => {
                 attempt += 1;
                 if attempt >= max {
-                    return (Err(panic_message(payload.as_ref())), attempt);
+                    return Err((attempt, panic_message(payload.as_ref())));
                 }
                 obs::task_retry();
-                if !policy.backoff.is_zero() {
-                    std::thread::sleep(policy.backoff);
-                }
             }
         }
     }
 }
 
-/// [`run_tasks`] with panic capture and bounded re-dispatch.
-///
-/// Each item runs under `catch_unwind`; a panicking attempt is retried
-/// in place (bounded by `policy`) and an item that exhausts its
-/// attempts becomes a `None` hole plus a [`TaskFailure`] — the driver
-/// never unwinds. On an all-success run the results are bit-identical
-/// to [`run_tasks`] at any thread count. The closure additionally
-/// receives `(index, attempt)` so fault injectors can key decisions.
-pub fn run_tasks_faulted<T, R, F>(
-    items: &[T],
-    threads: usize,
-    mode: ScheduleMode,
-    policy: RetryPolicy,
-    f: F,
-) -> FaultedTasks<R>
+/// One worker's share of a dispatch: its output buffer, the
+/// `(unit, segment length, secs)` of every successful unit in increasing
+/// unit order, its failures and its accounting.
+struct WorkerOut<R> {
+    buf: Vec<R>,
+    segs: Vec<(usize, usize, f64)>,
+    failures: Vec<TaskFailure>,
+    stats: obs::WorkerStats,
+    counters: obs::Counters,
+}
+
+/// The loop every worker runs: pick units by schedule mode, run each
+/// under [`attempt_loop`], and roll back the partial output of failed
+/// attempts so the stitch contract holds.
+fn run_worker<R, F>(w: usize, n: usize, d: &Dispatch, next: &AtomicUsize, f: &F) -> WorkerOut<R>
 where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, u32, &T) -> R + Sync,
+    F: Fn(usize, u32, &mut Vec<R>),
 {
-    let threads = threads.max(1);
-    let n = items.len();
-    let dmode = dispatch_mode(mode);
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut failures: Vec<TaskFailure> = Vec::new();
-    let mut timings: Vec<TaskTiming> = Vec::with_capacity(n);
-    let mut exec = obs::ExecStats::default();
-    if n == 0 {
-        return FaultedTasks {
-            results,
-            failures,
-            timings,
-            exec,
-        };
-    }
-
-    // Per-item work shared by the inline and threaded paths.
-    type Ran<R> = (usize, Result<R, (u32, String)>, f64);
-    let run_one = |i: usize| -> Ran<R> {
+    let dmode = dispatch_mode(d.mode);
+    let wall0 = Instant::now();
+    let mut busy_ns: u64 = 0;
+    let mut buf: Vec<R> = Vec::new();
+    let mut segs = Vec::with_capacity(n / d.threads + 1);
+    let mut failures = Vec::new();
+    let mut run = |i: usize| {
+        let before = buf.len();
         let t0 = Instant::now();
-        let (outcome, attempts) = attempt_loop(policy, |attempt| f(i, attempt, &items[i]));
+        let outcome = attempt_loop(d.attempts, |attempt| {
+            buf.truncate(before);
+            f(i, attempt, &mut buf);
+        });
+        let elapsed = t0.elapsed();
+        busy_ns = busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
         obs::morsel(dmode);
-        let secs = t0.elapsed().as_secs_f64();
         match outcome {
-            Ok(r) => (i, Ok(r), secs),
-            Err(message) => (i, Err((attempts, message)), secs),
-        }
-    };
-
-    let mut place = |ran: Ran<R>, worker: usize| {
-        let (index, outcome, secs) = ran;
-        match outcome {
-            Ok(r) => {
-                results[index] = Some(r);
-                timings.push(TaskTiming {
-                    index,
-                    worker,
-                    secs,
+            Ok(()) => segs.push((i, buf.len() - before, elapsed.as_secs_f64())),
+            Err((attempts, message)) => {
+                buf.truncate(before);
+                failures.push(TaskFailure {
+                    index: i,
+                    attempts,
+                    message,
                 });
             }
-            Err((attempts, message)) => failures.push(TaskFailure {
-                index,
-                attempts,
-                message,
-            }),
         }
     };
-
-    if threads == 1 {
-        let mut busy_ns: u64 = 0;
-        for i in 0..n {
-            let t0 = Instant::now();
-            let ran = run_one(i);
-            busy_ns = busy_ns.saturating_add(elapsed_ns(t0));
-            place(ran, 0);
-        }
-        exec.workers.push(obs::WorkerStats {
-            worker: 0,
-            items: n as u64,
-            busy_ns,
-            wait_ns: 0,
-        });
-    } else {
-        let counter = AtomicUsize::new(0);
-        let run_ref = &run_one;
-        let mut per_worker: Vec<Vec<Ran<R>>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for w in 0..threads {
-                let counter = &counter;
-                handles.push(scope.spawn(move || {
-                    let wall0 = Instant::now();
-                    let mut busy_ns: u64 = 0;
-                    let mut local: Vec<Ran<R>> = Vec::with_capacity(n / threads + 1);
-                    match mode {
-                        ScheduleMode::Dynamic => loop {
-                            let i = counter.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            local.push(run_ref(i));
-                            busy_ns = busy_ns.saturating_add(elapsed_ns(t0));
-                        },
-                        ScheduleMode::Static | ScheduleMode::StaticLocality => {
-                            let start = (w * n) / threads;
-                            let end = ((w + 1) * n) / threads;
-                            for i in start..end {
-                                let t0 = Instant::now();
-                                local.push(run_ref(i));
-                                busy_ns = busy_ns.saturating_add(elapsed_ns(t0));
-                            }
-                        }
-                    }
-                    let wall_ns = elapsed_ns(wall0);
-                    let stats = obs::WorkerStats {
-                        worker: w,
-                        items: local.len() as u64,
-                        busy_ns,
-                        wait_ns: wall_ns.saturating_sub(busy_ns),
-                    };
-                    (local, stats, obs::take_thread())
-                }));
+    match d.mode {
+        ScheduleMode::Dynamic => loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
             }
-            for h in handles {
-                match h.join() {
-                    Ok((local, stats, counters)) => {
-                        per_worker.push(local);
-                        exec.workers.push(stats);
-                        exec.worker_counters = exec.worker_counters.plus(&counters);
-                    }
-                    // Workers cannot unwind out of attempt_loop; a join
-                    // error means the runtime itself failed.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        for (w, local) in per_worker.into_iter().enumerate() {
-            for ran in local {
-                place(ran, w);
-            }
-        }
+            run(i);
+        },
+        ScheduleMode::Static => (w * n / d.threads..(w + 1) * n / d.threads).for_each(&mut run),
+        // Indices stay strictly increasing per worker, which the stitch
+        // relies on.
+        ScheduleMode::StaticLocality => (0..n)
+            .filter(|&i| hinted_worker(i, n, d.threads, d.hints) == w)
+            .for_each(&mut run),
     }
-    drop(place);
-    timings.sort_by_key(|t| t.index);
-    failures.sort_by_key(|fl| fl.index);
-    FaultedTasks {
-        results,
+    // The inline worker has no queue to wait on.
+    let wait_ns = if d.threads == 1 {
+        0
+    } else {
+        elapsed_ns(wall0).saturating_sub(busy_ns)
+    };
+    WorkerOut {
+        stats: obs::WorkerStats {
+            worker: w,
+            items: (segs.len() + failures.len()) as u64,
+            busy_ns,
+            wait_ns,
+        },
+        buf,
+        segs,
         failures,
-        timings,
-        exec,
+        counters: obs::Counters::default(),
     }
 }
 
-/// [`run_morsels_hinted`] with panic capture and bounded re-dispatch.
+/// Runs units `0..n` under `d`, `f(unit, attempt, out)` appending each
+/// unit's output to its worker's buffer, and returns the output of
+/// every successful unit concatenated in unit order.
 ///
-/// A panicking attempt has its partial output rolled back (the buffer
-/// is truncated to the pre-morsel length) before the morsel is retried
-/// or reported failed, so failed attempts never leak rows and an
-/// all-success run is bit-identical to the plain path at any thread
-/// count. The closure receives `(index, attempt, morsel, out)`.
-pub fn run_morsels_faulted<T, R, F>(
-    morsels: &[&[T]],
-    hints: &[usize],
-    threads: usize,
-    mode: ScheduleMode,
-    policy: RetryPolicy,
-    f: F,
-) -> FaultedMorsels<R>
+/// Output and failures are bit-identical at any thread count and
+/// schedule mode; scheduling only decides *who* runs a unit. With
+/// `threads == 1` the units run inline on the calling thread.
+pub fn dispatch<R, F>(n: usize, d: &Dispatch, f: F) -> Dispatched<R>
 where
-    T: Sync,
     R: Send,
-    F: Fn(usize, u32, &[T], &mut Vec<R>) + Sync,
+    F: Fn(usize, u32, &mut Vec<R>) + Sync,
 {
-    let threads = threads.max(1);
-    let n = morsels.len();
-    let dmode = dispatch_mode(mode);
+    let d = Dispatch {
+        threads: d.threads.max(1),
+        ..*d
+    };
+    let mut done = Dispatched {
+        out: Vec::new(),
+        timings: Vec::with_capacity(n),
+        failures: Vec::new(),
+        exec: obs::ExecStats::default(),
+    };
     if n == 0 {
-        return FaultedMorsels {
-            out: Vec::new(),
-            failures: Vec::new(),
-            timings: Vec::new(),
-            exec: obs::ExecStats::default(),
-        };
+        return done;
     }
-
-    let f_ref = &f;
-    // Per worker: output buffer, successful `(index, len, secs)`
-    // segments, and failures.
-    type Segs = Vec<(usize, usize, f64)>;
-    type WorkerOut<R> = (Vec<R>, Segs, Vec<TaskFailure>);
-    let worker_loop = |w: usize, pick: &dyn Fn(usize) -> bool, next: Option<&AtomicUsize>| {
-        let mut buf: Vec<R> = Vec::new();
-        let mut segs: Segs = Vec::with_capacity(n / threads + 1);
-        let mut failures: Vec<TaskFailure> = Vec::new();
-        let mut busy_ns: u64 = 0;
-        let wall0 = Instant::now();
-        let mut run = |i: usize| {
-            let before = buf.len();
-            let t0 = Instant::now();
-            let (outcome, attempts) = attempt_loop(policy, |attempt| {
-                // Roll back the previous attempt's partial output
-                // before re-running, preserving the stitch contract.
-                buf.truncate(before);
-                f_ref(i, attempt, morsels[i], &mut buf);
-            });
-            let elapsed = t0.elapsed();
-            busy_ns = busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-            obs::morsel(dmode);
-            match outcome {
-                Ok(()) => segs.push((i, buf.len() - before, elapsed.as_secs_f64())),
-                Err(message) => {
-                    buf.truncate(before);
-                    failures.push(TaskFailure {
-                        index: i,
-                        attempts,
-                        message,
-                    });
-                }
-            }
-        };
-        match next {
-            Some(counter) => loop {
-                let i = counter.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                run(i);
-            },
-            None => {
-                for i in 0..n {
-                    if pick(i) {
-                        run(i);
-                    }
-                }
-            }
-        }
-        drop(run);
-        let wall_ns = elapsed_ns(wall0);
-        let stats = obs::WorkerStats {
-            worker: w,
-            items: segs.len() as u64 + failures.len() as u64,
-            busy_ns,
-            wait_ns: wall_ns.saturating_sub(busy_ns),
-        };
-        ((buf, segs, failures), stats)
+    let next = AtomicUsize::new(0);
+    let workers: Vec<WorkerOut<R>> = if d.threads == 1 {
+        vec![run_worker(0, n, &d, &next, &f)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..d.threads)
+                .map(|w| {
+                    let (d, next, f) = (&d, &next, &f);
+                    scope.spawn(move || {
+                        let mut out = run_worker(w, n, d, next, f);
+                        // Fresh scoped threads start with zeroed cells,
+                        // so the drain is exactly this worker's counts.
+                        out.counters = obs::take_thread();
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(out) => out,
+                    // Units cannot unwind out of attempt_loop; a join
+                    // error means the runtime itself failed.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        })
     };
 
-    let mut per_worker: Vec<WorkerOut<R>> = Vec::with_capacity(threads);
-    let mut exec = obs::ExecStats::default();
-    if threads == 1 {
-        let (wout, stats) = worker_loop(0, &|_| true, None);
-        per_worker.push(wout);
-        exec.workers.push(stats);
-    } else {
-        let counter = AtomicUsize::new(0);
-        let worker_ref = &worker_loop;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for w in 0..threads {
-                let counter = &counter;
-                handles.push(scope.spawn(move || {
-                    let (wout, stats) = match mode {
-                        ScheduleMode::Dynamic => worker_ref(w, &|_| true, Some(counter)),
-                        ScheduleMode::Static => worker_ref(
-                            w,
-                            &move |i| {
-                                let start = (w * n) / threads;
-                                let end = ((w + 1) * n) / threads;
-                                i >= start && i < end
-                            },
-                            None,
-                        ),
-                        ScheduleMode::StaticLocality => {
-                            worker_ref(w, &move |i| hinted_worker(i, n, threads, hints) == w, None)
-                        }
-                    };
-                    (wout, stats, obs::take_thread())
-                }));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok((wout, stats, counters)) => {
-                        per_worker.push(wout);
-                        exec.workers.push(stats);
-                        exec.worker_counters = exec.worker_counters.plus(&counters);
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-    }
-
-    // Stitch successful segments exactly like the plain path; failed
-    // morsels recorded nothing, so they simply leave a gap.
+    // Stitch: each worker's units are strictly increasing, so its buffer
+    // is already ordered internally; a merge over `(unit → worker,
+    // segment length)` drains every buffer front to back without
+    // cloning any element. Failed units recorded no segment.
     let mut order: Vec<(usize, usize, usize)> = Vec::with_capacity(n);
-    let mut timings = Vec::with_capacity(n);
-    let mut failures: Vec<TaskFailure> = Vec::new();
-    for (w, (_, segs, fails)) in per_worker.iter().enumerate() {
-        for &(index, len, secs) in segs {
+    let mut bufs = Vec::with_capacity(workers.len());
+    for (w, wo) in workers.into_iter().enumerate() {
+        for &(index, len, secs) in &wo.segs {
             order.push((index, w, len));
-            timings.push(TaskTiming {
+            done.timings.push(TaskTiming {
                 index,
                 worker: w,
                 secs,
             });
         }
-        failures.extend(fails.iter().cloned());
+        done.failures.extend(wo.failures);
+        done.exec.workers.push(wo.stats);
+        done.exec.worker_counters = done.exec.worker_counters.plus(&wo.counters);
+        bufs.push(wo.buf);
+    }
+    done.timings.sort_by_key(|t| t.index);
+    done.failures.sort_by_key(|fl| fl.index);
+    if bufs.len() == 1 {
+        // A lone worker ran every unit in order: its buffer is the output.
+        done.out = bufs.swap_remove(0);
+        return done;
     }
     order.sort_unstable_by_key(|&(index, _, _)| index);
-    timings.sort_by_key(|t| t.index);
-    failures.sort_by_key(|fl| fl.index);
-    let total: usize = order.iter().map(|&(_, _, len)| len).sum();
-    let mut iters: Vec<std::vec::IntoIter<R>> = per_worker
-        .into_iter()
-        .map(|(buf, _, _)| buf.into_iter())
-        .collect();
-    let mut out = Vec::with_capacity(total);
+    let mut iters: Vec<std::vec::IntoIter<R>> = bufs.into_iter().map(Vec::into_iter).collect();
+    done.out = Vec::with_capacity(order.iter().map(|&(_, _, len)| len).sum());
     for (_, w, len) in order {
-        out.extend(iters[w].by_ref().take(len));
+        done.out.extend(iters[w].by_ref().take(len));
     }
-    FaultedMorsels {
-        out,
-        failures,
-        timings,
-        exec,
-    }
+    done
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs `f` over `items` as tasks: one unit per item, one result
+    /// per unit, failures re-raised.
+    fn tasks<T: Sync, R: Send>(
+        items: &[T],
+        threads: usize,
+        mode: ScheduleMode,
+        f: impl Fn(&T) -> R + Sync,
+    ) -> (Vec<R>, Vec<TaskTiming>) {
+        let run = dispatch(items.len(), &Dispatch::new(threads, mode), |i, _, out| {
+            out.push(f(&items[i]))
+        })
+        .or_raise();
+        (run.out, run.timings)
+    }
+
+    /// Runs `f` over morsels of `items`, failures re-raised.
+    fn morsels<T: Sync, R: Send>(
+        morsels: &[&[T]],
+        hints: &[usize],
+        threads: usize,
+        mode: ScheduleMode,
+        f: impl Fn(&[T], &mut Vec<R>) + Sync,
+    ) -> (Vec<R>, Vec<TaskTiming>) {
+        let d = Dispatch {
+            hints,
+            ..Dispatch::new(threads, mode)
+        };
+        let run = dispatch(morsels.len(), &d, |i, _, out| f(morsels[i], out)).or_raise();
+        (run.out, run.timings)
+    }
+
     #[test]
     fn results_preserve_input_order() {
         let items: Vec<u64> = (0..1000).collect();
         for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
-            let (results, timings) = run_tasks(items.clone(), 4, mode, |&x| x * 2);
+            let (results, timings) = tasks(&items, 4, mode, |&x| x * 2);
             assert_eq!(results, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
             assert_eq!(timings.len(), 1000);
             assert!(timings.iter().all(|t| t.secs >= 0.0));
@@ -949,7 +409,7 @@ mod tests {
     #[test]
     fn static_mode_assigns_contiguous_chunks() {
         let items: Vec<usize> = (0..100).collect();
-        let (_, timings) = run_tasks(items, 4, ScheduleMode::Static, |&x| x);
+        let (_, timings) = tasks(&items, 4, ScheduleMode::Static, |&x| x);
         // Worker of item i must be i*4/100.
         for t in &timings {
             assert_eq!(t.worker, (t.index * 4) / 100);
@@ -959,7 +419,7 @@ mod tests {
     #[test]
     fn dynamic_mode_uses_multiple_workers() {
         let items: Vec<u64> = (0..400).collect();
-        let (_, timings) = run_tasks(items, 4, ScheduleMode::Dynamic, |&x| {
+        let (_, timings) = tasks(&items, 4, ScheduleMode::Dynamic, |&x| {
             // Enough work per item that no single worker grabs everything.
             (0..2000).fold(x, |a, b| a.wrapping_add(b))
         });
@@ -969,16 +429,20 @@ mod tests {
 
     #[test]
     fn empty_and_single_item() {
-        let (r, t) = run_tasks(Vec::<u8>::new(), 4, ScheduleMode::Dynamic, |&x| x);
+        let (r, t) = tasks(&Vec::<u8>::new(), 4, ScheduleMode::Dynamic, |&x| x);
         assert!(r.is_empty() && t.is_empty());
-        let (r, t) = run_tasks(vec![7u8], 8, ScheduleMode::Static, |&x| x + 1);
+        let (r, t) = tasks(&[7u8], 8, ScheduleMode::Static, |&x| x + 1);
         assert_eq!(r, vec![8]);
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn one_thread_runs_inline() {
-        let (r, t) = run_tasks(vec![1, 2, 3], 1, ScheduleMode::Dynamic, |&x| x * 10);
+        let caller = std::thread::current().id();
+        let (r, t) = tasks(&[1, 2, 3], 1, ScheduleMode::Dynamic, |&x| {
+            assert_eq!(std::thread::current().id(), caller);
+            x * 10
+        });
         assert_eq!(r, vec![10, 20, 30]);
         assert!(t.iter().all(|x| x.worker == 0));
     }
@@ -994,15 +458,15 @@ mod tests {
         for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
             for threads in [1, 3, 8] {
                 for size in [1, 7, 128] {
-                    let morsels = chunked(&items, size);
-                    let (out, timings) = run_morsels(&morsels, threads, mode, |m, buf| {
+                    let ms = chunked(&items, size);
+                    let (out, timings) = morsels(&ms, &[], threads, mode, |m, buf| {
                         for &x in m {
                             buf.push(x * 2);
                             buf.push(x * 2 + 1);
                         }
                     });
                     assert_eq!(out, serial, "mode={mode:?} threads={threads} size={size}");
-                    assert_eq!(timings.len(), morsels.len());
+                    assert_eq!(timings.len(), ms.len());
                     assert!(timings.windows(2).all(|w| w[0].index < w[1].index));
                 }
             }
@@ -1013,8 +477,8 @@ mod tests {
     fn morsels_with_uneven_output_counts() {
         // Each morsel emits a different number of results (including 0).
         let items: Vec<u64> = (0..101).collect();
-        let morsels = chunked(&items, 13);
-        let (out, _) = run_morsels(&morsels, 4, ScheduleMode::Dynamic, |m, buf| {
+        let ms = chunked(&items, 13);
+        let (out, _) = morsels(&ms, &[], 4, ScheduleMode::Dynamic, |m, buf| {
             for &x in m {
                 for _ in 0..(x % 3) {
                     buf.push(x);
@@ -1023,30 +487,26 @@ mod tests {
         });
         let serial: Vec<u64> = items
             .iter()
-            .flat_map(|&x| std::iter::repeat(x).take((x % 3) as usize))
+            .flat_map(|&x| std::iter::repeat_n(x, (x % 3) as usize))
             .collect();
         assert_eq!(out, serial);
     }
 
     #[test]
     fn morsels_empty_input() {
-        let (out, t) = run_morsels::<u8, u8, _>(&[], 4, ScheduleMode::Static, |_, _| {});
-        assert!(out.is_empty() && t.is_empty());
+        let run = dispatch::<u8, _>(0, &Dispatch::new(4, ScheduleMode::Static), |_, _, _| {});
+        assert!(run.out.is_empty() && run.timings.is_empty() && run.failures.is_empty());
     }
 
     #[test]
     fn locality_hints_pin_morsels_to_workers() {
         let items: Vec<u64> = (0..120).collect();
-        let morsels = chunked(&items, 1);
+        let ms = chunked(&items, 1);
         // Hint pattern: morsel i prefers worker (i % 3) of 4.
-        let hints: Vec<usize> = (0..morsels.len()).map(|i| i % 3).collect();
-        let (out, timings) = run_morsels_hinted(
-            &morsels,
-            &hints,
-            4,
-            ScheduleMode::StaticLocality,
-            |m, buf| buf.extend_from_slice(m),
-        );
+        let hints: Vec<usize> = (0..ms.len()).map(|i| i % 3).collect();
+        let (out, timings) = morsels(&ms, &hints, 4, ScheduleMode::StaticLocality, |m, buf| {
+            buf.extend_from_slice(m)
+        });
         assert_eq!(out, items, "locality must not change output order");
         for t in &timings {
             assert_eq!(t.worker, hints[t.index] % 4, "morsel {} misplaced", t.index);
@@ -1056,9 +516,9 @@ mod tests {
     #[test]
     fn locality_without_hints_falls_back_to_static_chunks() {
         let items: Vec<u64> = (0..103).collect();
-        let morsels = chunked(&items, 1);
-        let n = morsels.len();
-        let (out, timings) = run_morsels(&morsels, 4, ScheduleMode::StaticLocality, |m, buf| {
+        let ms = chunked(&items, 1);
+        let n = ms.len();
+        let (out, timings) = morsels(&ms, &[], 4, ScheduleMode::StaticLocality, |m, buf| {
             buf.extend_from_slice(m)
         });
         assert_eq!(out, items);
@@ -1076,15 +536,11 @@ mod tests {
     #[test]
     fn partial_hints_cover_prefix_rest_chunked() {
         let items: Vec<u64> = (0..60).collect();
-        let morsels = chunked(&items, 2);
+        let ms = chunked(&items, 2);
         let hints = vec![1usize; 10]; // only the first 10 morsels hinted
-        let (out, timings) = run_morsels_hinted(
-            &morsels,
-            &hints,
-            3,
-            ScheduleMode::StaticLocality,
-            |m, buf| buf.extend_from_slice(m),
-        );
+        let (out, timings) = morsels(&ms, &hints, 3, ScheduleMode::StaticLocality, |m, buf| {
+            buf.extend_from_slice(m)
+        });
         assert_eq!(out, items);
         for t in timings.iter().filter(|t| t.index < 10) {
             assert_eq!(t.worker, 1);
@@ -1094,12 +550,12 @@ mod tests {
     #[test]
     fn locality_output_identical_across_modes() {
         let items: Vec<u64> = (0..500).collect();
-        let morsels = chunked(&items, 7);
-        let hints: Vec<usize> = (0..morsels.len()).map(|i| (i * 13) % 5).collect();
+        let ms = chunked(&items, 7);
+        let hints: Vec<usize> = (0..ms.len()).map(|i| (i * 13) % 5).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * 3).collect();
         for threads in [1, 2, 5, 8] {
-            let (out, _) = run_morsels_hinted(
-                &morsels,
+            let (out, _) = morsels(
+                &ms,
                 &hints,
                 threads,
                 ScheduleMode::StaticLocality,
@@ -1129,10 +585,14 @@ mod tests {
             ScheduleMode::StaticLocality,
         ] {
             for threads in [1, 2, 7] {
-                let run =
-                    run_tasks_faulted(&items, threads, mode, RetryPolicy::none(), |_, _, &x| x * 3);
-                assert!(run.all_ok());
-                assert_eq!(run.into_results().ok(), Some(expected.clone()));
+                let d = Dispatch {
+                    attempts: 3,
+                    ..Dispatch::new(threads, mode)
+                };
+                let run = dispatch(items.len(), &d, |i, _, out| out.push(items[i] * 3));
+                assert!(run.failures.is_empty());
+                assert_eq!(run.out, expected);
+                assert_eq!(run.timings.len(), items.len());
             }
         }
     }
@@ -1142,83 +602,73 @@ mod tests {
         let items: Vec<u64> = (0..200).collect();
         let expected: Vec<u64> = items.iter().map(|&x| x + 1).collect();
         for threads in [1, 4] {
+            let d = Dispatch {
+                attempts: 2,
+                ..Dispatch::new(threads, ScheduleMode::Dynamic)
+            };
             let run = quiet_panics(|| {
-                run_tasks_faulted(
-                    &items,
-                    threads,
-                    ScheduleMode::Dynamic,
-                    RetryPolicy::attempts(2),
-                    |i, attempt, &x| {
-                        // Every third item dies on its first attempt.
-                        assert!(attempt < 2);
-                        if i % 3 == 0 && attempt == 0 {
-                            std::panic::panic_any(format!("injected at {i}"));
-                        }
-                        x + 1
-                    },
-                )
+                dispatch(items.len(), &d, |i, attempt, out| {
+                    // Every third item dies on its first attempt.
+                    assert!(attempt < 2);
+                    if i % 3 == 0 && attempt == 0 {
+                        std::panic::panic_any(format!("injected at {i}"));
+                    }
+                    out.push(items[i] + 1);
+                })
             });
-            assert!(run.all_ok(), "threads={threads}");
-            assert_eq!(run.into_results().ok(), Some(expected.clone()));
+            assert!(run.failures.is_empty(), "threads={threads}");
+            assert_eq!(run.out, expected);
         }
     }
 
     #[test]
     fn faulted_tasks_exhausted_attempts_reported() {
         let items: Vec<u64> = (0..50).collect();
+        let d = Dispatch {
+            attempts: 3,
+            ..Dispatch::new(4, ScheduleMode::Static)
+        };
         let run = quiet_panics(|| {
-            run_tasks_faulted(
-                &items,
-                4,
-                ScheduleMode::Static,
-                RetryPolicy::attempts(3),
-                |i, _, &x| {
-                    if i == 17 {
-                        std::panic::panic_any("always dies".to_string());
-                    }
-                    x
-                },
-            )
+            dispatch(items.len(), &d, |i, _, out| {
+                if i == 17 {
+                    std::panic::panic_any("always dies".to_string());
+                }
+                out.push(items[i]);
+            })
         });
-        assert!(!run.all_ok());
         assert_eq!(run.failures.len(), 1);
         assert_eq!(run.failures[0].index, 17);
         assert_eq!(run.failures[0].attempts, 3);
         assert_eq!(run.failures[0].message, "always dies");
-        assert!(run.results[17].is_none());
-        assert!(run
-            .results
-            .iter()
-            .enumerate()
-            .all(|(i, r)| { i == 17 || r == &Some(i as u64) }));
+        // The failed task leaves a gap: every other result, in order.
+        let expected: Vec<u64> = items.iter().copied().filter(|&x| x != 17).collect();
+        assert_eq!(run.out, expected);
+        assert!(run.timings.iter().all(|t| t.index != 17));
     }
 
     #[test]
     fn faulted_morsels_roll_back_partial_output() {
         let items: Vec<u64> = (0..400).collect();
-        let morsels = chunked(&items, 16);
+        let ms = chunked(&items, 16);
         let serial: Vec<u64> = items.iter().map(|&x| x * 2).collect();
         for threads in [1, 2, 7] {
+            let d = Dispatch {
+                attempts: 2,
+                ..Dispatch::new(threads, ScheduleMode::Dynamic)
+            };
             let run = quiet_panics(|| {
-                run_morsels_faulted(
-                    &morsels,
-                    &[],
-                    threads,
-                    ScheduleMode::Dynamic,
-                    RetryPolicy::attempts(2),
-                    |i, attempt, m, buf| {
-                        for &x in m {
-                            buf.push(x * 2);
-                        }
-                        // Panic *after* appending output: recovery must
-                        // discard the partial segment before retrying.
-                        if i % 4 == 1 && attempt == 0 {
-                            std::panic::panic_any(format!("mid-morsel {i}"));
-                        }
-                    },
-                )
+                dispatch(ms.len(), &d, |i, attempt, buf| {
+                    for &x in ms[i] {
+                        buf.push(x * 2);
+                    }
+                    // Panic *after* appending output: recovery must
+                    // discard the partial segment before retrying.
+                    if i % 4 == 1 && attempt == 0 {
+                        std::panic::panic_any(format!("mid-morsel {i}"));
+                    }
+                })
             });
-            assert!(run.all_ok(), "threads={threads}");
+            assert!(run.failures.is_empty(), "threads={threads}");
             assert_eq!(run.out, serial, "threads={threads}");
         }
     }
@@ -1226,16 +676,13 @@ mod tests {
     #[test]
     fn faulted_morsels_failed_morsel_leaks_nothing() {
         let items: Vec<u64> = (0..100).collect();
-        let morsels = chunked(&items, 10);
+        let ms = chunked(&items, 10);
         let run = quiet_panics(|| {
-            run_morsels_faulted(
-                &morsels,
-                &[],
-                3,
-                ScheduleMode::Static,
-                RetryPolicy::none(),
-                |i, _, m, buf| {
-                    buf.extend_from_slice(m);
+            dispatch(
+                ms.len(),
+                &Dispatch::new(3, ScheduleMode::Static),
+                |i, _, buf| {
+                    buf.extend_from_slice(ms[i]);
                     if i == 5 {
                         std::panic::panic_any("fragment lost".to_string());
                     }
@@ -1256,12 +703,78 @@ mod tests {
     #[test]
     fn morsels_static_assigns_contiguous_chunks() {
         let items: Vec<u64> = (0..100).collect();
-        let morsels = chunked(&items, 1);
-        let (_, timings) = run_morsels(&morsels, 4, ScheduleMode::Static, |m, buf| {
+        let ms = chunked(&items, 1);
+        let (_, timings) = morsels(&ms, &[], 4, ScheduleMode::Static, |m, buf| {
             buf.extend_from_slice(m);
         });
         for t in &timings {
             assert_eq!(t.worker, (t.index * 4) / 100);
         }
+    }
+
+    #[test]
+    fn single_attempt_panic_is_reported_once_and_reraised() {
+        let items: Vec<u64> = (0..40).collect();
+        for threads in [1, 4] {
+            let run = quiet_panics(|| {
+                dispatch(
+                    items.len(),
+                    &Dispatch::new(threads, ScheduleMode::Dynamic),
+                    |i, attempt, out| {
+                        out.push(items[i]);
+                        if i == 9 {
+                            std::panic::panic_any(format!("unit {i} attempt {attempt}"));
+                        }
+                    },
+                )
+            });
+            // The panicking unit left no row, and is reported exactly
+            // once with its message.
+            assert!(!run.out.contains(&9), "threads={threads}");
+            assert_eq!(run.out.len(), items.len() - 1, "threads={threads}");
+            assert_eq!(
+                run.failures,
+                vec![TaskFailure {
+                    index: 9,
+                    attempts: 1,
+                    message: "unit 9 attempt 0".into(),
+                }],
+                "threads={threads}"
+            );
+            // A caller with no recovery re-raises that message.
+            let payload = quiet_panics(|| {
+                catch_unwind(AssertUnwindSafe(|| run.or_raise())).expect_err("must re-raise")
+            });
+            assert_eq!(panic_message(payload.as_ref()), "unit 9 attempt 0");
+        }
+    }
+
+    #[test]
+    fn worker_counters_stay_off_the_calling_thread() {
+        let items: Vec<u64> = (0..64).collect();
+        std::thread::spawn(move || {
+            for threads in [1, 3] {
+                let before = obs::thread_snapshot();
+                let run = dispatch(
+                    items.len(),
+                    &Dispatch::new(threads, ScheduleMode::Dynamic),
+                    |i, _, out| out.push(items[i]),
+                );
+                let caller = obs::thread_snapshot().minus(&before);
+                // Every unit counts once, either inline on the caller or
+                // in the scoped workers' drained counters — never both.
+                assert_eq!(
+                    caller.morsels_executed + run.exec.worker_counters.morsels_executed,
+                    64,
+                    "threads={threads}"
+                );
+                if threads > 1 {
+                    assert_eq!(caller.morsels_executed, 0);
+                }
+                assert_eq!(run.exec.workers.len(), threads);
+            }
+        })
+        .join()
+        .unwrap();
     }
 }

@@ -1,4 +1,4 @@
-//! Engine-generic filter-refine join algorithms.
+//! Engine-generic filter-refine building blocks.
 //!
 //! The paper (§II) decomposes a spatial join into *spatial filtering*
 //! (pairing objects by MBB approximation, usually through an index) and
@@ -6,6 +6,11 @@
 //! candidate pair). Everything here is generic over the
 //! [`RefinementEngine`], so the same algorithm runs with JTS-like or
 //! GEOS-like refinement — the comparison at the heart of §V.B.
+//!
+//! Joins run through [`crate::JoinRequest`]; [`build_right_index`] and
+//! [`probe`] are the serial reference loop its output is checked
+//! against, and [`partition_work`] splits space for its partitioned
+//! strategy.
 
 use geom::engine::{RefinementEngine, SpatialPredicate};
 use geom::{Envelope, HasEnvelope, Point};
@@ -57,60 +62,11 @@ pub fn probe<E: RefinementEngine>(
     );
 }
 
-/// The nearest-neighbour join: for each point, the single nearest right
-/// geometry within `max_distance` (ties broken by the smaller id).
-/// Thin wrapper over [`crate::JoinRequest`].
-pub fn nearest_join<E: RefinementEngine>(
-    left: &[PointRecord],
-    right: &[GeomRecord],
-    max_distance: f64,
-    engine: &E,
-) -> Vec<JoinPair> {
-    crate::JoinRequest::new(left, right, engine)
-        .nearest(max_distance)
-        .run()
-        .pairs
-}
-
-/// The serial indexed broadcast join: index the right side, probe with
-/// every left point. Thin wrapper over [`crate::JoinRequest`] (the
-/// shared-set executor emits pairs bit-identical to a
-/// [`build_right_index`]+[`probe`] loop); use the request directly to
-/// also get the run's `obs::RunStats`.
-pub fn broadcast_index_join<E: RefinementEngine>(
-    left: &[PointRecord],
-    right: &[GeomRecord],
-    predicate: SpatialPredicate,
-    engine: &E,
-) -> Vec<JoinPair> {
-    crate::JoinRequest::new(left, right, engine)
-        .predicate(predicate)
-        .run()
-        .pairs
-}
-
-/// The naïve O(|L|·|R|) cross-join-then-filter baseline of §II, kept for
-/// correctness cross-checks and the indexing ablation bench. Thin
-/// wrapper over [`crate::JoinRequest`].
-pub fn nested_loop_join<E: RefinementEngine>(
-    left: &[PointRecord],
-    right: &[GeomRecord],
-    predicate: SpatialPredicate,
-    engine: &E,
-) -> Vec<JoinPair> {
-    crate::JoinRequest::new(left, right, engine)
-        .predicate(predicate)
-        .nested_loop()
-        .run()
-        .pairs
-}
-
-/// A spatially partitioned join (the SpatialHadoop/HadoopGIS strategy
-/// discussed in §II): space is split by a quadtree built on a sample of
-/// the left points; each partition joins its points against the right
-/// geometries overlapping it. Returns the partitioned work as
-/// `(partition envelope, points, geometries)` triples so callers can
-/// schedule them as distributed tasks.
+/// The work of a spatially partitioned join (the SpatialHadoop/HadoopGIS
+/// strategy discussed in §II): space is split by a quadtree built on a
+/// sample of the left points; each partition joins its points against
+/// the right geometries overlapping it, so callers can schedule the
+/// partitions as distributed tasks.
 pub struct PartitionedWork {
     pub partitions: Vec<PartitionTask>,
 }
@@ -177,58 +133,37 @@ pub fn partition_work(
     PartitionedWork { partitions }
 }
 
-/// Runs a partitioned join serially through the morsel executor's
-/// shared [`crate::parallel::PreparedSet`]: each partition task carries
-/// `right_ids` into the set instead of cloning geometry. Results are
-/// deduplicated: a right geometry replicated into several cells can
-/// only match a point in the point's unique cell, but dedup keeps the
-/// contract obvious.
-pub fn partitioned_join<E: RefinementEngine>(
-    left: &[PointRecord],
-    right: &[GeomRecord],
-    predicate: SpatialPredicate,
-    engine: &E,
-    target_points_per_partition: usize,
-) -> Vec<JoinPair> {
-    crate::JoinRequest::new(left, right, engine)
-        .predicate(predicate)
-        .partitioned(target_points_per_partition)
-        .run()
-        .pairs
-}
-
-/// Parses the paper's `id \t wkt` record format into point records,
-/// dropping malformed rows (the `Try(...).filter(_.isSuccess)` of
-/// Fig. 2). Compatibility shim over [`crate::RecordReader`], kept for
-/// one release — the reader reports *why* a line was dropped.
-pub fn parse_point_records(lines: &[String], geom_col: usize) -> Vec<PointRecord> {
-    crate::RecordReader::new(geom_col).read_points(lines).0
-}
-
-/// Parses one `id \t wkt` line into a point record. Compatibility shim
-/// over [`crate::RecordReader`], kept for one release.
-pub fn parse_point_record(line: &str, geom_col: usize) -> Option<PointRecord> {
-    crate::RecordReader::new(geom_col).read_point(line).ok()
-}
-
-/// Parses one `id \t wkt` line into a geometry record. Compatibility
-/// shim over [`crate::RecordReader`], kept for one release.
-pub fn parse_geom_record(line: &str, geom_col: usize) -> Option<GeomRecord> {
-    crate::RecordReader::new(geom_col).read_geom(line).ok()
-}
-
-/// Parses `id \t wkt` lines into geometry records (right side).
-/// Compatibility shim over [`crate::RecordReader`], kept for one
-/// release.
-pub fn parse_geom_records(lines: &[String], geom_col: usize) -> Vec<GeomRecord> {
-    crate::RecordReader::new(geom_col).read_geoms(lines).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{JoinRequest, RecordReader};
     use geom::engine::{NaiveEngine, PreparedEngine};
     use geom::{Geometry, Polygon};
+
+    fn broadcast<E: RefinementEngine>(
+        left: &[PointRecord],
+        right: &[GeomRecord],
+        predicate: SpatialPredicate,
+        engine: &E,
+    ) -> Vec<JoinPair> {
+        JoinRequest::new(left, right, engine)
+            .predicate(predicate)
+            .run()
+            .pairs
+    }
+
+    fn partitioned(
+        left: &[PointRecord],
+        right: &[GeomRecord],
+        predicate: SpatialPredicate,
+        target_points_per_partition: usize,
+    ) -> Vec<JoinPair> {
+        JoinRequest::new(left, right, &PreparedEngine)
+            .predicate(predicate)
+            .partitioned(target_points_per_partition)
+            .run()
+            .pairs
+    }
 
     fn grid_points(n: usize) -> Vec<PointRecord> {
         let mut v = Vec::new();
@@ -268,18 +203,24 @@ mod tests {
         let left = grid_points(10);
         let right = quadrant_polys(5.0);
         let engine = PreparedEngine;
-        let indexed = crate::normalize_pairs(broadcast_index_join(
-            &left,
-            &right,
-            SpatialPredicate::Within,
-            &engine,
-        ));
-        let nested = crate::normalize_pairs(nested_loop_join(
-            &left,
-            &right,
-            SpatialPredicate::Within,
-            &engine,
-        ));
+        let tree = build_right_index(&right, SpatialPredicate::Within, &engine);
+        let mut indexed = Vec::new();
+        for &(id, p) in &left {
+            probe(
+                &tree,
+                SpatialPredicate::Within,
+                &engine,
+                id,
+                p,
+                &mut indexed,
+            );
+        }
+        let indexed = crate::normalize_pairs(indexed);
+        let nested = JoinRequest::new(&left, &right, &engine)
+            .nested_loop()
+            .run()
+            .pairs;
+        let nested = crate::normalize_pairs(nested);
         assert_eq!(indexed, nested);
         assert_eq!(indexed.len(), 100);
     }
@@ -288,13 +229,13 @@ mod tests {
     fn engines_agree_on_join_output() {
         let left = grid_points(8);
         let right = quadrant_polys(4.0);
-        let fast = crate::normalize_pairs(broadcast_index_join(
+        let fast = crate::normalize_pairs(broadcast(
             &left,
             &right,
             SpatialPredicate::Within,
             &PreparedEngine,
         ));
-        let slow = crate::normalize_pairs(broadcast_index_join(
+        let slow = crate::normalize_pairs(broadcast(
             &left,
             &right,
             SpatialPredicate::Within,
@@ -308,7 +249,7 @@ mod tests {
         let left = vec![(0, Point::new(5.0, 1.0)), (1, Point::new(5.0, 3.0))];
         let right = vec![(10, geom::wkt::parse("LINESTRING (0 0, 10 0)").unwrap())];
         let engine = PreparedEngine;
-        let pairs = broadcast_index_join(&left, &right, SpatialPredicate::NearestD(2.0), &engine);
+        let pairs = broadcast(&left, &right, SpatialPredicate::NearestD(2.0), &engine);
         assert_eq!(pairs, vec![(0, 10)]);
     }
 
@@ -317,15 +258,11 @@ mod tests {
         let left = grid_points(12);
         let right = quadrant_polys(6.0);
         let engine = PreparedEngine;
-        let broadcast = crate::normalize_pairs(broadcast_index_join(
-            &left,
-            &right,
-            SpatialPredicate::Within,
-            &engine,
-        ));
+        let expected =
+            crate::normalize_pairs(broadcast(&left, &right, SpatialPredicate::Within, &engine));
         // Small partitions force many cells and right-side replication.
-        let partitioned = partitioned_join(&left, &right, SpatialPredicate::Within, &engine, 10);
-        assert_eq!(partitioned, broadcast);
+        let parted = partitioned(&left, &right, SpatialPredicate::Within, 10);
+        assert_eq!(parted, expected);
     }
 
     #[test]
@@ -336,15 +273,14 @@ mod tests {
             (1, geom::wkt::parse("LINESTRING (5 0, 5 10)").unwrap()),
         ];
         let engine = PreparedEngine;
-        let broadcast = crate::normalize_pairs(broadcast_index_join(
+        let expected = crate::normalize_pairs(broadcast(
             &left,
             &right,
             SpatialPredicate::NearestD(1.0),
             &engine,
         ));
-        let partitioned =
-            partitioned_join(&left, &right, SpatialPredicate::NearestD(1.0), &engine, 8);
-        assert_eq!(partitioned, broadcast);
+        let parted = partitioned(&left, &right, SpatialPredicate::NearestD(1.0), 8);
+        assert_eq!(parted, expected);
     }
 
     #[test]
@@ -355,10 +291,11 @@ mod tests {
             "1\tPOLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))".to_string(), // not a point
             "2\tPOINT (3 4)".to_string(),
         ];
-        let pts = parse_point_records(&lines, 1);
+        let (pts, skipped) = RecordReader::new(1).read_points(&lines);
         assert_eq!(pts.len(), 2);
+        assert_eq!(skipped, 2);
         assert_eq!(pts[1], (2, Point::new(3.0, 4.0)));
-        let geoms = parse_geom_records(&lines, 1);
+        let (geoms, _) = RecordReader::new(1).read_geoms(&lines);
         assert_eq!(geoms.len(), 3); // polygon parses as a geometry
     }
 
@@ -366,23 +303,21 @@ mod tests {
     fn record_parsing_honours_geom_column() {
         // geom_col beyond 1: wkt sits after a payload column.
         let lines = vec!["7\tpayload\tPOINT (1 2)".to_string()];
-        assert_eq!(
-            parse_point_records(&lines, 2),
-            vec![(7, Point::new(1.0, 2.0))]
-        );
+        let points = |geom_col| RecordReader::new(geom_col).read_points(&lines).0;
+        assert_eq!(points(2), vec![(7, Point::new(1.0, 2.0))]);
         // Out-of-range column drops the row rather than panicking.
-        assert!(parse_point_records(&lines, 9).is_empty());
+        assert!(points(9).is_empty());
         // geom_col == 0 is only satisfiable when id and wkt coincide,
         // which WKT never parses as an i64 — row dropped, not panicked.
-        assert!(parse_point_records(&lines, 0).is_empty());
+        assert!(points(0).is_empty());
     }
 
     #[test]
     fn empty_inputs() {
         let engine = PreparedEngine;
-        assert!(broadcast_index_join(&[], &[], SpatialPredicate::Within, &engine).is_empty());
-        assert!(partitioned_join(&[], &[], SpatialPredicate::Within, &engine, 16).is_empty());
+        assert!(broadcast(&[], &[], SpatialPredicate::Within, &engine).is_empty());
+        assert!(partitioned(&[], &[], SpatialPredicate::Within, 16).is_empty());
         let left = grid_points(3);
-        assert!(broadcast_index_join(&left, &[], SpatialPredicate::Within, &engine).is_empty());
+        assert!(broadcast(&left, &[], SpatialPredicate::Within, &engine).is_empty());
     }
 }

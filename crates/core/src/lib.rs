@@ -6,14 +6,18 @@
 //! (**NearestD**) — implemented as two complete systems plus the serial
 //! building blocks they share:
 //!
-//! * [`join`] — engine-generic filter-refine join algorithms: the
-//!   broadcast R-tree indexed join, a spatially partitioned join, and a
-//!   nested-loop baseline. These are the algorithms; the systems below
-//!   wrap them in distributed machinery.
+//! * [`request`] — the one join front door, [`JoinRequest`]: broadcast
+//!   R-tree indexed, spatially partitioned and nested-loop joins, serial
+//!   or parallel, each returning its pairs plus an `obs::RunStats`.
+//! * [`join`] — the serial building blocks: the right-side R-tree and
+//!   per-point probe (the serial reference loop) and the quadtree
+//!   partitioning of the partitioned strategy.
 //! * [`parallel`] — the morsel-driven parallel executor behind both
 //!   systems: the right side prepared once into a shared
 //!   [`PreparedSet`], the left side probed in fixed-size morsels with
 //!   deterministic, serial-identical output.
+//! * [`reader`] — the one record reader, [`RecordReader`], with a typed
+//!   error per malformed line.
 //! * [`spark`] — **SpatialSpark**: the join expressed as sparklet
 //!   dataset transformations (the paper's Fig. 2 skeleton), JTS-like
 //!   prepared-geometry refinement, dynamic scheduling.
@@ -38,9 +42,8 @@ pub use error::SpatialJoinError;
 pub use geom::engine::SpatialPredicate;
 pub use ispmc::{IspMc, IspMcRun};
 pub use parallel::{
-    morsel_partitions, parallel_broadcast_join, parallel_partitioned_join,
-    parallel_partitioned_join_observed, partition_blocks, spatial_sort_points,
-    timings_to_taskspecs, MorselConfig, PreparedSet,
+    morsel_partitions, partition_blocks, spatial_sort_points, timings_to_taskspecs, MorselConfig,
+    PreparedSet,
 };
 pub use reader::{RecordError, RecordReader};
 pub use request::{JoinOutcome, JoinRequest, JoinStrategy};

@@ -7,8 +7,9 @@
 //! executor behind both: the right side is prepared **once** into a
 //! shared [`PreparedSet`] (ids, expanded envelopes and engine-prepared
 //! geometries, indexed by `u32`), and the left side is probed in
-//! fixed-size morsels handed to [`cluster::run_morsels`] under either
-//! [`ScheduleMode`].
+//! fixed-size morsels handed to [`cluster::dispatch`] under any
+//! [`ScheduleMode`]. The partitioned strategy behind
+//! [`crate::JoinRequest`] reuses the same set.
 //!
 //! # Determinism contract
 //!
@@ -30,14 +31,13 @@
 //! end-to-end.
 
 use cluster::{
-    run_morsels_faulted, run_morsels_hinted, run_morsels_hinted_observed, run_tasks_observed,
-    Chaos, ChaosSite, RetryPolicy, ScheduleMode, TaskFailure, TaskSpec, TaskTiming,
+    dispatch, Chaos, ChaosSite, Dispatch, Dispatched, ScheduleMode, TaskFailure, TaskSpec,
+    TaskTiming,
 };
 use geom::engine::{RefinementEngine, SpatialPredicate};
 use geom::{Envelope, HasEnvelope, Point};
 use rtree::{probe_with, RTree};
 
-use crate::join::partition_work;
 use crate::{GeomRecord, JoinPair, PointRecord};
 
 /// Default morsel size: small enough for dynamic scheduling to balance
@@ -317,86 +317,45 @@ impl<E: RefinementEngine> PreparedSet<E> {
     }
 
     /// Probes `left` in parallel morsels, returning pairs in the same
-    /// order the serial loop would emit them.
-    pub fn par_probe(&self, left: &[PointRecord], engine: &E, cfg: MorselConfig) -> Vec<JoinPair> {
-        self.par_probe_timed(left, engine, cfg).0
-    }
-
-    /// [`PreparedSet::par_probe`] plus per-morsel wall-clock timings
-    /// (indexed by morsel position), for replay through the cluster
-    /// simulator.
-    pub fn par_probe_timed(
-        &self,
-        left: &[PointRecord],
-        engine: &E,
-        cfg: MorselConfig,
-    ) -> (Vec<JoinPair>, Vec<TaskTiming>) {
-        let (pairs, timings, exec) = self.par_probe_observed(left, engine, cfg);
-        obs::add_thread(&exec.worker_counters);
-        (pairs, timings)
-    }
-
-    /// [`PreparedSet::par_probe_timed`] returning the pool's
-    /// [`obs::ExecStats`] (scoped-worker counters + per-worker
-    /// busy/wait) instead of folding the counters into the calling
-    /// thread — the collection hook [`crate::JoinRequest`] runs on.
+    /// order the serial loop would emit them, per-morsel wall-clock
+    /// timings (indexed by morsel position, for replay through the
+    /// cluster simulator) and the pool's [`obs::ExecStats`].
+    ///
+    /// Scoped-worker counters are returned, **not** folded into the
+    /// calling thread: [`crate::JoinRequest`] and traced runs add
+    /// `exec.worker_counters` to their own snapshot deltas. A panicking
+    /// morsel is re-raised on the calling thread.
     pub fn par_probe_observed(
         &self,
         left: &[PointRecord],
         engine: &E,
         cfg: MorselConfig,
     ) -> (Vec<JoinPair>, Vec<TaskTiming>, obs::ExecStats) {
-        // Locality mode needs the per-morsel hints; the other modes
-        // skip the tagging pass entirely.
-        let hints = if cfg.mode == ScheduleMode::StaticLocality {
-            morsel_partitions(left, cfg.morsel_size.max(1), LOCALITY_GRID_SIDE)
-        } else {
-            Vec::new()
-        };
-        let morsels: Vec<&[PointRecord]> = left.chunks(cfg.morsel_size.max(1)).collect();
-        run_morsels_hinted_observed(&morsels, &hints, cfg.threads, cfg.mode, |morsel, out| {
-            self.probe_slice(engine, morsel, out)
-        })
+        let run = self
+            .dispatch_probe(left, engine, cfg, 1, &Chaos::disabled())
+            .or_raise();
+        (run.out, run.timings, run.exec)
     }
 
-    /// [`PreparedSet::par_probe_timed`] under fault injection: each
+    /// [`PreparedSet::par_probe_observed`] under fault injection: each
     /// morsel's panic draw is consulted *after* its output is appended
     /// (so recovery exercises the partial-segment rollback), and
-    /// panicking morsels are retried in place under `policy` — the
-    /// worker-local bounded re-dispatch recovery mode.
+    /// panicking morsels are retried in place up to `attempts` times —
+    /// the worker-local bounded re-dispatch recovery mode. Worker
+    /// counters are folded into the calling thread.
     ///
     /// Returns the pairs and timings on full recovery — bit-identical
-    /// to [`PreparedSet::par_probe_timed`] at any thread count — or the
-    /// failures of morsels that exhausted their attempts. A disabled
-    /// injector takes the plain path exactly.
+    /// to the fault-free probe at any thread count — or the failures of
+    /// morsels that exhausted their attempts.
     pub fn par_probe_faulted(
         &self,
         left: &[PointRecord],
         engine: &E,
         cfg: MorselConfig,
         chaos: &Chaos,
-        policy: RetryPolicy,
+        attempts: u32,
     ) -> Result<(Vec<JoinPair>, Vec<TaskTiming>), Vec<TaskFailure>> {
-        if chaos.is_disabled() {
-            return Ok(self.par_probe_timed(left, engine, cfg));
-        }
-        let hints = if cfg.mode == ScheduleMode::StaticLocality {
-            morsel_partitions(left, cfg.morsel_size.max(1), LOCALITY_GRID_SIDE)
-        } else {
-            Vec::new()
-        };
-        let morsels: Vec<&[PointRecord]> = left.chunks(cfg.morsel_size.max(1)).collect();
-        let run = run_morsels_faulted(
-            &morsels,
-            &hints,
-            cfg.threads,
-            cfg.mode,
-            policy,
-            |i, attempt, morsel, out| {
-                self.probe_slice(engine, morsel, out);
-                chaos.inject(ChaosSite::Morsel, i as u64, attempt);
-            },
-        );
+        let run = self.dispatch_probe(left, engine, cfg, attempts, chaos);
         obs::add_thread(&run.exec.worker_counters);
         if run.failures.is_empty() {
             Ok((run.out, run.timings))
@@ -405,112 +364,59 @@ impl<E: RefinementEngine> PreparedSet<E> {
         }
     }
 
-    /// [`PreparedSet::par_probe_timed`] plus each morsel's dominant
-    /// partition tag — everything the scheduling-ablation replay needs:
-    /// feed `(timings, partitions)` to [`timings_to_taskspecs`] and the
-    /// result to `cluster::simulate` under any [`cluster::Scheduler`].
-    pub fn par_probe_tagged(
+    /// The one morsel loop behind both probes. Locality mode needs the
+    /// per-morsel hints; the other modes skip the tagging pass.
+    fn dispatch_probe(
         &self,
         left: &[PointRecord],
         engine: &E,
         cfg: MorselConfig,
-    ) -> (Vec<JoinPair>, Vec<TaskTiming>, Vec<usize>) {
-        let partitions = morsel_partitions(left, cfg.morsel_size.max(1), LOCALITY_GRID_SIDE);
-        let morsels: Vec<&[PointRecord]> = left.chunks(cfg.morsel_size.max(1)).collect();
+        attempts: u32,
+        chaos: &Chaos,
+    ) -> Dispatched<JoinPair> {
+        let size = cfg.morsel_size.max(1);
         let hints = if cfg.mode == ScheduleMode::StaticLocality {
-            partitions.as_slice()
+            morsel_partitions(left, size, LOCALITY_GRID_SIDE)
         } else {
-            &[]
+            Vec::new()
         };
-        let (pairs, timings) =
-            run_morsels_hinted(&morsels, hints, cfg.threads, cfg.mode, |morsel, out| {
-                self.probe_slice(engine, morsel, out)
-            });
-        (pairs, timings, partitions)
+        let d = Dispatch {
+            hints: &hints,
+            attempts,
+            ..Dispatch::new(cfg.threads, cfg.mode)
+        };
+        dispatch(left.len().div_ceil(size), &d, |i, attempt, out| {
+            let morsel = &left[i * size..((i + 1) * size).min(left.len())];
+            self.probe_slice(engine, morsel, out);
+            chaos.inject(ChaosSite::Morsel, i as u64, attempt);
+        })
     }
-}
-
-/// The morsel-parallel broadcast join: prepare the right side once,
-/// probe the left side in parallel. Bit-identical to
-/// [`crate::join::broadcast_index_join`] at any thread count. Thin
-/// wrapper over [`crate::JoinRequest`]; use that directly to also get
-/// the run's [`obs::RunStats`].
-pub fn parallel_broadcast_join<E: RefinementEngine>(
-    left: &[PointRecord],
-    right: &[GeomRecord],
-    predicate: SpatialPredicate,
-    engine: &E,
-    cfg: MorselConfig,
-) -> Vec<JoinPair> {
-    crate::JoinRequest::new(left, right, engine)
-        .predicate(predicate)
-        .config(cfg)
-        .run()
-        .pairs
-}
-
-/// The morsel-parallel partitioned join: partitions carry `right_ids`
-/// into the shared [`PreparedSet`]; each task builds a subset filter
-/// tree over envelope copies and probes its own points. Matches the
-/// serial partitioned join's sorted-deduplicated contract.
-pub fn parallel_partitioned_join<E: RefinementEngine>(
-    left: &[PointRecord],
-    right: &[GeomRecord],
-    predicate: SpatialPredicate,
-    engine: &E,
-    target_points_per_partition: usize,
-    cfg: MorselConfig,
-) -> Vec<JoinPair> {
-    let (pairs, exec) = parallel_partitioned_join_observed(
-        left,
-        right,
-        predicate,
-        engine,
-        target_points_per_partition,
-        cfg,
-    );
-    obs::add_thread(&exec.worker_counters);
-    pairs
-}
-
-/// [`parallel_partitioned_join`] returning the pool's
-/// [`obs::ExecStats`] instead of folding scoped-worker counters into
-/// the calling thread.
-pub fn parallel_partitioned_join_observed<E: RefinementEngine>(
-    left: &[PointRecord],
-    right: &[GeomRecord],
-    predicate: SpatialPredicate,
-    engine: &E,
-    target_points_per_partition: usize,
-    cfg: MorselConfig,
-) -> (Vec<JoinPair>, obs::ExecStats) {
-    let set = PreparedSet::prepare(right, predicate, engine);
-    let work = partition_work(left, right, predicate, target_points_per_partition);
-    let tasks: Vec<&crate::join::PartitionTask> = work
-        .partitions
-        .iter()
-        .filter(|t| !t.left.is_empty() && !t.right_ids.is_empty())
-        .collect();
-    let (per_task, _, exec) = run_tasks_observed(tasks, cfg.threads, cfg.mode, |task| {
-        let subset = set.subset_tree(&task.right_ids);
-        let mut out = Vec::new();
-        for &(id, p) in &task.left {
-            set.probe_subset(&subset, engine, id, p, &mut out);
-        }
-        out
-    });
-    let mut out: Vec<JoinPair> = per_task.into_iter().flatten().collect();
-    out.sort_unstable();
-    out.dedup();
-    (out, exec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::broadcast_index_join;
+    use crate::join::{build_right_index, probe};
+    use crate::JoinRequest;
     use geom::engine::PreparedEngine;
     use geom::{Geometry, Polygon};
+
+    /// The serial reference: one R-tree, one probe loop.
+    fn serial_join(left: &[PointRecord], right: &[GeomRecord]) -> Vec<JoinPair> {
+        let tree = build_right_index(right, SpatialPredicate::Within, &PreparedEngine);
+        let mut out = Vec::new();
+        for &(id, p) in left {
+            probe(
+                &tree,
+                SpatialPredicate::Within,
+                &PreparedEngine,
+                id,
+                p,
+                &mut out,
+            );
+        }
+        out
+    }
 
     fn grid_points(n: usize) -> Vec<PointRecord> {
         let mut v = Vec::new();
@@ -550,7 +456,7 @@ mod tests {
         let left = grid_points(20);
         let right = quadrant_polys(10.0);
         let engine = PreparedEngine;
-        let serial = broadcast_index_join(&left, &right, SpatialPredicate::Within, &engine);
+        let serial = serial_join(&left, &right);
         for threads in [1, 2, 4, 7] {
             for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
                 for morsel_size in [3, 64, 100_000] {
@@ -559,13 +465,10 @@ mod tests {
                         mode,
                         morsel_size,
                     };
-                    let par = parallel_broadcast_join(
-                        &left,
-                        &right,
-                        SpatialPredicate::Within,
-                        &engine,
-                        cfg,
-                    );
+                    let par = JoinRequest::new(&left, &right, &engine)
+                        .config(cfg)
+                        .run()
+                        .pairs;
                     assert_eq!(
                         par, serial,
                         "threads={threads} mode={mode:?} morsel={morsel_size}"
@@ -580,19 +483,17 @@ mod tests {
         let left = grid_points(12);
         let right = quadrant_polys(6.0);
         let engine = PreparedEngine;
-        let serial =
-            crate::join::partitioned_join(&left, &right, SpatialPredicate::Within, &engine, 10);
-        for threads in [1, 4] {
-            let cfg = MorselConfig::new(threads);
-            let par = parallel_partitioned_join(
-                &left,
-                &right,
-                SpatialPredicate::Within,
-                &engine,
-                10,
-                cfg,
-            );
-            assert_eq!(par, serial, "threads={threads}");
+        let partitioned = |threads| {
+            JoinRequest::new(&left, &right, &engine)
+                .partitioned(10)
+                .threads(threads)
+                .run()
+                .pairs
+        };
+        let serial = partitioned(1);
+        assert_eq!(serial, crate::normalize_pairs(serial_join(&left, &right)));
+        for threads in [2, 4] {
+            assert_eq!(partitioned(threads), serial, "threads={threads}");
         }
     }
 
@@ -612,7 +513,7 @@ mod tests {
         let left = grid_points(20);
         let right = quadrant_polys(10.0);
         let engine = PreparedEngine;
-        let serial = broadcast_index_join(&left, &right, SpatialPredicate::Within, &engine);
+        let serial = serial_join(&left, &right);
         for threads in [1, 2, 7] {
             for morsel_size in [16, 500] {
                 let cfg = MorselConfig {
@@ -620,8 +521,10 @@ mod tests {
                     mode: ScheduleMode::StaticLocality,
                     morsel_size,
                 };
-                let par =
-                    parallel_broadcast_join(&left, &right, SpatialPredicate::Within, &engine, cfg);
+                let par = JoinRequest::new(&left, &right, &engine)
+                    .config(cfg)
+                    .run()
+                    .pairs;
                 assert_eq!(par, serial, "threads={threads} morsel={morsel_size}");
             }
         }
@@ -726,6 +629,7 @@ mod tests {
         let right = quadrant_polys(6.0);
         let engine = PreparedEngine;
         let set = PreparedSet::prepare(&right, SpatialPredicate::Within, &engine);
+        let serial = serial_join(&left, &right);
         for mode in [
             ScheduleMode::Dynamic,
             ScheduleMode::Static,
@@ -736,9 +640,9 @@ mod tests {
                 mode,
                 morsel_size: 10,
             };
-            let plain = set.par_probe(&left, &engine, cfg);
-            let (tagged, timings, partitions) = set.par_probe_tagged(&left, &engine, cfg);
-            assert_eq!(plain, tagged, "{mode:?}");
+            let (pairs, timings, _) = set.par_probe_observed(&left, &engine, cfg);
+            let partitions = morsel_partitions(&left, cfg.morsel_size, LOCALITY_GRID_SIDE);
+            assert_eq!(pairs, serial, "{mode:?}");
             assert_eq!(timings.len(), partitions.len(), "{mode:?}");
         }
     }
@@ -762,9 +666,9 @@ mod tests {
             mode: ScheduleMode::Dynamic,
             morsel_size: 16,
         };
-        let serial = set.par_probe(&left, &engine, cfg);
+        let serial = set.par_probe_observed(&left, &engine, cfg).0;
         let n_morsels = left.len().div_ceil(cfg.morsel_size);
-        let policy = cluster::RetryPolicy::attempts(4);
+        let attempts = 4;
         // Deterministic draws make "every morsel recovers" a pure
         // function of the seed — search for one where faults fire but
         // all clear within the retry budget.
@@ -774,8 +678,7 @@ mod tests {
                 let fired =
                     (0..n_morsels).any(|i| probe.panic_fires(ChaosSite::Morsel, i as u64, 0));
                 let recovers = (0..n_morsels).all(|i| {
-                    (0..policy.max_attempts)
-                        .any(|a| !probe.panic_fires(ChaosSite::Morsel, i as u64, a))
+                    (0..attempts).any(|a| !probe.panic_fires(ChaosSite::Morsel, i as u64, a))
                 });
                 fired && recovers
             })
@@ -784,7 +687,7 @@ mod tests {
             let chaos = cluster::Chaos::new(cluster::ChaosConfig::uniform(seed, 0.3));
             let cfg = MorselConfig { threads, ..cfg };
             let (pairs, timings) = quiet_panics(|| {
-                set.par_probe_faulted(&left, &engine, cfg, &chaos, policy)
+                set.par_probe_faulted(&left, &engine, cfg, &chaos, attempts)
                     .expect("all morsels recover")
             });
             assert_eq!(pairs, serial, "threads={threads}");
@@ -793,6 +696,8 @@ mod tests {
         }
     }
 
+    /// A disabled injector never fires, so the faulted probe emits
+    /// exactly the fault-free probe's pairs through the same loop.
     #[test]
     fn faulted_probe_disabled_takes_plain_path() {
         let left = grid_points(10);
@@ -802,9 +707,9 @@ mod tests {
         let cfg = MorselConfig::new(3);
         let chaos = cluster::Chaos::disabled();
         let (pairs, _) = set
-            .par_probe_faulted(&left, &engine, cfg, &chaos, cluster::RetryPolicy::none())
+            .par_probe_faulted(&left, &engine, cfg, &chaos, 1)
             .expect("no faults possible");
-        assert_eq!(pairs, set.par_probe(&left, &engine, cfg));
+        assert_eq!(pairs, set.par_probe_observed(&left, &engine, cfg).0);
         assert_eq!(chaos.fault_count(), 0);
     }
 
@@ -823,16 +728,8 @@ mod tests {
             panic_rate: 1.0,
             ..cluster::ChaosConfig::uniform(5, 0.0)
         });
-        let failures = quiet_panics(|| {
-            set.par_probe_faulted(
-                &left,
-                &engine,
-                cfg,
-                &chaos,
-                cluster::RetryPolicy::attempts(2),
-            )
-        })
-        .expect_err("every attempt panics");
+        let failures = quiet_panics(|| set.par_probe_faulted(&left, &engine, cfg, &chaos, 2))
+            .expect_err("every attempt panics");
         assert_eq!(failures.len(), left.len().div_ceil(cfg.morsel_size));
         assert!(failures.iter().all(|f| f.attempts == 2));
     }
@@ -840,17 +737,10 @@ mod tests {
     #[test]
     fn empty_sides_yield_empty_output() {
         let engine = PreparedEngine;
-        let cfg = MorselConfig::new(4);
-        assert!(
-            parallel_broadcast_join(&[], &[], SpatialPredicate::Within, &engine, cfg).is_empty()
-        );
         let left = grid_points(3);
-        assert!(
-            parallel_broadcast_join(&left, &[], SpatialPredicate::Within, &engine, cfg).is_empty()
-        );
-        assert!(
-            parallel_partitioned_join(&[], &[], SpatialPredicate::Within, &engine, 16, cfg)
-                .is_empty()
-        );
+        let join = |left, right| JoinRequest::new(left, right, &engine).threads(4);
+        assert!(join(&[], &[]).run().pairs.is_empty());
+        assert!(join(&left, &[]).run().pairs.is_empty());
+        assert!(join(&[], &[]).partitioned(16).run().pairs.is_empty());
     }
 }

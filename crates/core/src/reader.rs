@@ -1,13 +1,11 @@
 //! Record parsing with per-line error reporting.
 //!
 //! The paper's Fig. 2 drops malformed rows silently
-//! (`Try(...).filter(_.isSuccess)`), which the old `Option`-returning
-//! `parse_*_record` family reproduced — bad lines simply vanished. A
-//! [`RecordReader`] instead returns a typed [`RecordError`] per line
-//! and counts parsed/skipped lines into `obs`, so a run's record-drop
-//! rate shows up in its `RunStats` instead of disappearing. The
-//! `Option` shims in [`crate::join`] remain for one release and
-//! delegate here.
+//! (`Try(...).filter(_.isSuccess)`). A [`RecordReader`] instead returns
+//! a typed [`RecordError`] per line and counts parsed/skipped lines
+//! into `obs`, so a run's record-drop rate shows up in its `RunStats`
+//! instead of disappearing. Callers that only want the survivors take
+//! `read_point(line).ok()`.
 
 use geom::error::GeomError;
 use geom::Geometry;

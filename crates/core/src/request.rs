@@ -1,23 +1,20 @@
-//! The unified join front door.
+//! The join front door.
 //!
-//! The workspace grew ~6 divergent join entry points — serial
-//! broadcast, nearest, nested-loop, partitioned, and the two parallel
-//! variants — each threading predicate/engine/config through its own
-//! signature and none reporting what the executor actually did. A
-//! [`JoinRequest`] replaces them: one builder selects predicate,
-//! strategy and [`MorselConfig`], and [`JoinRequest::run`] returns a
-//! [`JoinOutcome`] carrying both the pairs and an [`obs::RunStats`]
-//! tree collected uniformly (counters via thread-snapshot deltas,
-//! per-worker busy/wait from the pool's observed entry points). The
-//! old entry points survive as thin wrappers, bit-identical to their
-//! pre-redesign outputs.
+//! Every join in the workspace — serial or parallel, broadcast,
+//! nearest, nested-loop or partitioned — is a [`JoinRequest`]: one
+//! builder selects predicate, strategy and [`MorselConfig`], and
+//! [`JoinRequest::run`] returns a [`JoinOutcome`] carrying both the
+//! pairs and an [`obs::RunStats`] tree collected uniformly (counters
+//! via thread-snapshot deltas, per-worker busy/wait from the pool's
+//! [`obs::ExecStats`]).
 
 use geom::engine::{RefinementEngine, SpatialPredicate};
 use geom::Envelope;
 
-use crate::parallel::{parallel_partitioned_join_observed, MorselConfig, PreparedSet};
+use crate::join::partition_work;
+use crate::parallel::{MorselConfig, PreparedSet};
 use crate::{GeomRecord, JoinPair, PointRecord};
-use cluster::ScheduleMode;
+use cluster::{dispatch, Dispatch, ScheduleMode};
 
 /// Which join algorithm executes the request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +48,8 @@ pub struct JoinRequest<'a, E: RefinementEngine> {
 /// tree.
 pub struct JoinOutcome {
     /// Matched `(left id, right id)` pairs, in the strategy's canonical
-    /// order (bit-identical to the pre-redesign entry points).
+    /// order: probe order for broadcast and nested-loop, sorted and
+    /// deduplicated for partitioned.
     pub pairs: Vec<JoinPair>,
     /// Counters, per-worker accounting and span timings for the run.
     pub stats: obs::RunStats,
@@ -131,11 +129,11 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
     ///
     /// Counter collection: a thread-snapshot delta around the run
     /// captures everything counted on the calling thread (serial and
-    /// inline paths), and the pool's observed entry points hand back
-    /// scoped-worker counters, which are folded into the calling
-    /// thread's cells before the final snapshot — so `stats.counters`
-    /// is exact at any thread count, and an *outer* snapshot delta
-    /// around this call still sees every count exactly once.
+    /// inline paths), and the pool hands back scoped-worker counters,
+    /// which are folded into the calling thread's cells before the
+    /// final snapshot — so `stats.counters` is exact at any thread
+    /// count, and an *outer* snapshot delta around this call still sees
+    /// every count exactly once. A panicking unit is re-raised here.
     pub fn run(self) -> JoinOutcome {
         let before = obs::thread_snapshot();
         let run_timer = obs::SpanTimer::start("run");
@@ -163,7 +161,7 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
             JoinStrategy::Partitioned {
                 target_points_per_partition,
             } => {
-                let (pairs, exec) = parallel_partitioned_join_observed(
+                let (pairs, exec) = partitioned_pairs(
                     self.left,
                     self.right,
                     self.predicate,
@@ -181,6 +179,41 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
         stats.counters = obs::thread_snapshot().minus(&before);
         JoinOutcome { pairs, stats }
     }
+}
+
+/// The partitioned strategy: partitions carry `right_ids` into one
+/// shared [`PreparedSet`]; each partition is a pool task that builds a
+/// subset filter tree over envelope copies and probes its own points.
+/// Output is sorted and deduplicated — a right geometry replicated into
+/// several cells can only match a point in the point's unique cell, but
+/// dedup keeps the contract obvious.
+fn partitioned_pairs<E: RefinementEngine>(
+    left: &[PointRecord],
+    right: &[GeomRecord],
+    predicate: SpatialPredicate,
+    engine: &E,
+    target_points_per_partition: usize,
+    cfg: MorselConfig,
+) -> (Vec<JoinPair>, obs::ExecStats) {
+    let set = PreparedSet::prepare(right, predicate, engine);
+    let work = partition_work(left, right, predicate, target_points_per_partition);
+    let tasks: Vec<&crate::join::PartitionTask> = work
+        .partitions
+        .iter()
+        .filter(|t| !t.left.is_empty() && !t.right_ids.is_empty())
+        .collect();
+    let d = Dispatch::new(cfg.threads, cfg.mode);
+    let run = dispatch(tasks.len(), &d, |i, _, out| {
+        let subset = set.subset_tree(&tasks[i].right_ids);
+        for &(id, p) in &tasks[i].left {
+            set.probe_subset(&subset, engine, id, p, out);
+        }
+    })
+    .or_raise();
+    let mut out = run.out;
+    out.sort_unstable();
+    out.dedup();
+    (out, run.exec)
 }
 
 /// The nested-loop baseline, instrumented: every left×right pair whose

@@ -17,7 +17,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use cluster::{Chaos, ChaosConfig, RetryPolicy, ScheduleMode};
+use cluster::{Chaos, ChaosConfig, ScheduleMode};
 use geom::engine::PreparedEngine;
 use geom::{Envelope, Geometry, Point, Polygon};
 use impalite::ImpaladConf;
@@ -121,8 +121,8 @@ fn zero_rate_chaos_is_bit_identical_at_every_thread_count() {
         |(points, seed)| {
             let engine = PreparedEngine;
             let set = PreparedSet::prepare(&quadrant_polys(), SpatialPredicate::Within, &engine);
-            // Delay-only chaos exercises the faulted executor path
-            // (config not disabled) without any destructive fault.
+            // Delay-only chaos fires straggler faults without any
+            // destructive fault.
             let delay_only = ChaosConfig {
                 seed,
                 straggler_rate: 0.5,
@@ -135,11 +135,11 @@ fn zero_rate_chaos_is_bit_identical_at_every_thread_count() {
                     mode: ScheduleMode::Dynamic,
                     morsel_size: 5,
                 };
-                let plain = set.par_probe(&points, &engine, cfg);
+                let plain = set.par_probe_observed(&points, &engine, cfg).0;
                 for chaos_cfg in [ChaosConfig::uniform(seed, 0.0), delay_only.clone()] {
                     let chaos = Chaos::new(chaos_cfg);
                     let (pairs, _) = set
-                        .par_probe_faulted(&points, &engine, cfg, &chaos, RetryPolicy::none())
+                        .par_probe_faulted(&points, &engine, cfg, &chaos, 1)
                         .expect("no destructive fault configured");
                     assert_eq!(pairs, plain, "threads={threads}");
                 }
@@ -167,11 +167,9 @@ fn recovered_pool_and_sparklet_runs_are_bit_identical() {
                 mode: ScheduleMode::Dynamic,
                 morsel_size: 5,
             };
-            let plain = set.par_probe(&points, &engine, cfg);
+            let plain = set.par_probe_observed(&points, &engine, cfg).0;
             let chaos = Chaos::new(ChaosConfig::uniform(seed, rate));
-            if let Ok((pairs, _)) =
-                set.par_probe_faulted(&points, &engine, cfg, &chaos, RetryPolicy::attempts(10))
-            {
+            if let Ok((pairs, _)) = set.par_probe_faulted(&points, &engine, cfg, &chaos, 10) {
                 assert_eq!(pairs, plain, "pool recovery diverged (seed {seed})");
             }
 

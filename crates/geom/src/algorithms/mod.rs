@@ -5,9 +5,7 @@
 //! spatial relationships between the paired spatial objects", which
 //! "relies on efficient computational geometry algorithms" (§II).
 
-pub mod clip;
 pub mod distance;
-pub mod hull;
 pub mod intersects;
 pub mod pip;
 pub mod segment;

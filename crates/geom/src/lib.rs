@@ -63,21 +63,3 @@ impl HasEnvelope for Envelope {
         *self
     }
 }
-
-#[cfg(test)]
-pub(crate) mod tests_support {
-    use crate::point::Point;
-
-    /// Deterministic pseudo-random points without a rand dependency in
-    /// the library itself (LCG-based).
-    pub fn pseudo_random_points(n: usize, spread: f64) -> Vec<Point> {
-        let mut state = 0x853c_49e6_748f_ea9bu64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / u32::MAX as f64 - 0.5) * 2.0 * spread
-        };
-        (0..n).map(|_| Point::new(next(), next())).collect()
-    }
-}

@@ -2,7 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use cluster::{simulate, ClusterSpec, NetworkModel, ScheduleMode, Scheduler, TaskSpec};
+use cluster::{
+    simulate, ClusterSpec, Dispatch, Dispatched, NetworkModel, ScheduleMode, Scheduler, TaskSpec,
+};
 use minihdfs::{DfsError, MiniDfs};
 
 /// Disk throughput model for intermediate materialisation — the cost
@@ -176,15 +178,13 @@ impl MapReduce {
             blocks.extend(self.dfs.blocks(path)?);
         }
         let localities: Vec<Option<usize>> = blocks.iter().map(|b| Some(b.primary_node)).collect();
-        let (map_outputs, map_timings) =
-            cluster::run_tasks(blocks, self.conf.threads, ScheduleMode::Dynamic, |block| {
-                let mut emitted = Vec::new();
-                for line in block.lines() {
-                    map(line, &mut emitted);
-                }
-                emitted
-            });
-        let map_tasks: Vec<TaskSpec> = map_timings
+        let map_run = self.run_phase(blocks.len(), |i, out| {
+            for line in blocks[i].lines() {
+                map(line, out);
+            }
+        });
+        let map_tasks: Vec<TaskSpec> = map_run
+            .timings
             .iter()
             .map(|t| TaskSpec {
                 cost: t.secs,
@@ -195,35 +195,47 @@ impl MapReduce {
         // --- shuffle: group by key (the sort phase), count bytes ---
         let mut intermediate_bytes = 0u64;
         let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
-        for out in map_outputs {
-            for (k, v) in out {
-                intermediate_bytes += value_bytes(&k, &v) + 8;
-                grouped.entry(k).or_default().push(v);
-            }
+        for (k, v) in map_run.out {
+            intermediate_bytes += value_bytes(&k, &v) + 8;
+            grouped.entry(k).or_default().push(v);
         }
 
         // --- reduce phase: one task per key group ---
         let groups: Vec<(K, Vec<V>)> = grouped.into_iter().collect();
-        let (reduce_outputs, reduce_timings) = cluster::run_tasks(
-            groups,
-            self.conf.threads,
-            ScheduleMode::Dynamic,
-            |(k, vs)| reduce(k, vs),
-        );
-        let reduce_tasks: Vec<TaskSpec> = reduce_timings
+        let reduce_run = self.run_phase(groups.len(), |i, out| {
+            let (k, vs) = &groups[i];
+            out.extend(reduce(k, vs));
+        });
+        let reduce_tasks: Vec<TaskSpec> = reduce_run
+            .timings
             .iter()
             .map(|t| TaskSpec::of_cost(t.secs))
             .collect();
 
-        let output = reduce_outputs.into_iter().flatten().collect();
         Ok(JobResult {
-            output,
+            output: reduce_run.out,
             metrics: JobMetrics {
                 map_tasks,
                 reduce_tasks,
                 intermediate_bytes,
             },
         })
+    }
+
+    /// Runs one phase's `n` tasks over the engine's threads under
+    /// dynamic scheduling, `f(task, out)` appending each task's output
+    /// in task order. Worker counters are folded into the calling
+    /// thread. Task retry is not modelled: a panicking task is a bug in
+    /// the job and is re-raised on the driver.
+    fn run_phase<R, F>(&self, n: usize, f: F) -> Dispatched<R>
+    where
+        R: Send,
+        F: Fn(usize, &mut Vec<R>) + Sync,
+    {
+        let d = Dispatch::new(self.conf.threads, ScheduleMode::Dynamic);
+        let run = cluster::dispatch(n, &d, |i, _, out| f(i, out)).or_raise();
+        obs::add_thread(&run.exec.worker_counters);
+        run
     }
 
     /// Runs a **map-only** job whose task unit is a whole file — the
@@ -246,13 +258,12 @@ impl MapReduce {
             files.push((path.to_string(), lines, locality));
         }
         let localities: Vec<Option<usize>> = files.iter().map(|(_, _, l)| *l).collect();
-        let (outputs, timings) = cluster::run_tasks(
-            files,
-            self.conf.threads,
-            ScheduleMode::Dynamic,
-            |(path, lines, _)| f(path, lines),
-        );
-        let map_tasks: Vec<TaskSpec> = timings
+        let run = self.run_phase(files.len(), |i, out| {
+            let (path, lines, _) = &files[i];
+            out.extend(f(path, lines));
+        });
+        let map_tasks: Vec<TaskSpec> = run
+            .timings
             .iter()
             .map(|t| TaskSpec {
                 cost: t.secs,
@@ -260,7 +271,7 @@ impl MapReduce {
             })
             .collect();
         Ok(JobResult {
-            output: outputs.into_iter().flatten().collect(),
+            output: run.out,
             metrics: JobMetrics {
                 map_tasks,
                 reduce_tasks: Vec::new(),

@@ -16,12 +16,11 @@
 //!   Refinement uses the GEOS-like [`NaiveEngine`] (HadoopGIS wraps
 //!   GEOS).
 
-use geom::engine::{FlatEngine, NaiveEngine, SpatialPredicate};
+use geom::engine::{FlatEngine, NaiveEngine, RefinementEngine, SpatialPredicate};
 use geom::{HasEnvelope, Point};
 use minihdfs::DfsError;
 use rtree::{SpatialPartitioner, StrPartitioner};
-use spatialjoin::join::{self, parse_geom_records, parse_point_record};
-use spatialjoin::JoinPair;
+use spatialjoin::{JoinPair, JoinRequest, RecordReader};
 
 use crate::mapreduce::{HadoopConf, JobMetrics, MapReduce};
 
@@ -71,23 +70,51 @@ fn build_partitioner(
 ) -> Result<StrPartitioner, DfsError> {
     let left_lines = mr.dfs().read_all_lines(left_path)?;
     let right_lines = mr.dfs().read_all_lines(right_path)?;
+    let reader = RecordReader::new(1);
     let mut extent = geom::Envelope::EMPTY;
     let stride = (left_lines.len() / 10_000).max(1);
-    let mut sample: Vec<Point> = Vec::new();
-    for line in left_lines.iter().step_by(stride) {
-        if let Some((_, p)) = parse_point_record(line, 1) {
-            sample.push(p);
-        }
+    let sample: Vec<Point> = left_lines
+        .iter()
+        .step_by(stride)
+        .filter_map(|line| reader.read_point(line).ok())
+        .map(|(_, p)| p)
+        .collect();
+    for (_, p) in left_lines
+        .iter()
+        .filter_map(|line| reader.read_point(line).ok())
+    {
+        extent.expand_to(p.x, p.y);
     }
-    for line in &left_lines {
-        if let Some((_, p)) = parse_point_record(line, 1) {
-            extent.expand_to(p.x, p.y);
-        }
-    }
-    for (_, g) in parse_geom_records(&right_lines, 1) {
+    for (_, g) in reader.read_geoms(&right_lines).0 {
         extent = extent.union(&g.envelope().expanded_by(radius));
     }
     Ok(StrPartitioner::build(extent, &sample, target_cells.max(1)))
+}
+
+/// Joins one cell's tagged text records (`L\t` left points, `R\t`
+/// right geometries), re-parsing every record from text.
+fn join_cell<E: RefinementEngine>(
+    records: &[String],
+    predicate: SpatialPredicate,
+    engine: &E,
+) -> Vec<JoinPair> {
+    let reader = RecordReader::new(1);
+    let mut left = Vec::new();
+    let mut right = Vec::new();
+    for r in records {
+        if let Some(rest) = r.strip_prefix("L\t") {
+            left.extend(reader.read_point(rest).ok());
+        } else if let Some(rest) = r.strip_prefix("R\t") {
+            right.extend(reader.read_geom(rest).ok());
+        }
+    }
+    if left.is_empty() || right.is_empty() {
+        return Vec::new();
+    }
+    JoinRequest::new(&left, &right, engine)
+        .predicate(predicate)
+        .run()
+        .pairs
 }
 
 /// The HadoopGIS-style reduce-side join.
@@ -133,22 +160,7 @@ pub fn hadoopgis_join(
             // Re-parse everything from text — the HadoopGIS overhead
             // the paper calls out ("data movement and parsing text are
             // expensive on modern hardware").
-            let mut left = Vec::new();
-            let mut right_lines = Vec::new();
-            for r in records {
-                if let Some(rest) = r.strip_prefix("L\t") {
-                    if let Some(rec) = parse_point_record(rest, 1) {
-                        left.push(rec);
-                    }
-                } else if let Some(rest) = r.strip_prefix("R\t") {
-                    right_lines.push(rest.to_string());
-                }
-            }
-            let right = parse_geom_records(&right_lines, 1);
-            if left.is_empty() || right.is_empty() {
-                return Vec::new();
-            }
-            join::broadcast_index_join(&left, &right, predicate, &engine)
+            join_cell(records, predicate, &engine)
         },
     )?;
 
@@ -216,24 +228,7 @@ pub fn spatialhadoop_join(
 
     // --- Job 2: map-only join over the cell files ---
     let input_refs: Vec<&str> = cell_paths.iter().map(String::as_str).collect();
-    let join_job = mr.run_file_job(&input_refs, |_, lines| {
-        let mut left = Vec::new();
-        let mut right_lines = Vec::new();
-        for l in lines {
-            if let Some(rest) = l.strip_prefix("L\t") {
-                if let Some(rec) = parse_point_record(rest, 1) {
-                    left.push(rec);
-                }
-            } else if let Some(rest) = l.strip_prefix("R\t") {
-                right_lines.push(rest.to_string());
-            }
-        }
-        let right = parse_geom_records(&right_lines, 1);
-        if left.is_empty() || right.is_empty() {
-            return Vec::new();
-        }
-        join::broadcast_index_join(&left, &right, predicate, &engine)
-    })?;
+    let join_job = mr.run_file_job(&input_refs, |_, lines| join_cell(lines, predicate, &engine))?;
     // Clean the partitioned layout back up.
     for path in &cell_paths {
         let _ = mr.dfs().delete(path);
@@ -263,9 +258,15 @@ mod tests {
     }
 
     fn reference(mr: &MapReduce, left: &str, right: &str, pred: SpatialPredicate) -> Vec<JoinPair> {
-        let l = spatialjoin::join::parse_point_records(&mr.dfs().read_all_lines(left).unwrap(), 1);
-        let r = parse_geom_records(&mr.dfs().read_all_lines(right).unwrap(), 1);
-        spatialjoin::normalize_pairs(join::broadcast_index_join(&l, &r, pred, &PreparedEngine))
+        let reader = RecordReader::new(1);
+        let l = reader
+            .read_points(&mr.dfs().read_all_lines(left).unwrap())
+            .0;
+        let r = reader
+            .read_geoms(&mr.dfs().read_all_lines(right).unwrap())
+            .0;
+        let join = JoinRequest::new(&l, &r, &PreparedEngine).predicate(pred);
+        spatialjoin::normalize_pairs(join.run().pairs)
     }
 
     #[test]

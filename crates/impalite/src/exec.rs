@@ -1,8 +1,8 @@
 //! The backend: fragment execution, row batches, static scheduling.
 
 use cluster::{
-    simulate, Chaos, ChaosConfig, ChaosSite, ClusterSpec, NetworkModel, RetryPolicy, ScheduleMode,
-    Scheduler, TaskFailure, TaskSpec,
+    simulate, Chaos, ChaosConfig, ChaosSite, ClusterSpec, Dispatch, NetworkModel, ScheduleMode,
+    Scheduler, TaskFailure, TaskSpec, TaskTiming,
 };
 use geom::engine::{NaiveEngine, RefinementEngine};
 use geom::{Geometry, HasEnvelope};
@@ -362,6 +362,32 @@ impl Impalad {
         Ok(plan_query(&query, &self.catalog)?.explain())
     }
 
+    /// Runs one plan fragment's `n` units statically chunked over the
+    /// daemon's threads, each unit's fault draw keyed by `key | unit`.
+    /// Fail-fast: Impala fixes the plan before execution and cannot
+    /// reschedule, so any unit dying — an injected fault or a bug in
+    /// the unit — fails the query, and the surviving units' output is
+    /// dropped: a failed query never surfaces partial rows.
+    fn run_fragment<R: Send>(
+        &self,
+        fragment: &str,
+        key: u64,
+        n: usize,
+        f: impl Fn(usize, &mut Vec<R>) + Sync,
+    ) -> Result<(Vec<R>, Vec<TaskTiming>), ImpalaError> {
+        let d = Dispatch::new(self.conf.threads, ScheduleMode::Static);
+        let run = cluster::dispatch(n, &d, |i, attempt, out| {
+            f(i, out);
+            self.chaos
+                .inject(ChaosSite::Fragment, key | i as u64, attempt);
+        });
+        obs::add_thread(&run.exec.worker_counters);
+        if !run.failures.is_empty() {
+            return Err(fragment_failed(fragment, &run.failures));
+        }
+        Ok((run.out, run.timings))
+    }
+
     fn run_plan(&self, plan: PhysicalPlan) -> Result<QueryResult, ImpalaError> {
         let engine = NaiveEngine;
         let predicate = plan.predicate;
@@ -396,32 +422,9 @@ impl Impalad {
                 .filter_map(|l| Row::from_line(l, geom_col))
                 .collect()
         };
-        let (block_rows, scan_timings) = if self.chaos.is_disabled() {
-            cluster::run_tasks(blocks, self.conf.threads, ScheduleMode::Static, |block| {
-                scan_block(block)
-            })
-        } else {
-            // Fail-fast: any scan task dying aborts the query; Impala
-            // fixes the plan before execution and cannot reschedule.
-            let run = cluster::run_tasks_faulted(
-                &blocks,
-                self.conf.threads,
-                ScheduleMode::Static,
-                RetryPolicy::none(),
-                |i, attempt, block| {
-                    let rows = scan_block(block);
-                    self.chaos.inject(ChaosSite::Fragment, i as u64, attempt);
-                    rows
-                },
-            );
-            obs::add_thread(&run.exec.worker_counters);
-            if !run.failures.is_empty() {
-                return Err(fragment_failed("scan", &run.failures));
-            }
-            let timings = run.timings;
-            let rows: Vec<Vec<Row>> = run.results.into_iter().flatten().collect();
-            (rows, timings)
-        };
+        let (block_rows, scan_timings) = self.run_fragment("scan", 0, blocks.len(), |i, out| {
+            out.push(scan_block(&blocks[i]))
+        })?;
         let scan_tasks: Vec<TaskSpec> = scan_timings
             .iter()
             .map(|t| TaskSpec {
@@ -460,7 +463,6 @@ impl Impalad {
         // Each chunk is one morsel handed to the shared morsel driver;
         // the WKT parse stays inside the probe so chunk costs keep the
         // parse-per-row semantics the cost model was calibrated on. ---
-        let chunk_slices: Vec<&[Row]> = chunks.iter().map(|(rows, _)| rows.as_slice()).collect();
         let probe_chunk = |rows: &[Row], out: &mut Vec<(i64, i64)>| {
             for row in rows {
                 let Ok(g) = geom::wkt::parse(&row.wkt) else {
@@ -480,36 +482,12 @@ impl Impalad {
                 );
             }
         };
-        let (pairs_flat, probe_timings) = if self.chaos.is_disabled() {
-            cluster::run_morsels(
-                &chunk_slices,
-                self.conf.threads,
-                ScheduleMode::Static,
-                probe_chunk,
-            )
-        } else {
-            // Offset the index space so probe chunks draw faults
-            // independently of scan tasks under the same seed.
-            let run = cluster::run_morsels_faulted(
-                &chunk_slices,
-                &[],
-                self.conf.threads,
-                ScheduleMode::Static,
-                RetryPolicy::none(),
-                |i, attempt, rows, out| {
-                    probe_chunk(rows, out);
-                    self.chaos
-                        .inject(ChaosSite::Fragment, (1u64 << 32) | i as u64, attempt);
-                },
-            );
-            obs::add_thread(&run.exec.worker_counters);
-            if !run.failures.is_empty() {
-                // The rolled-back output in `run.out` is dropped here —
-                // a failed query never surfaces partial pairs.
-                return Err(fragment_failed("probe", &run.failures));
-            }
-            (run.out, run.timings)
-        };
+        // Offset the index space so probe chunks draw faults
+        // independently of scan tasks under the same seed.
+        let (pairs, probe_timings) =
+            self.run_fragment("probe", 1u64 << 32, chunks.len(), |i, out| {
+                probe_chunk(&chunks[i].0, out)
+            })?;
         let mut probe_batches: Vec<ProbeBatch> = batch_localities
             .iter()
             .map(|&locality| ProbeBatch {
@@ -521,7 +499,7 @@ impl Impalad {
             probe_batches[chunk_batch[t.index]].chunk_costs.push(t.secs);
         }
 
-        let mut pairs: Vec<(i64, i64)> = pairs_flat;
+        let mut pairs: Vec<(i64, i64)> = pairs;
         if plan.group_count {
             // Hash aggregation at the coordinator: (right id, count).
             let mut counts: std::collections::HashMap<i64, i64> = std::collections::HashMap::new();
@@ -738,8 +716,8 @@ mod tests {
                  WHERE ST_WITHIN (pnt.geom, poly.geom)",
             )
             .unwrap();
-        // The hot-path counters land in this thread's cells (the pool
-        // wrappers fold worker counts back into the caller).
+        // The hot-path counters land in this thread's cells (each
+        // fragment folds its worker counts back into the caller).
         let delta = obs::thread_snapshot().minus(&before);
         assert!(delta.row_batches >= 1);
         assert!(delta.refine_calls >= result.pairs.len() as u64);
@@ -774,8 +752,8 @@ mod tests {
     #[test]
     fn chaos_at_rate_zero_is_bit_identical() {
         let baseline = daemon().execute(JOIN_SQL).unwrap();
-        // A seeded but all-zero-rate config must take the exact same
-        // path: same pairs in the same order, no faults recorded.
+        // A seeded but all-zero-rate config must not change the run:
+        // same pairs in the same order, no faults recorded.
         let d = daemon_with_chaos(ChaosConfig {
             seed: 99,
             ..ChaosConfig::disabled()
@@ -801,6 +779,31 @@ mod tests {
             other => panic!("expected FragmentFailed, got {other:?}"),
         }
         assert!(d.chaos().fault_count() > 0);
+    }
+
+    #[test]
+    fn panicking_probe_chunk_without_chaos_fails_the_query() {
+        let d = daemon();
+        assert!(d.chaos().is_disabled());
+        // A probe chunk that dies after emitting rows — a bug, not an
+        // injected fault — fails its fragment like any other death
+        // instead of unwinding the driver.
+        let result = quiet_panics(|| {
+            d.run_fragment("probe", 1u64 << 32, 8, |i, out: &mut Vec<(i64, i64)>| {
+                out.push((i as i64, 0));
+                if i == 3 {
+                    panic!("probe chunk 3 lost");
+                }
+            })
+        });
+        match result {
+            Err(ImpalaError::FragmentFailed { fragment, message }) => {
+                assert_eq!(fragment, "probe");
+                assert_eq!(message, "probe chunk 3 lost");
+            }
+            other => panic!("expected FragmentFailed, got {other:?}"),
+        }
+        assert_eq!(d.chaos().fault_count(), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use cluster::{
-    Chaos, ChaosConfig, ChaosSite, ClusterSpec, NetworkModel, RetryPolicy, ScheduleMode, Scheduler,
+    Chaos, ChaosConfig, ChaosSite, ClusterSpec, Dispatch, NetworkModel, ScheduleMode, Scheduler,
     TaskSpec,
 };
 use minihdfs::{DfsError, MiniDfs};
@@ -196,12 +196,12 @@ impl SparkContext {
         self.execute_stage(name, items, localities.to_vec(), f)
     }
 
-    /// The stage executor behind every transformation. Without chaos it
-    /// is exactly the historical path (plain `run_tasks`, bit-identical
-    /// output). With chaos enabled, tasks run under panic capture and
-    /// any partition lost to an injected executor death is recomputed
-    /// from lineage in a follow-up round on the surviving workers —
-    /// live, mid-job, without restarting the stage's completed tasks.
+    /// The stage executor behind every transformation. Tasks run under
+    /// panic capture; any partition lost to an injected executor death
+    /// is recomputed from lineage in a follow-up round on the surviving
+    /// workers — live, mid-job, without restarting the stage's
+    /// completed tasks. Without chaos the first round completes every
+    /// task and the output is the tasks' results in order.
     pub(crate) fn execute_stage<T, R, F>(
         &self,
         name: &str,
@@ -214,26 +214,7 @@ impl SparkContext {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let threads = self.inner.conf.threads;
-        if self.inner.chaos.is_disabled() {
-            let (results, timings) = cluster::run_tasks(items, threads, ScheduleMode::Dynamic, f);
-            let tasks: Vec<TaskSpec> = timings
-                .iter()
-                .map(|t| TaskSpec {
-                    cost: t.secs,
-                    locality: localities.get(t.index).copied().flatten(),
-                })
-                .collect();
-            self.record_stage(StageMetrics {
-                name: name.into(),
-                tasks,
-                broadcast_bytes: 0,
-                shuffle_bytes: 0,
-            });
-            return results;
-        }
-
-        let threads = threads.max(1);
+        let threads = self.inner.conf.threads.max(1);
         let chaos = &self.inner.chaos;
         let n = items.len();
         // Stage ordinal keys the fault draws: unique per stage within a
@@ -251,22 +232,17 @@ impl SparkContext {
             } else {
                 threads.saturating_sub(1).max(1)
             };
-            let run = cluster::run_tasks_faulted(
-                &pending,
-                alive,
-                ScheduleMode::Dynamic,
-                RetryPolicy::none(),
-                |_, _, &i| {
-                    let r = f(&items[i]);
-                    // Inject *after* the work: a lost executor has done
-                    // (and lost) its computation, so recovery pays the
-                    // full recompute cost.
-                    chaos.inject(ChaosSite::Task, stage_key | i as u64, round);
-                    r
-                },
-            );
+            let d = Dispatch::new(alive, ScheduleMode::Dynamic);
+            let run = cluster::dispatch(pending.len(), &d, |k, _, out| {
+                let i = pending[k];
+                out.push(f(&items[i]));
+                // Inject *after* the work: a lost executor has done
+                // (and lost) its computation, so recovery pays the
+                // full recompute cost.
+                chaos.inject(ChaosSite::Task, stage_key | i as u64, round);
+            });
             // Fold scoped-worker counters (fault injections, hot-path
-            // counts) into the caller's cells, like the plain path does.
+            // counts) into the caller's cells.
             obs::add_thread(&run.exec.worker_counters);
             let tasks: Vec<TaskSpec> = run
                 .timings
@@ -287,26 +263,26 @@ impl SparkContext {
                 broadcast_bytes: 0,
                 shuffle_bytes: 0,
             });
-            let failed: Vec<usize> = run.failures.iter().map(|fl| pending[fl.index]).collect();
-            let first_message = run
-                .failures
-                .first()
-                .map(|fl| fl.message.as_str().to_string());
-            for (pos, r) in run.results.into_iter().enumerate() {
-                if r.is_some() {
-                    slots[pending[pos]] = r;
-                }
+            if round == 0 && run.failures.is_empty() {
+                return run.out;
             }
+            // Each successful task pushed exactly one result, so results
+            // and timings pair up in task order.
+            for (t, r) in run.timings.iter().zip(run.out) {
+                slots[pending[t.index]] = Some(r);
+            }
+            let failed: Vec<usize> = run.failures.iter().map(|fl| pending[fl.index]).collect();
             if failed.is_empty() {
                 break;
             }
             round += 1;
             if round > self.inner.conf.max_recompute_rounds {
-                let message = first_message.unwrap_or_default();
+                let message = run.failures.first().map(|fl| fl.message.as_str());
                 std::panic::panic_any(format!(
                     "stage '{name}': {} partition(s) unrecoverable after {round} rounds \
-                     (last failure: {message})",
-                    failed.len()
+                     (last failure: {})",
+                    failed.len(),
+                    message.unwrap_or_default()
                 ));
             }
             obs::partitions_recomputed(failed.len() as u64);

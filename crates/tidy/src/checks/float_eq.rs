@@ -17,11 +17,9 @@ const SCOPE: &str = "crates/geom/src/";
 
 /// Files where exact float comparison is part of the algorithm
 /// (orientation zero-tests, bit-identical vertex dedup).
-const APPROVED: [&str; 5] = [
+const APPROVED: [&str; 3] = [
     "crates/geom/src/algorithms/segment.rs",
-    "crates/geom/src/algorithms/hull.rs",
     "crates/geom/src/algorithms/intersects.rs",
-    "crates/geom/src/algorithms/clip.rs",
     "crates/geom/src/algorithms/distance.rs",
 ];
 

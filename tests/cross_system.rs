@@ -2,10 +2,12 @@
 //! reference join must produce identical pairs on every experiment of
 //! the paper, across all three refinement engines.
 
+use geom::engine::RefinementEngine;
 use geom::engine::{FlatEngine, NaiveEngine, PreparedEngine, SpatialPredicate};
 use minihdfs::MiniDfs;
-use spatialjoin::join::{broadcast_index_join, parse_geom_records, parse_point_records};
-use spatialjoin::{normalize_pairs, IspMc, SpatialSpark};
+use spatialjoin::{
+    normalize_pairs, GeomRecord, IspMc, JoinRequest, PointRecord, RecordReader, SpatialSpark,
+};
 
 struct Fixture {
     dfs: MiniDfs,
@@ -28,20 +30,32 @@ fn fixture() -> Fixture {
     Fixture { dfs }
 }
 
+fn read(dfs: &MiniDfs, left: &str, right: &str) -> (Vec<PointRecord>, Vec<GeomRecord>) {
+    let reader = RecordReader::new(1);
+    (
+        reader.read_points(&dfs.read_all_lines(left).unwrap()).0,
+        reader.read_geoms(&dfs.read_all_lines(right).unwrap()).0,
+    )
+}
+
+fn broadcast<E: RefinementEngine>(
+    left: &[PointRecord],
+    right: &[GeomRecord],
+    predicate: SpatialPredicate,
+    engine: &E,
+) -> Vec<(i64, i64)> {
+    let join = JoinRequest::new(left, right, engine).predicate(predicate);
+    normalize_pairs(join.run().pairs)
+}
+
 fn serial_reference(
     dfs: &MiniDfs,
     left: &str,
     right: &str,
     predicate: SpatialPredicate,
 ) -> Vec<(i64, i64)> {
-    let left_recs = parse_point_records(&dfs.read_all_lines(left).unwrap(), 1);
-    let right_recs = parse_geom_records(&dfs.read_all_lines(right).unwrap(), 1);
-    normalize_pairs(broadcast_index_join(
-        &left_recs,
-        &right_recs,
-        predicate,
-        &PreparedEngine,
-    ))
+    let (left_recs, right_recs) = read(dfs, left, right);
+    broadcast(&left_recs, &right_recs, predicate, &PreparedEngine)
 }
 
 fn check_experiment(
@@ -133,26 +147,11 @@ fn gbif_wwf_within_agrees() {
 #[test]
 fn all_three_engines_agree_on_real_shaped_data() {
     let fx = fixture();
-    let left = parse_point_records(&fx.dfs.read_all_lines("/gbif").unwrap(), 1);
-    let right = parse_geom_records(&fx.dfs.read_all_lines("/wwf").unwrap(), 1);
-    let a = normalize_pairs(broadcast_index_join(
-        &left,
-        &right,
-        SpatialPredicate::Within,
-        &PreparedEngine,
-    ));
-    let b = normalize_pairs(broadcast_index_join(
-        &left,
-        &right,
-        SpatialPredicate::Within,
-        &FlatEngine,
-    ));
-    let c = normalize_pairs(broadcast_index_join(
-        &left,
-        &right,
-        SpatialPredicate::Within,
-        &NaiveEngine,
-    ));
+    let (left, right) = read(&fx.dfs, "/gbif", "/wwf");
+    let within = SpatialPredicate::Within;
+    let a = broadcast(&left, &right, within, &PreparedEngine);
+    let b = broadcast(&left, &right, within, &FlatEngine);
+    let c = broadcast(&left, &right, within, &NaiveEngine);
     assert_eq!(a, b, "prepared vs flat");
     assert_eq!(a, c, "prepared vs naive");
 }

@@ -72,8 +72,9 @@ fn fig1_results_match_distance_semantics() {
         )
         .unwrap();
 
-    let points = spatialjoin::join::parse_point_records(&dfs.read_all_lines("/pnt").unwrap(), 1);
-    let lines = spatialjoin::join::parse_geom_records(&dfs.read_all_lines("/lion").unwrap(), 1);
+    let reader = spatialjoin::RecordReader::new(1);
+    let points = reader.read_points(&dfs.read_all_lines("/pnt").unwrap()).0;
+    let lines = reader.read_geoms(&dfs.read_all_lines("/lion").unwrap()).0;
     let mut brute = Vec::new();
     for &(pid, p) in &points {
         for (lid, g) in &lines {

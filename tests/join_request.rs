@@ -3,11 +3,10 @@
 //!
 //! Two contracts:
 //!
-//! * **Bit-identity** — the request wrappers return exactly the pairs
-//!   the legacy entry points produced: the broadcast strategy matches
-//!   the hand-rolled build-index-then-probe loop, the nested-loop
-//!   strategy matches an inline reference double loop, and the output
-//!   is identical across thread counts.
+//! * **Bit-identity** — the broadcast strategy matches the hand-rolled
+//!   build-index-then-probe loop, the nested-loop strategy matches an
+//!   inline reference double loop, and the output is identical across
+//!   thread counts.
 //! * **Accounting** — the [`obs::RunStats`] carried by every outcome
 //!   obey the counter algebra: at least one refinement call per emitted
 //!   pair, refinement accepts equal to pairs for `Within`, per-worker
@@ -75,7 +74,7 @@ fn broadcast_request_is_bit_identical_to_manual_probe_loop() {
         |(left, right)| {
             let engine = PreparedEngine;
             for predicate in [SpatialPredicate::Within, SpatialPredicate::NearestD(3.0)] {
-                // The pre-redesign path, spelled out by hand.
+                // The serial reference loop, spelled out by hand.
                 let tree = build_right_index(&right, predicate, &engine);
                 let mut reference = Vec::new();
                 for &(id, p) in &left {
@@ -88,7 +87,7 @@ fn broadcast_request_is_bit_identical_to_manual_probe_loop() {
                         .run();
                     assert_eq!(
                         outcome.pairs, reference,
-                        "broadcast wrapper diverged at {threads} threads ({predicate:?})"
+                        "broadcast request diverged at {threads} threads ({predicate:?})"
                     );
                 }
             }

@@ -1,12 +1,26 @@
 //! The nearest-one join extension (`ST_NEAREST`): at most one pair per
 //! point, and it is the true nearest.
 
+use geom::engine::RefinementEngine;
 use geom::engine::{FlatEngine, NaiveEngine, PreparedEngine, SpatialPredicate};
 use minihdfs::MiniDfs;
-use spatialjoin::join::{nearest_join, parse_geom_records, parse_point_records};
-use spatialjoin::IspMc;
+use spatialjoin::{GeomRecord, IspMc, JoinPair, JoinRequest, PointRecord, RecordReader};
 
 type Records = (Vec<(i64, geom::Point)>, Vec<(i64, geom::Geometry)>);
+
+/// The arg-min nearest join: one nearest right geometry within
+/// `max_distance` per point.
+fn nearest_one<E: RefinementEngine>(
+    left: &[PointRecord],
+    right: &[GeomRecord],
+    max_distance: f64,
+    engine: &E,
+) -> Vec<JoinPair> {
+    JoinRequest::new(left, right, engine)
+        .nearest(max_distance)
+        .run()
+        .pairs
+}
 
 fn fixture() -> Records {
     let left: Vec<(i64, geom::Point)> = datagen::taxi::points(3_000, 31)
@@ -25,7 +39,7 @@ fn fixture() -> Records {
 #[test]
 fn at_most_one_pair_per_point_and_it_is_the_nearest() {
     let (left, right) = fixture();
-    let pairs = nearest_join(&left, &right, 500.0, &PreparedEngine);
+    let pairs = nearest_one(&left, &right, 500.0, &PreparedEngine);
 
     // Uniqueness per left id.
     let mut seen = std::collections::HashSet::new();
@@ -60,9 +74,9 @@ fn at_most_one_pair_per_point_and_it_is_the_nearest() {
 #[test]
 fn engines_agree_on_nearest() {
     let (left, right) = fixture();
-    let a = spatialjoin::normalize_pairs(nearest_join(&left, &right, 300.0, &PreparedEngine));
-    let b = spatialjoin::normalize_pairs(nearest_join(&left, &right, 300.0, &FlatEngine));
-    let c = spatialjoin::normalize_pairs(nearest_join(&left, &right, 300.0, &NaiveEngine));
+    let a = spatialjoin::normalize_pairs(nearest_one(&left, &right, 300.0, &PreparedEngine));
+    let b = spatialjoin::normalize_pairs(nearest_one(&left, &right, 300.0, &FlatEngine));
+    let c = spatialjoin::normalize_pairs(nearest_one(&left, &right, 300.0, &NaiveEngine));
     assert_eq!(a, b);
     assert_eq!(a, c);
 }
@@ -85,10 +99,11 @@ fn st_nearest_runs_through_sql() {
         )
         .unwrap();
     // Compare against the serial reference.
-    let left = parse_point_records(&dfs.read_all_lines("/pnt").unwrap(), 1);
-    let right = parse_geom_records(&dfs.read_all_lines("/lion").unwrap(), 1);
+    let reader = RecordReader::new(1);
+    let left = reader.read_points(&dfs.read_all_lines("/pnt").unwrap()).0;
+    let right = reader.read_geoms(&dfs.read_all_lines("/lion").unwrap()).0;
     let reference =
-        spatialjoin::normalize_pairs(nearest_join(&left, &right, 500.0, &PreparedEngine));
+        spatialjoin::normalize_pairs(nearest_one(&left, &right, 500.0, &PreparedEngine));
     assert_eq!(
         spatialjoin::normalize_pairs(run.pairs().to_vec()),
         reference
@@ -100,16 +115,14 @@ fn st_nearest_runs_through_sql() {
 #[test]
 fn nearest_is_subset_of_nearestd() {
     let (left, right) = fixture();
-    let nearest = nearest_join(&left, &right, 400.0, &PreparedEngine);
+    let nearest = nearest_one(&left, &right, 400.0, &PreparedEngine);
     let all_within: std::collections::HashSet<(i64, i64)> =
-        spatialjoin::join::broadcast_index_join(
-            &left,
-            &right,
-            SpatialPredicate::NearestD(400.0),
-            &PreparedEngine,
-        )
-        .into_iter()
-        .collect();
+        JoinRequest::new(&left, &right, &PreparedEngine)
+            .predicate(SpatialPredicate::NearestD(400.0))
+            .run()
+            .pairs
+            .into_iter()
+            .collect();
     for pair in &nearest {
         assert!(
             all_within.contains(pair),

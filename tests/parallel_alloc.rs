@@ -97,11 +97,11 @@ fn par_probe_allocates_far_less_than_one_geometry_copy() {
 
     // Warm-up run: pays one-off costs (thread bookkeeping, lazily
     // initialised runtime state) outside the measured window.
-    let warm = set.par_probe(&left, &engine, cfg);
+    let (warm, _, _) = set.par_probe_observed(&left, &engine, cfg);
 
     let calls_before = ALLOC_CALLS.load(Ordering::Relaxed);
     let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
-    let pairs = set.par_probe(&left, &engine, cfg);
+    let (pairs, _, _) = set.par_probe_observed(&left, &engine, cfg);
     let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls_before;
     let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before;
 
@@ -109,8 +109,8 @@ fn par_probe_allocates_far_less_than_one_geometry_copy() {
     assert!(!pairs.is_empty(), "workload must produce matches");
 
     // Legitimate allocations: per-worker output buffers and timing
-    // segments, the morsel slice list, the stitch order, the final
-    // result vector, and per-thread spawn bookkeeping. All of it is
+    // segments, the stitch order, the final result vector, and
+    // per-thread spawn bookkeeping. All of it is
     // far below one copy of the right-side coordinate data.
     assert!(
         bytes < coord_bytes / 2,

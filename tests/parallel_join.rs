@@ -1,19 +1,20 @@
 //! Equivalence of the morsel-parallel executor with the serial joins,
 //! on the in-tree `proph` harness plus fixed adversarial cases.
 //!
-//! The contract under test (see `DESIGN.md`): `parallel_broadcast_join`
-//! is **bit-identical** to `broadcast_index_join` — same pairs, same
-//! order — at every thread count, schedule mode and morsel size; and
-//! `parallel_partitioned_join` equals the serial `partitioned_join`
-//! under its sorted-deduplicated contract.
+//! The contract under test (see `DESIGN.md`): a broadcast
+//! `JoinRequest` is **bit-identical** to the serial
+//! `build_right_index` + `probe` loop — same pairs, same order — at
+//! every thread count, schedule mode and morsel size; and a
+//! partitioned `JoinRequest` equals its single-thread run under its
+//! sorted-deduplicated contract.
 
 use cluster::ScheduleMode;
 use geom::engine::{PreparedEngine, SpatialPredicate};
 use geom::{Envelope, Geometry, Point, Polygon};
 use proph::{check_with, f64_range, usize_range, vec_of, Config, Gen, GenExt};
-use spatialjoin::join::{broadcast_index_join, partitioned_join};
-use spatialjoin::parallel::{parallel_broadcast_join, parallel_partitioned_join, MorselConfig};
-use spatialjoin::{GeomRecord, PointRecord};
+use spatialjoin::join::{build_right_index, probe};
+use spatialjoin::parallel::MorselConfig;
+use spatialjoin::{GeomRecord, JoinPair, JoinRequest, PointRecord};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 const MODES: [ScheduleMode; 3] = [
@@ -58,6 +59,49 @@ fn right_rects() -> impl Gen<Value = Vec<GeomRecord>> {
     })
 }
 
+/// The serial reference loop: one R-tree over the right side, every
+/// left point probed in input order.
+fn serial_join(
+    left: &[PointRecord],
+    right: &[GeomRecord],
+    predicate: SpatialPredicate,
+) -> Vec<JoinPair> {
+    let tree = build_right_index(right, predicate, &PreparedEngine);
+    let mut out = Vec::new();
+    for &(id, p) in left {
+        probe(&tree, predicate, &PreparedEngine, id, p, &mut out);
+    }
+    out
+}
+
+fn broadcast_join(
+    left: &[PointRecord],
+    right: &[GeomRecord],
+    predicate: SpatialPredicate,
+    cfg: MorselConfig,
+) -> Vec<JoinPair> {
+    JoinRequest::new(left, right, &PreparedEngine)
+        .predicate(predicate)
+        .config(cfg)
+        .run()
+        .pairs
+}
+
+fn partitioned(
+    left: &[PointRecord],
+    right: &[GeomRecord],
+    predicate: SpatialPredicate,
+    per_partition: usize,
+    cfg: MorselConfig,
+) -> Vec<JoinPair> {
+    JoinRequest::new(left, right, &PreparedEngine)
+        .predicate(predicate)
+        .partitioned(per_partition)
+        .config(cfg)
+        .run()
+        .pairs
+}
+
 fn small_config() -> Config {
     // Each case sweeps 3 thread counts × 2 modes × 2 predicates, with
     // real thread spawns — keep the case budget modest.
@@ -68,9 +112,8 @@ fn small_config() -> Config {
 }
 
 fn assert_broadcast_equivalence(left: &[PointRecord], right: &[GeomRecord], morsel_size: usize) {
-    let engine = PreparedEngine;
     for predicate in PREDICATES {
-        let serial = broadcast_index_join(left, right, predicate, &engine);
+        let serial = serial_join(left, right, predicate);
         for threads in THREAD_COUNTS {
             for mode in MODES {
                 let cfg = MorselConfig {
@@ -78,7 +121,7 @@ fn assert_broadcast_equivalence(left: &[PointRecord], right: &[GeomRecord], mors
                     mode,
                     morsel_size,
                 };
-                let par = parallel_broadcast_join(left, right, predicate, &engine, cfg);
+                let par = broadcast_join(left, right, predicate, cfg);
                 assert_eq!(
                     par, serial,
                     "broadcast: threads={threads} mode={mode:?} morsel={morsel_size} {predicate:?}"
@@ -92,7 +135,7 @@ fn assert_broadcast_equivalence(left: &[PointRecord], right: &[GeomRecord], mors
 fn prop_parallel_broadcast_is_bit_identical_to_serial() {
     check_with(
         small_config(),
-        "parallel_broadcast ≡ broadcast_index_join",
+        "parallel broadcast ≡ serial probe loop",
         &(left_points(), right_rects(), usize_range(1, 64)),
         |(left, right, morsel_size)| {
             assert_broadcast_equivalence(&left, &right, morsel_size);
@@ -108,12 +151,17 @@ fn prop_parallel_partitioned_matches_serial() {
     };
     check_with(
         cfg,
-        "parallel_partitioned ≡ partitioned_join",
+        "parallel partitioned ≡ serial partitioned",
         &(left_points(), right_rects(), usize_range(4, 40)),
         |(left, right, per_partition)| {
-            let engine = PreparedEngine;
             for predicate in PREDICATES {
-                let serial = partitioned_join(&left, &right, predicate, &engine, per_partition);
+                let serial = partitioned(
+                    &left,
+                    &right,
+                    predicate,
+                    per_partition,
+                    MorselConfig::serial(),
+                );
                 for threads in THREAD_COUNTS {
                     for mode in MODES {
                         let mcfg = MorselConfig {
@@ -121,14 +169,7 @@ fn prop_parallel_partitioned_matches_serial() {
                             mode,
                             morsel_size: 7,
                         };
-                        let par = parallel_partitioned_join(
-                            &left,
-                            &right,
-                            predicate,
-                            &engine,
-                            per_partition,
-                            mcfg,
-                        );
+                        let par = partitioned(&left, &right, predicate, per_partition, mcfg);
                         assert_eq!(
                             par, serial,
                             "partitioned: threads={threads} mode={mode:?} {predicate:?}"
@@ -172,17 +213,10 @@ fn all_points_in_one_cell_are_equivalent() {
         .collect();
     assert_broadcast_equivalence(&left, &right, 16);
 
-    let engine = PreparedEngine;
-    let serial = partitioned_join(&left, &right, SpatialPredicate::Within, &engine, 8);
+    let within = SpatialPredicate::Within;
+    let serial = partitioned(&left, &right, within, 8, MorselConfig::serial());
     for threads in THREAD_COUNTS {
-        let par = parallel_partitioned_join(
-            &left,
-            &right,
-            SpatialPredicate::Within,
-            &engine,
-            8,
-            MorselConfig::new(threads),
-        );
+        let par = partitioned(&left, &right, within, 8, MorselConfig::new(threads));
         assert_eq!(par, serial, "one-cell skew: threads={threads}");
     }
 }
@@ -213,12 +247,11 @@ fn nearest_ties_resolve_identically_in_parallel() {
             ))),
         ));
     }
-    let engine = PreparedEngine;
     for predicate in [
         SpatialPredicate::Nearest(6.0),
         SpatialPredicate::NearestD(6.0),
     ] {
-        let serial = broadcast_index_join(&left, &right, predicate, &engine);
+        let serial = serial_join(&left, &right, predicate);
         for threads in THREAD_COUNTS {
             for mode in MODES {
                 let cfg = MorselConfig {
@@ -226,7 +259,7 @@ fn nearest_ties_resolve_identically_in_parallel() {
                     mode,
                     morsel_size: 5,
                 };
-                let par = parallel_broadcast_join(&left, &right, predicate, &engine, cfg);
+                let par = broadcast_join(&left, &right, predicate, cfg);
                 assert_eq!(
                     par, serial,
                     "ties: threads={threads} mode={mode:?} {predicate:?}"

@@ -98,20 +98,10 @@ fn partitioned_join_scales_to_many_cells_and_agrees() {
         .enumerate()
         .map(|(i, g)| (i as i64, g))
         .collect();
-    let broadcast = spatialjoin::normalize_pairs(spatialjoin::join::broadcast_index_join(
-        &left,
-        &right,
-        SpatialPredicate::Within,
-        &PreparedEngine,
-    ));
+    let join = || spatialjoin::JoinRequest::new(&left, &right, &PreparedEngine);
+    let broadcast = spatialjoin::normalize_pairs(join().run().pairs);
     for target in [100, 1000, 8000] {
-        let partitioned = spatialjoin::join::partitioned_join(
-            &left,
-            &right,
-            SpatialPredicate::Within,
-            &PreparedEngine,
-            target,
-        );
+        let partitioned = join().partitioned(target).run().pairs;
         assert_eq!(partitioned, broadcast, "target {target}");
     }
 }

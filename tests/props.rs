@@ -329,12 +329,10 @@ fn join_output_pairs_satisfy_predicate() {
                 .enumerate()
                 .map(|(i, p)| (i as i64, Geometry::Polygon(p.clone())))
                 .collect();
-            let pairs = spatialjoin::join::broadcast_index_join(
-                &left,
-                &right,
-                SpatialPredicate::Within,
-                &PreparedEngine,
-            );
+            let pairs = spatialjoin::JoinRequest::new(&left, &right, &PreparedEngine)
+                .predicate(SpatialPredicate::Within)
+                .run()
+                .pairs;
             // Soundness: every emitted pair satisfies Within.
             for &(lid, rid) in &pairs {
                 let p = left[lid as usize].1;

@@ -1,11 +1,9 @@
 //! Property-based tests for the extension modules: partitioners,
-//! clipping, simplification, hulls, binary codec and trajectories,
-//! running on the in-tree `proph` harness.
+//! simplification, binary codec and trajectories, running on the
+//! in-tree `proph` harness.
 
-use geom::algorithms::clip::{clip_linestring, clip_polygon};
-use geom::algorithms::hull::convex_hull;
 use geom::algorithms::simplify::simplify_points;
-use geom::{Envelope, LineString, Point, Polygon, Trajectory};
+use geom::{Envelope, LineString, Point, Trajectory};
 use proph::{check_with, f64_range, usize_range, vec_of, Config, Gen, GenExt};
 use rtree::{FixedGridPartitioner, SpatialPartitioner, StrPartitioner};
 
@@ -73,59 +71,6 @@ fn grid_partitioner_cells_tile() {
     );
 }
 
-// --- clipping ---
-
-#[test]
-fn clipped_polygon_is_inside_both() {
-    check(
-        "clipped_polygon_is_inside_both",
-        &(
-            coord(),
-            coord(),
-            f64_range(1.0, 50.0),
-            coord(),
-            coord(),
-            f64_range(1.0, 50.0),
-        ),
-        |(cx, cy, s, wx, wy, ws)| {
-            let poly = Polygon::rectangle(Envelope::new(cx, cy, cx + s, cy + s));
-            let window = Envelope::new(wx, wy, wx + ws, wy + ws);
-            if let Some(clipped) = clip_polygon(&poly, window).unwrap() {
-                use geom::HasEnvelope;
-                let e = clipped.envelope();
-                assert!(window.expanded_by(1e-9).contains_envelope(&e));
-                assert!(poly.envelope().expanded_by(1e-9).contains_envelope(&e));
-                // Area never exceeds either input.
-                assert!(clipped.area() <= poly.area() + 1e-9);
-                assert!(clipped.area() <= window.area() + 1e-9);
-            }
-        },
-    );
-}
-
-#[test]
-fn clipped_linestring_pieces_are_inside() {
-    check(
-        "clipped_linestring_pieces_are_inside",
-        &(points(12), coord(), coord(), f64_range(5.0, 80.0)),
-        |(pts, wx, wy, ws)| {
-            let coords: Vec<f64> = pts.iter().flat_map(|p| [p.x, p.y]).collect();
-            let ls = LineString::new(coords).unwrap();
-            let window = Envelope::new(wx, wy, wx + ws, wy + ws);
-            let total_len: f64 = ls.length();
-            let mut clipped_len = 0.0;
-            for piece in clip_linestring(&ls, window) {
-                use geom::HasEnvelope;
-                assert!(window
-                    .expanded_by(1e-6)
-                    .contains_envelope(&piece.envelope()));
-                clipped_len += piece.length();
-            }
-            assert!(clipped_len <= total_len + 1e-6);
-        },
-    );
-}
-
 // --- simplification ---
 
 #[test]
@@ -146,21 +91,6 @@ fn simplification_error_is_bounded() {
             }
         },
     );
-}
-
-// --- convex hull ---
-
-#[test]
-fn hull_contains_all_inputs() {
-    check("hull_contains_all_inputs", &points(80), |pts| {
-        if let Ok(hull) = convex_hull(&pts) {
-            for p in &pts {
-                assert!(hull.contains_point(*p), "hull must contain {p:?}");
-            }
-            // CCW and positive area.
-            assert!(hull.exterior().signed_area() > 0.0);
-        }
-    });
 }
 
 // --- trajectories ---
