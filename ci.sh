@@ -6,7 +6,9 @@
 # Steps, in order (first failure stops the run):
 #   1. cargo fmt --check          formatting drift
 #   2. cargo run -p tidy          in-tree static analysis (6 checks)
-#   3. cargo build --release      the tree compiles at opt level
+#   3. cargo build --release      the tree compiles at opt level, and
+#      cargo check --benches      the bench targets (skipped by the
+#                                 release build) type-check
 #   4. cargo test -q              unit + integration + tier-1 suites
 #   5. join front-door suites     parallel_join (morsel executor ≡
 #                                 serial probe loop) and join_request
@@ -36,7 +38,7 @@
 #   0  everything passed
 #   1  formatting drift (cargo fmt --check failed)
 #   2  tidy findings or tidy usage error (see its own output)
-#   3  release build failed
+#   3  release build or bench-target check failed
 #   4  tests failed
 #   5  parallel_join or join_request suite failed
 #   6  schedule-mode ablation failed or wrote a malformed artifact
@@ -55,6 +57,9 @@ cargo run -q -p tidy || exit 2
 
 echo "ci: cargo build --release"
 cargo build --release || exit 3
+
+echo "ci: cargo check --benches"
+cargo check -q --workspace --benches || exit 3
 
 echo "ci: cargo test -q"
 cargo test -q || exit 4

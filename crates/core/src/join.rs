@@ -9,12 +9,13 @@
 //!
 //! Joins run through [`crate::JoinRequest`]; [`build_right_index`] and
 //! [`probe`] are the serial reference loop its output is checked
-//! against, and [`partition_work`] splits space for its partitioned
+//! against, and [`partitioner`] — the one STR space partitioner, also
+//! used by the Hadoop baselines — splits space for its partitioned
 //! strategy.
 
 use geom::engine::{RefinementEngine, SpatialPredicate};
 use geom::{Envelope, HasEnvelope, Point};
-use rtree::{QuadTreePartitioner, RTree};
+use rtree::{RTree, StrPartitioner};
 
 use crate::{GeomRecord, JoinPair, PointRecord};
 
@@ -62,75 +63,67 @@ pub fn probe<E: RefinementEngine>(
     );
 }
 
-/// The work of a spatially partitioned join (the SpatialHadoop/HadoopGIS
-/// strategy discussed in §II): space is split by a quadtree built on a
-/// sample of the left points; each partition joins its points against
-/// the right geometries overlapping it, so callers can schedule the
-/// partitions as distributed tasks.
-pub struct PartitionedWork {
-    pub partitions: Vec<PartitionTask>,
-}
-
-/// One partition's join task.
-pub struct PartitionTask {
-    pub cell: Envelope,
-    pub left: Vec<PointRecord>,
-    pub right_ids: Vec<u32>,
-}
-
-/// Builds partition tasks: points are routed to exactly one cell;
-/// right-side geometries (their expanded envelopes) to every cell they
-/// overlap.
-pub fn partition_work(
+/// The one spatial partitioner of the partitioned strategy (the
+/// SpatialHadoop/HadoopGIS strategy discussed in §II): a
+/// [`StrPartitioner`] of `target_cells` cells over the extent of the
+/// left points and the radius-expanded right envelopes, built from a
+/// stride sample of the left points (about 10k at most).
+pub fn partitioner(
     left: &[PointRecord],
     right: &[GeomRecord],
     predicate: SpatialPredicate,
-    target_points_per_partition: usize,
-) -> PartitionedWork {
+    target_cells: usize,
+) -> StrPartitioner {
+    let radius = predicate.filter_radius();
     let mut extent = Envelope::EMPTY;
     for &(_, p) in left {
         extent.expand_to(p.x, p.y);
     }
     for (_, g) in right {
-        extent = extent.union(&g.envelope());
+        extent = extent.union(&g.envelope().expanded_by(radius));
     }
-    if extent.is_empty() {
-        return PartitionedWork {
-            partitions: Vec::new(),
-        };
-    }
-    // Sample at most 10k points for the partitioner.
     let stride = (left.len() / 10_000).max(1);
     let sample: Vec<Point> = left.iter().step_by(stride).map(|&(_, p)| p).collect();
-    let qt = QuadTreePartitioner::build(
-        extent,
-        &sample,
-        (target_points_per_partition / stride).max(1),
-        12,
-    );
+    StrPartitioner::build(extent, &sample, target_cells)
+}
 
-    let mut partitions: Vec<PartitionTask> = qt
-        .partitions()
-        .iter()
-        .map(|&cell| PartitionTask {
-            cell,
-            left: Vec::new(),
-            right_ids: Vec::new(),
-        })
-        .collect();
+/// One partition's join task: its points, and the indices of the right
+/// geometries whose expanded envelopes overlap its cell.
+#[derive(Default)]
+pub(crate) struct PartitionTask {
+    pub left: Vec<PointRecord>,
+    pub right_ids: Vec<u32>,
+}
+
+/// Splits a join into partition tasks over a [`partitioner`] of
+/// `ceil(|left| / target_points_per_partition)` cells: points are
+/// routed to exactly one cell, right-side geometries (their expanded
+/// envelopes) to every cell they overlap. Cells left without points or
+/// without geometries are dropped, so every task has work.
+pub(crate) fn partition_work(
+    left: &[PointRecord],
+    right: &[GeomRecord],
+    predicate: SpatialPredicate,
+    target_points_per_partition: usize,
+) -> Vec<PartitionTask> {
+    let target_cells = left.len().div_ceil(target_points_per_partition.max(1));
+    let cells = partitioner(left, right, predicate, target_cells);
+    let mut tasks: Vec<PartitionTask> = Vec::new();
+    tasks.resize_with(cells.num_cells(), PartitionTask::default);
     for &(id, p) in left {
-        if let Some(pi) = qt.partition_of(p) {
-            partitions[pi].left.push((id, p));
+        if let Some(c) = cells.cell_of(p) {
+            tasks[c].left.push((id, p));
         }
     }
     let radius = predicate.filter_radius();
     for (ri, (_, g)) in right.iter().enumerate() {
         let env = g.envelope().expanded_by(radius);
-        for pi in qt.partitions_intersecting(&env) {
-            partitions[pi].right_ids.push(ri as u32);
+        for c in cells.cells_intersecting(&env) {
+            tasks[c].right_ids.push(ri as u32);
         }
     }
-    PartitionedWork { partitions }
+    tasks.retain(|t| !t.left.is_empty() && !t.right_ids.is_empty());
+    tasks
 }
 
 #[cfg(test)]

@@ -10,8 +10,9 @@
 //!   R-tree indexed, spatially partitioned and nested-loop joins, serial
 //!   or parallel, each returning its pairs plus an `obs::RunStats`.
 //! * [`join`] — the serial building blocks: the right-side R-tree and
-//!   per-point probe (the serial reference loop) and the quadtree
-//!   partitioning of the partitioned strategy.
+//!   per-point probe (the serial reference loop) and the one STR space
+//!   partitioner, used by the partitioned strategy and the Hadoop
+//!   baselines.
 //! * [`parallel`] — the morsel-driven parallel executor behind both
 //!   systems: the right side prepared once into a shared
 //!   [`PreparedSet`], the left side probed in fixed-size morsels with

@@ -24,10 +24,11 @@ pub enum JoinStrategy {
     Broadcast,
     /// The O(|L|·|R|) cross-join-then-filter baseline of §II.
     NestedLoop,
-    /// Quadtree-partitioned join (the SpatialHadoop strategy):
+    /// STR-partitioned join (the SpatialHadoop strategy):
     /// partitions become pool tasks.
     Partitioned {
-        /// Target number of left points per partition cell.
+        /// Target number of left points per partition cell; the join
+        /// uses `ceil(|left| / target)` cells.
         target_points_per_partition: usize,
     },
 }
@@ -93,7 +94,7 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
     }
 
     /// Switches to the partitioned strategy with the given target cell
-    /// size.
+    /// size: `ceil(|left| / target_points_per_partition)` STR cells.
     pub fn partitioned(mut self, target_points_per_partition: usize) -> Self {
         self.strategy = JoinStrategy::Partitioned {
             target_points_per_partition,
@@ -196,12 +197,7 @@ fn partitioned_pairs<E: RefinementEngine>(
     cfg: MorselConfig,
 ) -> (Vec<JoinPair>, obs::ExecStats) {
     let set = PreparedSet::prepare(right, predicate, engine);
-    let work = partition_work(left, right, predicate, target_points_per_partition);
-    let tasks: Vec<&crate::join::PartitionTask> = work
-        .partitions
-        .iter()
-        .filter(|t| !t.left.is_empty() && !t.right_ids.is_empty())
-        .collect();
+    let tasks = partition_work(left, right, predicate, target_points_per_partition);
     let d = Dispatch::new(cfg.threads, cfg.mode);
     let run = dispatch(tasks.len(), &d, |i, _, out| {
         let subset = set.subset_tree(&tasks[i].right_ids);
@@ -322,12 +318,13 @@ mod tests {
             .partitioned(10)
             .run();
         assert_eq!(
-            crate::normalize_pairs(broadcast.pairs),
+            crate::normalize_pairs(broadcast.pairs.clone()),
             crate::normalize_pairs(nested.pairs)
         );
         assert_eq!(nested.stats.name, "join:nested-loop");
         assert_eq!(parted.stats.name, "join:partitioned");
         assert!(parted.stats.counters.refine_calls > 0);
+        assert_eq!(parted.pairs, crate::normalize_pairs(broadcast.pairs));
     }
 
     #[test]

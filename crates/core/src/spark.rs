@@ -138,127 +138,6 @@ impl SpatialSpark {
     }
 }
 
-impl SpatialSpark {
-    /// The spatially *partitioned* join — the SpatialHadoop/HadoopGIS
-    /// strategy of §II expressed in dataset operations, kept as the
-    /// alternative to the broadcast join for right sides too large to
-    /// replicate:
-    ///
-    /// 1. parse the left side and sample it on the driver,
-    /// 2. build an STR partitioner (SpatialHadoop's default) from the
-    ///    sample,
-    /// 3. shuffle left points to their owning cell (`partition_by`) and
-    ///    replicate right geometries to every cell their expanded
-    ///    envelope overlaps (shuffle bytes recorded for the replay),
-    /// 4. run an indexed join inside each cell
-    ///    (`mapPartitionsWithIndex`), deduplicating nothing — a point
-    ///    lives in exactly one cell, so no pair is emitted twice.
-    ///
-    /// # Errors
-    /// Fails when either path is missing.
-    pub fn partitioned_spatial_join(
-        &self,
-        left_path: &str,
-        right_path: &str,
-        predicate: SpatialPredicate,
-        target_cells: usize,
-    ) -> Result<SpatialSparkRun, SpatialJoinError> {
-        use geom::HasEnvelope;
-        use rtree::{SpatialPartitioner, StrPartitioner};
-
-        self.sc.reset_metrics();
-        let engine = FlatEngine;
-        let reader = RecordReader::new(1);
-        let radius = predicate.filter_radius();
-
-        // --- parse left side ---
-        let left = self.sc.text_file(left_path)?;
-        let parsed = left.map("map:parse-wkt", move |line: &String| {
-            reader.read_point(line).ok()
-        });
-
-        // --- driver: sample + build the STR partitioner ---
-        let right_lines = self.sc.dfs().read_all_lines(right_path)?;
-        let t0 = Instant::now();
-        let (right_records, _) = reader.read_geoms(&right_lines);
-        let set = PreparedSet::prepare(&right_records, predicate, &engine);
-        let all_points: Vec<geom::Point> = parsed
-            .collect()
-            .into_iter()
-            .flatten()
-            .map(|(_, p)| p)
-            .collect();
-        let mut extent = geom::Envelope::EMPTY;
-        for p in &all_points {
-            extent.expand_to(p.x, p.y);
-        }
-        for (_, g) in &right_records {
-            extent = extent.union(&g.envelope().expanded_by(radius));
-        }
-        let stride = (all_points.len() / 10_000).max(1);
-        let sample: Vec<geom::Point> = all_points.iter().step_by(stride).copied().collect();
-        let partitioner = StrPartitioner::build(extent, &sample, target_cells.max(1));
-        let num_cells = partitioner.num_cells();
-        self.sc.record_stage(StageMetrics {
-            name: "driver:sample+build-partitioner".into(),
-            tasks: vec![TaskSpec::of_cost(t0.elapsed().as_secs_f64())],
-            broadcast_bytes: 0,
-            shuffle_bytes: 0,
-        });
-
-        // --- shuffle left points to their owning cell ---
-        let tagged = parsed.flat_map("map:tag-cell", |rec| match rec {
-            Some((id, p)) => match partitioner.cell_of(*p) {
-                Some(cell) => vec![(cell, (*id, *p))],
-                None => vec![],
-            },
-            None => vec![],
-        });
-        let shuffled = tagged.partition_by(num_cells, |(cell, _)| *cell, |_| 24);
-
-        // --- replicate right geometries to overlapping cells ---
-        let mut per_cell_right: Vec<Vec<u32>> = vec![Vec::new(); num_cells];
-        let mut replicated_bytes = 0u64;
-        for (ri, (_, g)) in right_records.iter().enumerate() {
-            let env = g.envelope().expanded_by(radius);
-            for cell in partitioner.cells_intersecting(&env) {
-                per_cell_right[cell].push(ri as u32);
-                replicated_bytes += (g.num_points() * 16 + 16) as u64;
-            }
-        }
-        self.sc
-            .record_movement("shuffle:replicate-right", 0, replicated_bytes);
-
-        // --- per-cell indexed join over the shared prepared set:
-        // partition tasks carry right-side *indices*, build a subset
-        // filter tree over envelope copies, and never clone geometry ---
-        let set_ref = &set;
-        let per_cell_ref = &per_cell_right;
-        let pairs_ds = shuffled.map_partitions_indexed(
-            "mapPartitions:local-index-join",
-            move |cell, records: &[(usize, (i64, geom::Point))]| {
-                if records.is_empty() || per_cell_ref[cell].is_empty() {
-                    return Vec::new();
-                }
-                let subset = set_ref.subset_tree(&per_cell_ref[cell]);
-                let mut out = Vec::new();
-                for &(_, (id, p)) in records {
-                    set_ref.probe_subset(&subset, &engine, id, p, &mut out);
-                }
-                out
-            },
-        );
-        let pairs = pairs_ds.collect();
-
-        Ok(SpatialSparkRun {
-            pairs,
-            report: self.sc.job_report(),
-            cluster: self.sc.conf().cluster,
-            network: self.sc.conf().network,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,43 +211,6 @@ mod tests {
         assert!(t1 > 0.0 && t10 > 0.0);
         // A job this tiny is dominated by startup: more nodes cost more.
         assert!(t10 > t1);
-    }
-
-    #[test]
-    fn partitioned_join_matches_broadcast_join() {
-        let sys = system_with_grid();
-        for predicate in [
-            SpatialPredicate::Within,
-            SpatialPredicate::NearestD(0.6),
-            SpatialPredicate::Nearest(0.6),
-        ] {
-            let right = if predicate == SpatialPredicate::Within {
-                "/poly"
-            } else {
-                "/roads"
-            };
-            let broadcast = sys
-                .broadcast_spatial_join("/pnt", right, predicate)
-                .unwrap();
-            let partitioned = sys
-                .partitioned_spatial_join("/pnt", right, predicate, 9)
-                .unwrap();
-            assert_eq!(
-                crate::normalize_pairs(partitioned.pairs.clone()),
-                crate::normalize_pairs(broadcast.pairs.clone()),
-                "strategy mismatch for {predicate:?}"
-            );
-            // The shuffle got recorded.
-            let names: Vec<&str> = partitioned
-                .report
-                .stages
-                .iter()
-                .map(|s| s.name.as_str())
-                .collect();
-            assert!(names.iter().any(|n| n.contains("partition_by")));
-            assert!(names.iter().any(|n| n.contains("replicate-right")));
-            assert!(names.iter().any(|n| n.contains("local-index-join")));
-        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The two §II Hadoop-based spatial-join strategies, as baselines.
 //!
-//! Both share a sampled STR partitioner (SpatialHadoop's default). They
-//! differ exactly where the paper says they differ:
+//! Both share the workspace's one sampled STR partitioner
+//! (SpatialHadoop's default, `spatialjoin::join::partitioner`) and one
+//! map-side router. They differ exactly where the paper says they
+//! differ:
 //!
 //! * **SpatialHadoop**: "both sides in a spatial join are partitioned
 //!   and spatial join is implemented as a map-only job" — a separate
@@ -17,10 +19,10 @@
 //!   GEOS).
 
 use geom::engine::{FlatEngine, NaiveEngine, RefinementEngine, SpatialPredicate};
-use geom::{HasEnvelope, Point};
+use geom::HasEnvelope;
 use minihdfs::DfsError;
-use rtree::{SpatialPartitioner, StrPartitioner};
-use spatialjoin::{JoinPair, JoinRequest, RecordReader};
+use rtree::StrPartitioner;
+use spatialjoin::{join, JoinPair, JoinRequest, RecordReader};
 
 use crate::mapreduce::{HadoopConf, JobMetrics, MapReduce};
 
@@ -59,36 +61,47 @@ impl HadoopJoinRun {
     }
 }
 
-/// Builds the shared STR partitioner from the left side's points plus
-/// the right side's (expanded) extent.
+/// Builds the shared STR partitioner: each side is parsed once and
+/// handed to [`join::partitioner`], which owns the extent and sample
+/// rule.
 fn build_partitioner(
     mr: &MapReduce,
     left_path: &str,
     right_path: &str,
-    radius: f64,
+    predicate: SpatialPredicate,
     target_cells: usize,
 ) -> Result<StrPartitioner, DfsError> {
-    let left_lines = mr.dfs().read_all_lines(left_path)?;
-    let right_lines = mr.dfs().read_all_lines(right_path)?;
     let reader = RecordReader::new(1);
-    let mut extent = geom::Envelope::EMPTY;
-    let stride = (left_lines.len() / 10_000).max(1);
-    let sample: Vec<Point> = left_lines
-        .iter()
-        .step_by(stride)
-        .filter_map(|line| reader.read_point(line).ok())
-        .map(|(_, p)| p)
-        .collect();
-    for (_, p) in left_lines
-        .iter()
-        .filter_map(|line| reader.read_point(line).ok())
-    {
-        extent.expand_to(p.x, p.y);
+    let (left, _) = reader.read_points(&mr.dfs().read_all_lines(left_path)?);
+    let (right, _) = reader.read_geoms(&mr.dfs().read_all_lines(right_path)?);
+    Ok(join::partitioner(&left, &right, predicate, target_cells))
+}
+
+/// The map side of both strategies: tags one `id \t wkt` record with
+/// its cell(s) as text. Sides are told apart by geometry type (points
+/// probe, everything else builds), which is the shape of every join in
+/// the paper: a point goes to the one cell owning it, any other
+/// geometry to every cell its expanded envelope overlaps. Malformed
+/// records are dropped here, counted by the record reader.
+fn route_record(
+    partitioner: &StrPartitioner,
+    radius: f64,
+    line: &str,
+    out: &mut Vec<(usize, String)>,
+) {
+    let Ok((_, g)) = RecordReader::new(1).read_geom(line) else {
+        return;
+    };
+    if let Some(p) = g.as_point() {
+        if let Some(cell) = partitioner.cell_of(p) {
+            out.push((cell, format!("L\t{line}")));
+        }
+    } else {
+        let env = g.envelope().expanded_by(radius);
+        for cell in partitioner.cells_intersecting(&env) {
+            out.push((cell, format!("R\t{line}")));
+        }
     }
-    for (_, g) in reader.read_geoms(&right_lines).0 {
-        extent = extent.union(&g.envelope().expanded_by(radius));
-    }
-    Ok(StrPartitioner::build(extent, &sample, target_cells.max(1)))
 }
 
 /// Joins one cell's tagged text records (`L\t` left points, `R\t`
@@ -129,31 +142,14 @@ pub fn hadoopgis_join(
     target_cells: usize,
 ) -> Result<HadoopJoinRun, DfsError> {
     let radius = predicate.filter_radius();
-    let partitioner = build_partitioner(mr, left_path, right_path, radius, target_cells)?;
+    let partitioner = build_partitioner(mr, left_path, right_path, predicate, target_cells)?;
     let engine = NaiveEngine;
 
     // One job: map tags records with their cell(s) as *text* values;
-    // reduce re-parses and joins per cell. The map distinguishes sides
-    // by geometry type (points probe, everything else builds), which is
-    // the shape of every join in the paper.
+    // reduce re-parses and joins per cell.
     let result = mr.run_job(
         &[left_path, right_path],
-        |line, out: &mut Vec<(usize, String)>| {
-            let Some(wkt) = line.split('\t').nth(1) else {
-                return;
-            };
-            let Ok(g) = geom::wkt::parse(wkt) else { return };
-            if let Some(p) = g.as_point() {
-                if let Some(cell) = partitioner.cell_of(p) {
-                    out.push((cell, format!("L\t{line}")));
-                }
-            } else {
-                let env = g.envelope().expanded_by(radius);
-                for cell in partitioner.cells_intersecting(&env) {
-                    out.push((cell, format!("R\t{line}")));
-                }
-            }
-        },
+        |line, out| route_record(&partitioner, radius, line, out),
         // Hadoop-streaming text intermediates: full record length.
         |_, v| v.len() as u64,
         |_, records| {
@@ -186,28 +182,13 @@ pub fn spatialhadoop_join(
     target_cells: usize,
 ) -> Result<HadoopJoinRun, DfsError> {
     let radius = predicate.filter_radius();
-    let partitioner = build_partitioner(mr, left_path, right_path, radius, target_cells)?;
+    let partitioner = build_partitioner(mr, left_path, right_path, predicate, target_cells)?;
     let engine = FlatEngine;
 
     // --- Job 1: partition both datasets into per-cell files ---
     let partition_job = mr.run_job(
         &[left_path, right_path],
-        |line, out: &mut Vec<(usize, String)>| {
-            let Some(wkt) = line.split('\t').nth(1) else {
-                return;
-            };
-            let Ok(g) = geom::wkt::parse(wkt) else { return };
-            if let Some(p) = g.as_point() {
-                if let Some(cell) = partitioner.cell_of(p) {
-                    out.push((cell, format!("L\t{line}")));
-                }
-            } else {
-                let env = g.envelope().expanded_by(radius);
-                for cell in partitioner.cells_intersecting(&env) {
-                    out.push((cell, format!("R\t{line}")));
-                }
-            }
-        },
+        |line, out| route_record(&partitioner, radius, line, out),
         |_, v| v.len() as u64,
         |cell, records| vec![(*cell, records.to_vec())],
     )?;
@@ -306,6 +287,26 @@ mod tests {
         let sh = spatialhadoop_join(&mr, "/taxi", "/lion", pred, 9).unwrap();
         assert_eq!(spatialjoin::normalize_pairs(gis.pairs.clone()), expected);
         assert_eq!(spatialjoin::normalize_pairs(sh.pairs.clone()), expected);
+    }
+
+    #[test]
+    fn map_side_drops_and_counts_malformed_records() {
+        std::thread::spawn(|| {
+            let extent = geom::Envelope::new(0.0, 0.0, 10.0, 10.0);
+            let partitioner = StrPartitioner::build(extent, &[], 1);
+            let before = obs::thread_snapshot();
+            let mut out = Vec::new();
+            // A non-integer id is dropped at the map, not shipped
+            // through the shuffle to be dropped by the reducer.
+            route_record(&partitioner, 0.0, "x\tPOINT (1 2)", &mut out);
+            assert!(out.is_empty());
+            route_record(&partitioner, 0.0, "7\tPOINT (1 2)", &mut out);
+            assert_eq!(out, vec![(0, "L\t7\tPOINT (1 2)".to_string())]);
+            let delta = obs::thread_snapshot().minus(&before);
+            assert_eq!((delta.records_parsed, delta.records_skipped), (1, 1));
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -241,11 +241,12 @@ pub struct QueryResult {
 /// Strips a leading `EXPLAIN` keyword, returning the remainder.
 fn strip_explain(sql: &str) -> Option<&str> {
     let trimmed = sql.trim_start();
-    if trimmed.len() >= 7 && trimmed[..7].eq_ignore_ascii_case("EXPLAIN") {
-        Some(&trimmed[7..])
-    } else {
-        None
-    }
+    // Compare bytes: slicing the str at 7 panics inside a multi-byte
+    // character.
+    let keyword = trimmed.as_bytes().get(..7)?;
+    keyword
+        .eq_ignore_ascii_case(b"EXPLAIN")
+        .then(|| &trimmed[7..])
 }
 
 /// Total attempts for a DFS read hit by transient faults before the
@@ -606,6 +607,14 @@ mod tests {
         // 0.5 from road 1. That's 10 + 20 = 30 matches.
         assert_eq!(result.pairs.len(), 30);
         assert!(result.pairs.iter().all(|&(_, rid)| rid == 0 || rid == 1));
+    }
+
+    #[test]
+    fn non_ascii_sql_is_an_error_not_a_panic() {
+        let d = daemon();
+        // The 7th byte falls inside a two-byte character.
+        assert!(d.execute("ééééé").is_err());
+        assert!(d.explain("ééééé").is_err());
     }
 
     #[test]

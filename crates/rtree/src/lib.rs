@@ -9,20 +9,19 @@
 //! * [`DynamicRTree`] — a Guttman-style insertion R-tree (quadratic
 //!   split), used as an ablation baseline against bulk loading.
 //! * [`GridIndex`] — a uniform grid, the simplest filtering structure.
-//! * [`QuadTreePartitioner`] — a quadtree that splits space until every
-//!   cell holds at most a target number of samples; used to derive
-//!   balanced spatial partitions for partitioned joins.
+//! * [`StrPartitioner`] — SpatialHadoop's default space partitioner:
+//!   sample-derived STR cells that tile the extent, found by binary
+//!   search; used to derive balanced spatial partitions for partitioned
+//!   joins.
 
 pub mod dynamic;
 pub mod grid;
 pub mod partitioner;
 pub mod probe;
-pub mod quadtree;
 pub mod str_tree;
 
 pub use dynamic::DynamicRTree;
 pub use grid::GridIndex;
-pub use partitioner::{FixedGridPartitioner, SpatialPartitioner, StrPartitioner};
+pub use partitioner::StrPartitioner;
 pub use probe::probe_with;
-pub use quadtree::QuadTreePartitioner;
 pub use str_tree::RTree;

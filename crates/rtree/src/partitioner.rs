@@ -1,111 +1,13 @@
-//! Spatial partitioners — the space-decomposition strategies of the
-//! partitioned-join systems the paper discusses in §II (SpatialHadoop
-//! partitions both sides; HadoopGIS reorders by partition key).
+//! The spatial partitioner of the partitioned-join systems the paper
+//! discusses in §II (SpatialHadoop partitions both sides; HadoopGIS
+//! reorders by partition key).
 //!
-//! All partitioners produce cells that **tile** their extent: every
-//! point belongs to exactly one cell, so a point within distance `r` of
-//! a geometry always lives in a cell intersecting that geometry's
-//! `r`-expanded envelope — the invariant the partitioned joins rely on.
+//! Its cells **tile** their extent: every point belongs to exactly one
+//! cell, so a point within distance `r` of a geometry always lives in a
+//! cell intersecting that geometry's `r`-expanded envelope — the
+//! invariant the partitioned joins rely on.
 
 use geom::{Envelope, Point};
-
-use crate::quadtree::QuadTreePartitioner;
-
-/// A space decomposition into cells.
-pub trait SpatialPartitioner {
-    /// The cell rectangles.
-    fn cells(&self) -> &[Envelope];
-
-    /// The cell owning a point, if the point is inside the extent.
-    fn cell_of(&self, p: Point) -> Option<usize>;
-
-    /// All cells whose rectangle intersects the envelope (routing for
-    /// replicated right-side geometries).
-    fn cells_intersecting(&self, env: &Envelope) -> Vec<usize> {
-        self.cells()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.intersects(env))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Number of cells.
-    fn num_cells(&self) -> usize {
-        self.cells().len()
-    }
-}
-
-impl SpatialPartitioner for QuadTreePartitioner {
-    fn cells(&self) -> &[Envelope] {
-        self.partitions()
-    }
-
-    fn cell_of(&self, p: Point) -> Option<usize> {
-        self.partition_of(p)
-    }
-}
-
-/// A uniform `cols × rows` grid over a fixed extent — the simplest
-/// decomposition, skew-oblivious.
-#[derive(Debug, Clone)]
-pub struct FixedGridPartitioner {
-    extent: Envelope,
-    cols: usize,
-    rows: usize,
-    cells: Vec<Envelope>,
-}
-
-impl FixedGridPartitioner {
-    /// Builds a grid partitioner.
-    pub fn new(extent: Envelope, cols: usize, rows: usize) -> FixedGridPartitioner {
-        assert!(cols > 0 && rows > 0, "grid needs at least one cell");
-        let w = extent.width() / cols as f64;
-        let h = extent.height() / rows as f64;
-        let mut cells = Vec::with_capacity(cols * rows);
-        for r in 0..rows {
-            for c in 0..cols {
-                cells.push(Envelope::new(
-                    extent.min_x + c as f64 * w,
-                    extent.min_y + r as f64 * h,
-                    if c == cols - 1 {
-                        extent.max_x
-                    } else {
-                        extent.min_x + (c + 1) as f64 * w
-                    },
-                    if r == rows - 1 {
-                        extent.max_y
-                    } else {
-                        extent.min_y + (r + 1) as f64 * h
-                    },
-                ));
-            }
-        }
-        FixedGridPartitioner {
-            extent,
-            cols,
-            rows,
-            cells,
-        }
-    }
-}
-
-impl SpatialPartitioner for FixedGridPartitioner {
-    fn cells(&self) -> &[Envelope] {
-        &self.cells
-    }
-
-    fn cell_of(&self, p: Point) -> Option<usize> {
-        if !self.extent.contains(p.x, p.y) {
-            return None;
-        }
-        let w = self.extent.width() / self.cols as f64;
-        let h = self.extent.height() / self.rows as f64;
-        let c = (((p.x - self.extent.min_x) / w) as usize).min(self.cols - 1);
-        let r = (((p.y - self.extent.min_y) / h) as usize).min(self.rows - 1);
-        Some(r * self.cols + c)
-    }
-}
 
 /// Sort-Tile-Recursive partitioner — SpatialHadoop's default strategy:
 /// a sample is sorted by x into vertical slices; each slice is sorted
@@ -210,14 +112,19 @@ impl StrPartitioner {
         }
         lo
     }
-}
 
-impl SpatialPartitioner for StrPartitioner {
-    fn cells(&self) -> &[Envelope] {
+    /// The cell rectangles.
+    pub fn cells(&self) -> &[Envelope] {
         &self.cells
     }
 
-    fn cell_of(&self, p: Point) -> Option<usize> {
+    /// Number of cells.
+    pub fn num_cells(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// The cell owning a point, if the point is inside the extent.
+    pub fn cell_of(&self, p: Point) -> Option<usize> {
         if !self.extent.contains(p.x, p.y) {
             return None;
         }
@@ -234,6 +141,17 @@ impl SpatialPartitioner for StrPartitioner {
             }
         }
         Some(self.slice_offsets[s] + lo)
+    }
+
+    /// All cells whose rectangle intersects the envelope (routing for
+    /// replicated right-side geometries).
+    pub fn cells_intersecting(&self, env: &Envelope) -> Vec<usize> {
+        self.cells
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.intersects(env))
+            .map(|(i, _)| i)
+            .collect()
     }
 }
 
@@ -256,7 +174,7 @@ mod tests {
         pts
     }
 
-    fn check_tiling<P: SpatialPartitioner>(p: &P, extent: Envelope) {
+    fn check_tiling(p: &StrPartitioner, extent: Envelope) {
         // Cells tile the extent: areas sum and every probe point has
         // exactly one owner whose cell contains it.
         let total: f64 = p.cells().iter().map(Envelope::area).sum();
@@ -281,23 +199,14 @@ mod tests {
     }
 
     #[test]
-    fn fixed_grid_tiles_and_routes() {
-        let extent = Envelope::new(0.0, 0.0, 100.0, 50.0);
-        let g = FixedGridPartitioner::new(extent, 8, 4);
-        assert_eq!(g.num_cells(), 32);
-        check_tiling(&g, extent);
-        assert_eq!(g.cell_of(Point::new(-1.0, 0.0)), None);
-        // Envelope routing covers every overlapped cell.
-        let hits = g.cells_intersecting(&Envelope::new(0.0, 0.0, 100.0, 50.0));
-        assert_eq!(hits.len(), 32);
-    }
-
-    #[test]
     fn str_partitioner_tiles_and_adapts_to_skew() {
         let extent = Envelope::new(0.0, 0.0, 100.0, 100.0);
         let s = StrPartitioner::build(extent, &sample(), 16);
         assert!(s.num_cells() >= 8, "got {} cells", s.num_cells());
         check_tiling(&s, extent);
+        assert_eq!(s.cell_of(Point::new(-1.0, 0.0)), None);
+        // An envelope spanning the extent routes to every cell.
+        assert_eq!(s.cells_intersecting(&extent).len(), s.num_cells());
         // Skew adaptation: the cell containing the dense cluster centre
         // is much smaller than the average cell.
         let dense = s.cell_of(Point::new(10.5, 10.5)).unwrap();
@@ -332,14 +241,5 @@ mod tests {
             let owner = s.cell_of(*p).unwrap();
             assert!(s.cells()[owner].contains(p.x, p.y));
         }
-    }
-
-    #[test]
-    fn quadtree_implements_the_trait() {
-        let extent = Envelope::new(0.0, 0.0, 100.0, 100.0);
-        let qt = QuadTreePartitioner::build(extent, &sample(), 50, 8);
-        check_tiling(&qt, extent);
-        let all = qt.cells_intersecting(&extent);
-        assert_eq!(all.len(), qt.num_cells());
     }
 }

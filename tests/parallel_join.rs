@@ -5,8 +5,8 @@
 //! `JoinRequest` is **bit-identical** to the serial
 //! `build_right_index` + `probe` loop — same pairs, same order — at
 //! every thread count, schedule mode and morsel size; and a
-//! partitioned `JoinRequest` equals its single-thread run under its
-//! sorted-deduplicated contract.
+//! partitioned `JoinRequest` equals its single-thread run, which equals
+//! the broadcast pairs under its sorted-deduplicated contract.
 
 use cluster::ScheduleMode;
 use geom::engine::{PreparedEngine, SpatialPredicate};
@@ -14,7 +14,7 @@ use geom::{Envelope, Geometry, Point, Polygon};
 use proph::{check_with, f64_range, usize_range, vec_of, Config, Gen, GenExt};
 use spatialjoin::join::{build_right_index, probe};
 use spatialjoin::parallel::MorselConfig;
-use spatialjoin::{GeomRecord, JoinPair, JoinRequest, PointRecord};
+use spatialjoin::{normalize_pairs, GeomRecord, JoinPair, JoinRequest, PointRecord};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 const MODES: [ScheduleMode; 3] = [
@@ -24,6 +24,13 @@ const MODES: [ScheduleMode; 3] = [
 ];
 const PREDICATES: [SpatialPredicate; 2] =
     [SpatialPredicate::Within, SpatialPredicate::NearestD(3.0)];
+/// The partitioned sweep adds arg-min `Nearest`: a point's candidates
+/// must all reach its one cell for the arg-min to match broadcast.
+const PARTITIONED_PREDICATES: [SpatialPredicate; 3] = [
+    SpatialPredicate::Within,
+    SpatialPredicate::NearestD(3.0),
+    SpatialPredicate::Nearest(3.0),
+];
 
 /// Generator: left points in a compact window so joins actually match.
 fn left_points() -> impl Gen<Value = Vec<PointRecord>> {
@@ -151,16 +158,22 @@ fn prop_parallel_partitioned_matches_serial() {
     };
     check_with(
         cfg,
-        "parallel partitioned ≡ serial partitioned",
+        "serial partitioned ≡ broadcast, parallel partitioned ≡ serial partitioned",
         &(left_points(), right_rects(), usize_range(4, 40)),
         |(left, right, per_partition)| {
-            for predicate in PREDICATES {
+            for predicate in PARTITIONED_PREDICATES {
                 let serial = partitioned(
                     &left,
                     &right,
                     predicate,
                     per_partition,
                     MorselConfig::serial(),
+                );
+                let broadcast = broadcast_join(&left, &right, predicate, MorselConfig::serial());
+                assert_eq!(
+                    serial,
+                    normalize_pairs(broadcast),
+                    "partitioned vs broadcast: {predicate:?}"
                 );
                 for threads in THREAD_COUNTS {
                     for mode in MODES {

@@ -1,11 +1,11 @@
-//! Property-based tests for the extension modules: partitioners,
+//! Property-based tests for the extension modules: the STR partitioner,
 //! simplification, binary codec and trajectories, running on the
 //! in-tree `proph` harness.
 
 use geom::algorithms::simplify::simplify_points;
 use geom::{Envelope, LineString, Point, Trajectory};
-use proph::{check_with, f64_range, usize_range, vec_of, Config, Gen, GenExt};
-use rtree::{FixedGridPartitioner, SpatialPartitioner, StrPartitioner};
+use proph::{check_with, f64_range, vec_of, Config, Gen, GenExt};
+use rtree::StrPartitioner;
 
 /// 96 cases to match the original suite's budget.
 fn check<G, P>(name: &str, gen: &G, prop: P)
@@ -34,7 +34,7 @@ fn points(n: usize) -> impl Gen<Value = Vec<Point>> {
         .map(|v| v.into_iter().map(|(x, y)| Point::new(x, y)).collect())
 }
 
-// --- partitioners ---
+// --- partitioner ---
 
 #[test]
 fn str_partitioner_owns_every_interior_point() {
@@ -52,21 +52,6 @@ fn str_partitioner_owns_every_interior_point() {
                 let routed = p.cells_intersecting(&Envelope::of_point(probe).expanded_by(1.0));
                 assert!(routed.contains(&cell));
             }
-        },
-    );
-}
-
-#[test]
-fn grid_partitioner_cells_tile() {
-    check(
-        "grid_partitioner_cells_tile",
-        &(usize_range(1, 12), usize_range(1, 12)),
-        |(cols, rows)| {
-            let extent = Envelope::new(0.0, 0.0, 37.0, 23.0);
-            let g = FixedGridPartitioner::new(extent, cols, rows);
-            let total: f64 = g.cells().iter().map(Envelope::area).sum();
-            assert!((total - extent.area()).abs() < 1e-9 * extent.area());
-            assert_eq!(g.num_cells(), cols * rows);
         },
     );
 }
