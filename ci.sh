@@ -11,12 +11,15 @@
 #                                 release build) type-check
 #   4. cargo test -q              unit + integration + tier-1 suites
 #   5. join front-door suites     parallel_join (morsel executor ≡
-#                                 serial probe loop) and join_request
+#                                 serial probe loop), join_request
 #                                 (JoinRequest bit-identity and
-#                                 accounting), run single-test-threaded
-#                                 so the executor's own pools of up to 7
-#                                 threads are the only parallelism in
-#                                 the process
+#                                 accounting) and parallel_build (the
+#                                 right side's per-block build ≡ the
+#                                 serial build on all three paths, and
+#                                 corrupt right-side blocks), run
+#                                 single-test-threaded so the executor's
+#                                 own pools of up to 7 threads are the
+#                                 only parallelism in the process
 #   6. schedule-mode ablation     fig4 --ablate at tiny scale; asserts
 #                                 results/BENCH_fig45_ablation.json is
 #                                 produced and well-formed
@@ -40,7 +43,7 @@
 #   2  tidy findings or tidy usage error (see its own output)
 #   3  release build or bench-target check failed
 #   4  tests failed
-#   5  parallel_join or join_request suite failed
+#   5  parallel_join, join_request or parallel_build suite failed
 #   6  schedule-mode ablation failed or wrote a malformed artifact
 #   7  obs stats artifact missing or malformed
 #   8  chaos suite failed, or fault-tolerance artifact missing/malformed
@@ -65,7 +68,8 @@ echo "ci: cargo test -q"
 cargo test -q || exit 4
 
 echo "ci: join front-door suites (RUST_TEST_THREADS=1, executor threads up to 7)"
-RUST_TEST_THREADS=1 cargo test -q --test parallel_join --test join_request || exit 5
+RUST_TEST_THREADS=1 cargo test -q --test parallel_join --test join_request \
+    --test parallel_build || exit 5
 
 echo "ci: schedule-mode ablation (fig4 --ablate, tiny scale)"
 rm -f results/BENCH_fig45_ablation.json results/BENCH_obs_stats.json

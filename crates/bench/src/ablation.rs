@@ -121,8 +121,9 @@ pub fn ablate_experiment<E: RefinementEngine>(
     replay: &Replay,
 ) -> Result<ExperimentAblation, BenchError> {
     // Counter window: parsing plus the first (reference) measurement
-    // pass below. That pass runs inline on this thread, so the snapshot
-    // delta is exact.
+    // pass below, but not the build between them, whose pool units
+    // would otherwise count as probe morsels. Both run inline on this
+    // thread, so the snapshot deltas are exact.
     let before = obs::thread_snapshot();
     let left_lines = w.dfs.read_all_lines(exp.left_path())?;
     let right_lines = w.dfs.read_all_lines(exp.right_path())?;
@@ -142,7 +143,9 @@ pub fn ablate_experiment<E: RefinementEngine>(
     // replay — without starving per-morsel measurement.
     let morsel_size = (left.len() / 1600).clamp(16, DEFAULT_MORSEL_SIZE);
     let predicate = exp.predicate();
+    let parsed = obs::thread_snapshot().minus(&before);
     let set = PreparedSet::prepare(&right, predicate, engine);
+    let before = obs::thread_snapshot();
 
     // Measure per-morsel costs on a single worker: a concurrent
     // measurement pass would fold scheduler preemption into each
@@ -155,7 +158,7 @@ pub fn ablate_experiment<E: RefinementEngine>(
         morsel_size,
     };
     let (pairs, mut timings, _) = set.par_probe_observed(&left, engine, measure_cfg);
-    let stats = obs::thread_snapshot().minus(&before);
+    let stats = parsed.plus(&obs::thread_snapshot().minus(&before));
     let serial = &pairs;
     let partitions = morsel_partitions(&left, morsel_size, LOCALITY_GRID_SIDE);
 

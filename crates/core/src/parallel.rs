@@ -11,11 +11,18 @@
 //! [`ScheduleMode`]. The partitioned strategy behind
 //! [`crate::JoinRequest`] reuses the same set.
 //!
+//! The build is parallel too, on the same dispatch core: one unit per
+//! DFS block ([`PreparedSet::from_blocks`], parse then prepare) or per
+//! [`BUILD_CHUNK`] in-memory records ([`PreparedSet::prepare_threads`]),
+//! stitched in unit order. One thread is the serial case of the same
+//! loop.
+//!
 //! # Determinism contract
 //!
 //! Output is **bit-identical to the serial path at any thread count**:
-//! the shared tree is bulk-loaded from the same envelope sequence as
-//! the serial [`crate::join::build_right_index`] (STR packing is a
+//! the build stitches its units in file order, so the shared tree is
+//! bulk-loaded from the same envelope sequence as the serial
+//! [`crate::join::build_right_index`] (STR packing is a
 //! stable sort over envelopes, so the entry permutation and hence
 //! traversal order are identical), and per-morsel output segments are
 //! stitched back in input order by the driver. Scheduling only decides
@@ -36,8 +43,11 @@ use cluster::{
 };
 use geom::engine::{RefinementEngine, SpatialPredicate};
 use geom::{Envelope, HasEnvelope, Point};
+use minihdfs::BlockRef;
 use rtree::{probe_with, RTree};
+use std::time::Instant;
 
+use crate::reader::RecordReader;
 use crate::{GeomRecord, JoinPair, PointRecord};
 
 /// Default morsel size: small enough for dynamic scheduling to balance
@@ -200,6 +210,15 @@ impl Default for MorselConfig {
     }
 }
 
+/// Right-side records per unit of an in-memory build
+/// ([`PreparedSet::prepare_threads`]). Fixed, so the unit count — and
+/// with it every counter — does not depend on the thread count.
+pub const BUILD_CHUNK: usize = 256;
+
+/// One build unit's output row: id, envelope expanded by the filter
+/// radius, prepared geometry.
+type BuildRow<P> = (i64, Envelope, P);
+
 /// The right side of a join, prepared exactly once and shared by
 /// reference across every morsel, partition task and system layer.
 pub struct PreparedSet<E: RefinementEngine> {
@@ -210,39 +229,114 @@ pub struct PreparedSet<E: RefinementEngine> {
     /// Filter tree over `u32` indices into the vectors above.
     tree: RTree<u32>,
     predicate: SpatialPredicate,
+    /// Serial-equivalent build seconds: summed per-unit work plus the
+    /// assemble and bulk-load step.
+    build_work: f64,
 }
 
 impl<E: RefinementEngine> PreparedSet<E> {
-    /// Prepares `right` for `predicate`: one `engine.prepare` call per
-    /// geometry, envelopes expanded by the filter radius, and an STR
-    /// tree over the indices (same envelope sequence as the serial
-    /// [`crate::join::build_right_index`], hence the same packing).
+    /// [`PreparedSet::prepare_threads`] on the calling thread.
     pub fn prepare(
         right: &[GeomRecord],
         predicate: SpatialPredicate,
         engine: &E,
     ) -> PreparedSet<E> {
+        Self::prepare_threads(right, predicate, engine, 1)
+    }
+
+    /// Prepares in-memory `right` for `predicate` on `threads` workers:
+    /// one dispatch unit per [`BUILD_CHUNK`] records, each pushing the
+    /// record's id, its envelope expanded by the filter radius and one
+    /// `engine.prepare` result. Units are stitched in record order, so
+    /// the STR tree sees the same envelope sequence as the serial
+    /// [`crate::join::build_right_index`] (hence the same packing) at
+    /// any thread count.
+    pub fn prepare_threads(
+        right: &[GeomRecord],
+        predicate: SpatialPredicate,
+        engine: &E,
+        threads: usize,
+    ) -> PreparedSet<E> {
         let radius = predicate.filter_radius();
-        let mut ids = Vec::with_capacity(right.len());
-        let mut envelopes = Vec::with_capacity(right.len());
-        let mut prepared = Vec::with_capacity(right.len());
-        for (id, g) in right {
-            ids.push(*id);
-            envelopes.push(g.envelope().expanded_by(radius));
-            prepared.push(engine.prepare(g));
+        let units = right.len().div_ceil(BUILD_CHUNK);
+        Self::assemble(predicate, threads, units, |i, out| {
+            let chunk = &right[i * BUILD_CHUNK..((i + 1) * BUILD_CHUNK).min(right.len())];
+            for (id, g) in chunk {
+                out.push((*id, g.envelope().expanded_by(radius), engine.prepare(g)));
+            }
+        })
+    }
+
+    /// Parses and prepares the right side straight from its DFS blocks
+    /// on `threads` workers: one dispatch unit per block, running
+    /// [`RecordReader::read_geom`] on every line (malformed lines are
+    /// counted and dropped) and preparing each survivor. Units are
+    /// stitched in block order, so ids, envelopes and the STR packing
+    /// are exactly those of `prepare(read_geoms(lines))` over the whole
+    /// file.
+    pub fn from_blocks(
+        blocks: &[BlockRef],
+        reader: RecordReader,
+        predicate: SpatialPredicate,
+        engine: &E,
+        threads: usize,
+    ) -> PreparedSet<E> {
+        let radius = predicate.filter_radius();
+        Self::assemble(predicate, threads, blocks.len(), |i, out| {
+            for line in blocks[i].lines() {
+                if let Ok((id, g)) = reader.read_geom(line) {
+                    out.push((id, g.envelope().expanded_by(radius), engine.prepare(&g)));
+                }
+            }
+        })
+    }
+
+    /// The build both constructors share: `unit(i, out)` for every unit
+    /// on the dispatch pool (worker counters folded into the calling
+    /// thread, a panicking unit re-raised), then unzip the stitched rows
+    /// and bulk-load the filter tree over their indices.
+    fn assemble(
+        predicate: SpatialPredicate,
+        threads: usize,
+        units: usize,
+        unit: impl Fn(usize, &mut Vec<BuildRow<E::Prepared>>) + Sync,
+    ) -> PreparedSet<E> {
+        let d = Dispatch::new(threads, ScheduleMode::Dynamic);
+        let run = dispatch(units, &d, |i, _, out| unit(i, out)).or_raise();
+        obs::add_thread(&run.exec.worker_counters);
+        let t0 = Instant::now();
+        let n = run.out.len();
+        let mut ids = Vec::with_capacity(n);
+        let mut envelopes = Vec::with_capacity(n);
+        let mut prepared = Vec::with_capacity(n);
+        for (id, env, p) in run.out {
+            ids.push(id);
+            envelopes.push(env);
+            prepared.push(p);
         }
         let entries: Vec<(Envelope, u32)> = envelopes
             .iter()
             .enumerate()
             .map(|(i, &env)| (env, i as u32))
             .collect();
+        let tree = RTree::bulk_load_entries(entries);
+        let unit_work: f64 = run.timings.iter().map(|t| t.secs).sum();
         PreparedSet {
             ids,
             envelopes,
             prepared,
-            tree: RTree::bulk_load_entries(entries),
+            tree,
             predicate,
+            build_work: unit_work + t0.elapsed().as_secs_f64(),
         }
+    }
+
+    /// Serial-equivalent seconds the build took: the summed per-unit
+    /// work plus the assemble and bulk-load step — what one thread
+    /// would have spent, not the parallel wall time. The replay models
+    /// charge this as the per-instance build cost.
+    pub fn build_work(&self) -> f64 {
+        self.build_work
     }
 
     /// Number of prepared right-side records.
@@ -253,6 +347,13 @@ impl<E: RefinementEngine> PreparedSet<E> {
     /// True when the right side is empty.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
+    }
+
+    /// Right-side ids in build order: file order for
+    /// [`PreparedSet::from_blocks`], input order for
+    /// [`PreparedSet::prepare_threads`].
+    pub fn ids(&self) -> &[i64] {
+        &self.ids
     }
 
     /// The predicate the set was prepared for.

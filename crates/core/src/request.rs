@@ -147,7 +147,12 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
         let pairs = match self.strategy {
             JoinStrategy::Broadcast => {
                 let prepare_timer = obs::SpanTimer::start("prepare");
-                let set = PreparedSet::prepare(self.right, self.predicate, self.engine);
+                let set = PreparedSet::prepare_threads(
+                    self.right,
+                    self.predicate,
+                    self.engine,
+                    self.cfg.threads,
+                );
                 stats.spans.push(prepare_timer.finish());
                 let probe_timer = obs::SpanTimer::start("probe");
                 let (pairs, _, exec) = set.par_probe_observed(self.left, self.engine, self.cfg);
@@ -183,8 +188,9 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
 }
 
 /// The partitioned strategy: partitions carry `right_ids` into one
-/// shared [`PreparedSet`]; each partition is a pool task that builds a
-/// subset filter tree over envelope copies and probes its own points.
+/// shared [`PreparedSet`], built on the same `cfg.threads`; each
+/// partition is a pool task that builds a subset filter tree over
+/// envelope copies and probes its own points.
 /// Output is sorted and deduplicated — a right geometry replicated into
 /// several cells can only match a point in the point's unique cell, but
 /// dedup keeps the contract obvious.
@@ -196,7 +202,7 @@ fn partitioned_pairs<E: RefinementEngine>(
     target_points_per_partition: usize,
     cfg: MorselConfig,
 ) -> (Vec<JoinPair>, obs::ExecStats) {
-    let set = PreparedSet::prepare(right, predicate, engine);
+    let set = PreparedSet::prepare_threads(right, predicate, engine, cfg.threads);
     let tasks = partition_work(left, right, predicate, target_points_per_partition);
     let d = Dispatch::new(cfg.threads, cfg.mode);
     let run = dispatch(tasks.len(), &d, |i, _, out| {
@@ -301,9 +307,12 @@ mod tests {
         assert!(outcome.stats.span("prepare").is_some());
         assert!(outcome.stats.span("probe").is_some());
         assert!(!outcome.stats.workers.is_empty());
+        // Pool units: the right side's build chunks, then the probe's
+        // morsels.
         assert_eq!(outcome.stats.counters.morsels_executed, {
+            let build = right.len().div_ceil(crate::parallel::BUILD_CHUNK);
             let morsels = left.len().div_ceil(crate::parallel::DEFAULT_MORSEL_SIZE);
-            morsels as u64
+            (build + morsels) as u64
         });
     }
 

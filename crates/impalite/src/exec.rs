@@ -84,8 +84,11 @@ impl ProbeBatch {
 pub struct QueryMetrics {
     /// Per-block cost of scanning/splitting the left table into rows.
     pub scan_tasks: Vec<TaskSpec>,
-    /// Seconds to scan + parse the right table and build the R-tree
-    /// (paid by every instance after the broadcast).
+    /// Seconds to parse + prepare the right table and build the R-tree
+    /// (paid by every instance after the broadcast). The build runs
+    /// one block per pool unit, so this is the serial cost one instance
+    /// pays — the summed per-unit work plus the bulk load — not the
+    /// local parallel wall time.
     pub build_secs: f64,
     /// Bytes of the right table shipped to every instance.
     pub broadcast_bytes: u64,
@@ -364,23 +367,26 @@ impl Impalad {
     }
 
     /// Runs one plan fragment's `n` units statically chunked over the
-    /// daemon's threads, each unit's fault draw keyed by `key | unit`.
-    /// Fail-fast: Impala fixes the plan before execution and cannot
-    /// reschedule, so any unit dying — an injected fault or a bug in
-    /// the unit — fails the query, and the surviving units' output is
-    /// dropped: a failed query never surfaces partial rows.
+    /// daemon's threads, each unit's fault draw keyed by `key | unit`
+    /// (no draws when `key` is `None`). Fail-fast: Impala fixes the
+    /// plan before execution and cannot reschedule, so any unit dying —
+    /// an injected fault or a bug in the unit — fails the query, and
+    /// the surviving units' output is dropped: a failed query never
+    /// surfaces partial rows.
     fn run_fragment<R: Send>(
         &self,
         fragment: &str,
-        key: u64,
+        key: Option<u64>,
         n: usize,
         f: impl Fn(usize, &mut Vec<R>) + Sync,
     ) -> Result<(Vec<R>, Vec<TaskTiming>), ImpalaError> {
         let d = Dispatch::new(self.conf.threads, ScheduleMode::Static);
         let run = cluster::dispatch(n, &d, |i, attempt, out| {
             f(i, out);
-            self.chaos
-                .inject(ChaosSite::Fragment, key | i as u64, attempt);
+            if let Some(key) = key {
+                self.chaos
+                    .inject(ChaosSite::Fragment, key | i as u64, attempt);
+            }
         });
         obs::add_thread(&run.exec.worker_counters);
         if !run.failures.is_empty() {
@@ -396,36 +402,57 @@ impl Impalad {
 
         // --- Fragment 0: scan right table, broadcast, build R-tree ---
         // In the real system every instance receives the broadcast WKT
-        // row batches and parses + builds its own tree; the measured
-        // build time below is that per-instance cost.
+        // row batches and parses + builds its own tree. Here one pool
+        // unit parses and prepares one right-side block, and units are
+        // stitched in block order, so the tree is the one a serial
+        // build packs. The fragment draws no faults; a panicking unit
+        // still fails the query. `build_secs` is the per-instance cost
+        // one instance pays serially: summed unit work plus bulk load.
         let right_stat = self.dfs.stat(&plan.right_path)?;
-        let right_lines = self.read_retrying(0, || self.dfs.read_all_lines(&plan.right_path))?;
-        let t0 = Instant::now();
-        let mut entries: Vec<(geom::Envelope, (i64, Geometry))> = Vec::new();
-        for line in &right_lines {
-            if let Some((id, wkt)) = split_record(line, plan.right_geom_col) {
-                if let Ok(g) = geom::wkt::parse(wkt) {
-                    let env = g.envelope().expanded_by(radius);
-                    entries.push((env, (id, engine.prepare(&g))));
+        let right_blocks = self.read_retrying(0, || self.dfs.blocks(&plan.right_path))?;
+        let right_col = plan.right_geom_col;
+        let (entries, build_timings) =
+            self.run_fragment("build", None, right_blocks.len(), |i, out| {
+                let (mut parsed, mut skipped) = (0u64, 0u64);
+                for line in right_blocks[i].lines() {
+                    let record = split_record(line, right_col)
+                        .and_then(|(id, wkt)| Some((id, geom::wkt::parse(wkt).ok()?)));
+                    let Some((id, g)) = record else {
+                        skipped += 1;
+                        continue;
+                    };
+                    parsed += 1;
+                    out.push((g.envelope().expanded_by(radius), (id, engine.prepare(&g))));
                 }
-            }
-        }
+                obs::records(parsed, skipped);
+            })?;
+        let t0 = Instant::now();
         let tree: RTree<(i64, Geometry)> = RTree::bulk_load_entries(entries);
-        let build_secs = t0.elapsed().as_secs_f64();
+        let build_secs =
+            build_timings.iter().map(|t| t.secs).sum::<f64>() + t0.elapsed().as_secs_f64();
 
         // --- Fragment 1: scan left table into row batches ---
         let blocks = self.read_retrying(1, || self.dfs.blocks(&plan.left_path))?;
         let localities: Vec<Option<usize>> = blocks.iter().map(|b| Some(b.primary_node)).collect();
         let geom_col = plan.left_geom_col;
+        // Rows with a bad id or no geometry column are dropped (and
+        // counted) here; the rest are counted when the probe parses them.
         let scan_block = |block: &minihdfs::BlockRef| -> Vec<Row> {
-            block
-                .lines()
-                .filter_map(|l| Row::from_line(l, geom_col))
-                .collect()
+            let mut rows = Vec::with_capacity(block.num_records);
+            let mut skipped = 0u64;
+            for line in block.lines() {
+                match Row::from_line(line, geom_col) {
+                    Some(row) => rows.push(row),
+                    None => skipped += 1,
+                }
+            }
+            obs::records(0, skipped);
+            rows
         };
-        let (block_rows, scan_timings) = self.run_fragment("scan", 0, blocks.len(), |i, out| {
-            out.push(scan_block(&blocks[i]))
-        })?;
+        let (block_rows, scan_timings) =
+            self.run_fragment("scan", Some(0), blocks.len(), |i, out| {
+                out.push(scan_block(&blocks[i]))
+            })?;
         let scan_tasks: Vec<TaskSpec> = scan_timings
             .iter()
             .map(|t| TaskSpec {
@@ -465,11 +492,12 @@ impl Impalad {
         // the WKT parse stays inside the probe so chunk costs keep the
         // parse-per-row semantics the cost model was calibrated on. ---
         let probe_chunk = |rows: &[Row], out: &mut Vec<(i64, i64)>| {
+            let mut parsed = 0u64;
             for row in rows {
-                let Ok(g) = geom::wkt::parse(&row.wkt) else {
+                let Some(p) = geom::wkt::parse(&row.wkt).ok().and_then(|g| g.as_point()) else {
                     continue;
                 };
-                let Some(p) = g.as_point() else { continue };
+                parsed += 1;
                 // Entry envelopes were expanded by the radius at
                 // build time; query with radius zero.
                 rtree::probe_with(
@@ -482,11 +510,12 @@ impl Impalad {
                     out,
                 );
             }
+            obs::records(parsed, rows.len() as u64 - parsed);
         };
         // Offset the index space so probe chunks draw faults
         // independently of scan tasks under the same seed.
         let (pairs, probe_timings) =
-            self.run_fragment("probe", 1u64 << 32, chunks.len(), |i, out| {
+            self.run_fragment("probe", Some(1u64 << 32), chunks.len(), |i, out| {
                 probe_chunk(&chunks[i].0, out)
             })?;
         let mut probe_batches: Vec<ProbeBatch> = batch_localities
@@ -647,12 +676,19 @@ mod tests {
             ],
         )
         .unwrap();
-        dfs.write_lines("/poly", ["0\tPOLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))"])
-            .unwrap();
+        dfs.write_lines(
+            "/poly",
+            [
+                "0\tPOLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))",
+                "1\tPOLYGON ((0 0, banana",
+            ],
+        )
+        .unwrap();
         let mut catalog = Catalog::new();
         catalog.register(TableDef::id_geom("pnt", "/pnt"));
         catalog.register(TableDef::id_geom("poly", "/poly"));
         let d = Impalad::new(ImpaladConf::default(), dfs, catalog);
+        let before = obs::thread_snapshot();
         let result = d
             .execute(
                 "SELECT pnt.id, poly.id FROM pnt SPATIAL JOIN poly \
@@ -660,6 +696,12 @@ mod tests {
             )
             .unwrap();
         assert_eq!(result.pairs, vec![(0, 0), (2, 0)]);
+        // Every dropped row is counted once, on whichever side it fell.
+        let delta = obs::thread_snapshot().minus(&before);
+        let (left_parsed, left_skipped) = (2, 2); // bad id at scan, bad WKT at probe
+        let (right_parsed, right_skipped) = (1, 1); // bad WKT at build
+        assert_eq!(delta.records_parsed, left_parsed + right_parsed);
+        assert_eq!(delta.records_skipped, left_skipped + right_skipped);
     }
 
     #[test]
@@ -798,12 +840,17 @@ mod tests {
         // injected fault — fails its fragment like any other death
         // instead of unwinding the driver.
         let result = quiet_panics(|| {
-            d.run_fragment("probe", 1u64 << 32, 8, |i, out: &mut Vec<(i64, i64)>| {
-                out.push((i as i64, 0));
-                if i == 3 {
-                    panic!("probe chunk 3 lost");
-                }
-            })
+            d.run_fragment(
+                "probe",
+                Some(1u64 << 32),
+                8,
+                |i, out: &mut Vec<(i64, i64)>| {
+                    out.push((i as i64, 0));
+                    if i == 3 {
+                        panic!("probe chunk 3 lost");
+                    }
+                },
+            )
         });
         match result {
             Err(ImpalaError::FragmentFailed { fragment, message }) => {
