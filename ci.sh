@@ -36,6 +36,11 @@
 #                                 at tiny size, untraced and traced;
 #                                 checks metric names, units and
 #                                 failed_frac 0
+#  10. line count (non-gating)    prints the non-test, non-blank Rust
+#                                 lines of crates/ + src/: each file's
+#                                 lines before its first #[cfg(test)],
+#                                 skipping */tests/*, so every change
+#                                 reports its net lines the same way
 #
 # Exit codes:
 #   0  everything passed
@@ -158,6 +163,14 @@ fi
 
 echo "ci: benchmark self-test (perfbench/selftest.py, tiny size)"
 python3 perfbench/selftest.py || exit 9
+
+echo "ci: non-test, non-blank Rust lines in crates/ + src/ (non-gating)"
+find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/target/*' |
+    sort | xargs awk '
+        FNR == 1 { in_tests = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && NF { n++ }
+        END { print "ci: lines " n + 0 }'
 
 echo "ci: ok"
 exit 0

@@ -390,7 +390,7 @@ fn scale_tasks(tasks: &[TaskSpec], factor: f64) -> Vec<TaskSpec> {
 }
 
 /// Scales a SpatialSpark job report to full dataset size: left-side
-/// stages (parse, probe, shuffle volumes) get the full cost factor;
+/// stages (parse, probe) get the full cost factor;
 /// the driver-side right-table build (already full cardinality) gets
 /// only the CPU calibration; broadcast bytes are full-size as is.
 pub fn scale_spark_report(report: &JobReport, replay: &Replay) -> JobReport {
@@ -408,11 +408,6 @@ pub fn scale_spark_report(report: &JobReport, replay: &Replay) -> JobReport {
                 name: s.name.clone(),
                 tasks: scale_tasks(&s.tasks, factor),
                 broadcast_bytes: s.broadcast_bytes,
-                shuffle_bytes: if left_side {
-                    (s.shuffle_bytes as f64 / replay.scale) as u64
-                } else {
-                    s.shuffle_bytes
-                },
             }
         })
         .collect();

@@ -12,7 +12,7 @@
 //! cost.
 //!
 //! Benchmarks accept a single positional CLI argument as a substring
-//! filter (`cargo bench --bench indexing -- grid`); flag arguments the
+//! filter (`cargo bench --bench refinement -- prepared`); flag arguments the
 //! harness does not know (e.g. the `--bench` cargo passes) are
 //! ignored.
 

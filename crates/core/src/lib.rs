@@ -37,7 +37,6 @@ pub mod parallel;
 pub mod reader;
 pub mod request;
 pub mod spark;
-pub mod trajectory;
 
 pub use error::SpatialJoinError;
 pub use geom::engine::SpatialPredicate;

@@ -82,11 +82,6 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
         self.predicate(SpatialPredicate::Nearest(max_distance))
     }
 
-    /// Range nearest join: every right geometry within `max_distance`.
-    pub fn nearest_within(self, max_distance: f64) -> Self {
-        self.predicate(SpatialPredicate::NearestD(max_distance))
-    }
-
     /// Switches to the nested-loop baseline strategy.
     pub fn nested_loop(mut self) -> Self {
         self.strategy = JoinStrategy::NestedLoop;

@@ -78,11 +78,6 @@ impl SpatialSpark {
         }
     }
 
-    /// The underlying context (for custom pipelines).
-    pub fn context(&self) -> &SparkContext {
-        &self.sc
-    }
-
     /// Runs the broadcast indexed spatial join between two WKT text
     /// files (`id \t wkt` records).
     ///
@@ -119,11 +114,10 @@ impl SpatialSpark {
             name: "driver:collect+build-strtree".into(),
             tasks: vec![TaskSpec::of_cost(set.build_work())],
             broadcast_bytes: 0,
-            shuffle_bytes: 0,
         });
         let broadcast = self.sc.broadcast(set, right_stat.total_bytes as u64);
         self.sc
-            .record_movement("broadcast:strtree", broadcast.approx_bytes(), 0);
+            .record_movement("broadcast:strtree", broadcast.approx_bytes());
 
         // --- executors: parse left, probe the shared prepared set ---
         let left = self.sc.text_file(left_path)?;

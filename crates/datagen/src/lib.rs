@@ -26,7 +26,6 @@ pub mod lion;
 pub mod nycb;
 pub mod rng;
 pub mod taxi;
-pub mod trips;
 pub mod wwf;
 
 use geom::{Envelope, Geometry};

@@ -6,7 +6,5 @@
 //! "relies on efficient computational geometry algorithms" (§II).
 
 pub mod distance;
-pub mod intersects;
 pub mod pip;
 pub mod segment;
-pub mod simplify;

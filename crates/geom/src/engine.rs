@@ -169,7 +169,7 @@ impl RefinementEngine for FlatEngine {
 /// The prepared-geometry engine: one-time edge-index construction, then
 /// banded point-in-polygon tests and block-pruned distance queries.
 /// This goes beyond both libraries in the paper (JTS has the machinery
-/// but Fig. 2 does not use it); `benches/indexing.rs` quantifies the
+/// but Fig. 2 does not use it); `benches/refinement.rs` quantifies the
 /// gain over [`FlatEngine`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PreparedEngine;

@@ -20,18 +20,6 @@ pub enum Geometry {
 }
 
 impl Geometry {
-    /// The WKT keyword for this geometry's type.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Geometry::Point(_) => "POINT",
-            Geometry::LineString(_) => "LINESTRING",
-            Geometry::Polygon(_) => "POLYGON",
-            Geometry::MultiPoint(_) => "MULTIPOINT",
-            Geometry::MultiLineString(_) => "MULTILINESTRING",
-            Geometry::MultiPolygon(_) => "MULTIPOLYGON",
-        }
-    }
-
     /// Total vertex count — the refinement-cost driver the paper reports
     /// per dataset.
     pub fn num_points(&self) -> usize {
@@ -115,13 +103,6 @@ impl HasEnvelope for Geometry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn type_names() {
-        assert_eq!(Geometry::Point(Point::new(0.0, 0.0)).type_name(), "POINT");
-        let poly = Polygon::rectangle(Envelope::new(0.0, 0.0, 1.0, 1.0));
-        assert_eq!(Geometry::Polygon(poly).type_name(), "POLYGON");
-    }
 
     #[test]
     fn contains_point_dispatch() {

@@ -36,7 +36,6 @@ pub mod naive;
 pub mod point;
 pub mod polygon;
 pub mod prepared;
-pub mod trajectory;
 pub mod wkt;
 
 pub use envelope::Envelope;
@@ -47,7 +46,6 @@ pub use multi::{MultiLineString, MultiPoint, MultiPolygon};
 pub use point::Point;
 pub use polygon::Polygon;
 pub use prepared::{PreparedLineString, PreparedPolygon};
-pub use trajectory::Trajectory;
 
 /// Anything with a minimum bounding box.
 ///

@@ -36,16 +36,6 @@ impl LineString {
         Ok(LineString { coords, env })
     }
 
-    /// Builds a polyline from a list of points.
-    pub fn from_points(points: &[Point]) -> Result<LineString, GeomError> {
-        let mut coords = Vec::with_capacity(points.len() * 2);
-        for p in points {
-            coords.push(p.x);
-            coords.push(p.y);
-        }
-        LineString::new(coords)
-    }
-
     /// Number of vertices.
     pub fn num_points(&self) -> usize {
         self.coords.len() / 2
@@ -115,13 +105,5 @@ mod tests {
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0], (Point::new(0.0, 0.0), Point::new(1.0, 0.0)));
         assert_eq!(segs[1], (Point::new(1.0, 0.0), Point::new(2.0, 0.0)));
-    }
-
-    #[test]
-    fn from_points_round_trips() {
-        let pts = [Point::new(0.0, 1.0), Point::new(2.0, 3.0)];
-        let ls = LineString::from_points(&pts).unwrap();
-        assert_eq!(ls.point(0), pts[0]);
-        assert_eq!(ls.point(1), pts[1]);
     }
 }

@@ -365,11 +365,11 @@ mod tests {
         let g = parse("  point(1 2)  ").unwrap();
         assert_eq!(g.as_point(), Some(Point::new(1.0, 2.0)));
         let g2 = parse("LineString ( 0 0 , 1 1 )").unwrap();
-        assert_eq!(g2.type_name(), "LINESTRING");
+        assert!(matches!(g2, Geometry::LineString(_)));
         let poly = parse("Polygon((0 0,1 0,1 1,0 0))").unwrap();
         assert_eq!(poly, parse("POLYGON ((0 0, 1 0, 1 1, 0 0))").unwrap());
         let multi = parse("multiPOLYGON (((0 0, 1 0, 1 1, 0 0)))").unwrap();
-        assert_eq!(multi.type_name(), "MULTIPOLYGON");
+        assert!(matches!(multi, Geometry::MultiPolygon(_)));
         assert_eq!(
             parse("multipoint empty").unwrap(),
             parse("MULTIPOINT EMPTY").unwrap()

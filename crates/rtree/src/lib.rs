@@ -6,22 +6,15 @@
 //!   analogue of JTS's `STRtree` that SpatialSpark broadcasts (Fig. 2 of
 //!   the paper) and of the in-memory R-tree ISP-MC builds from the
 //!   broadcast right-side table (§IV).
-//! * [`DynamicRTree`] — a Guttman-style insertion R-tree (quadratic
-//!   split), used as an ablation baseline against bulk loading.
-//! * [`GridIndex`] — a uniform grid, the simplest filtering structure.
 //! * [`StrPartitioner`] — SpatialHadoop's default space partitioner:
 //!   sample-derived STR cells that tile the extent, found by binary
 //!   search; used to derive balanced spatial partitions for partitioned
 //!   joins.
 
-pub mod dynamic;
-pub mod grid;
 pub mod partitioner;
 pub mod probe;
 pub mod str_tree;
 
-pub use dynamic::DynamicRTree;
-pub use grid::GridIndex;
 pub use partitioner::StrPartitioner;
 pub use probe::probe_with;
 pub use str_tree::RTree;

@@ -3,8 +3,7 @@
 use std::sync::Arc;
 
 use cluster::{
-    Chaos, ChaosConfig, ChaosSite, ClusterSpec, Dispatch, NetworkModel, ScheduleMode, Scheduler,
-    TaskSpec,
+    Chaos, ChaosConfig, ChaosSite, ClusterSpec, Dispatch, NetworkModel, ScheduleMode, TaskSpec,
 };
 use minihdfs::{DfsError, MiniDfs};
 use sync::Mutex;
@@ -20,8 +19,6 @@ pub struct SparkConf {
     pub app_name: String,
     /// Local worker threads used for real execution.
     pub threads: usize,
-    /// Default partition count for `parallelize`.
-    pub default_parallelism: usize,
     /// Simulated cluster for replay.
     pub cluster: ClusterSpec,
     /// Network/coordination cost model for replay.
@@ -42,7 +39,6 @@ impl Default for SparkConf {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            default_parallelism: 16,
             cluster: ClusterSpec::ec2_paper_cluster(),
             network: NetworkModel::ec2_spark(),
             chaos: ChaosConfig::disabled(),
@@ -143,14 +139,13 @@ impl SparkContext {
         self.inner.stages.lock().push(stage);
     }
 
-    /// Adds data-movement bytes to the *next* recorded stage by pushing
-    /// a marker stage with no tasks.
-    pub fn record_movement(&self, name: &str, broadcast_bytes: u64, shuffle_bytes: u64) {
+    /// Adds broadcast bytes to the job by pushing a marker stage with no
+    /// tasks.
+    pub fn record_movement(&self, name: &str, broadcast_bytes: u64) {
         self.inner.stages.lock().push(StageMetrics {
             name: name.into(),
             tasks: Vec::new(),
             broadcast_bytes,
-            shuffle_bytes,
         });
     }
 
@@ -164,36 +159,6 @@ impl SparkContext {
     /// Clears recorded metrics (between experiments).
     pub fn reset_metrics(&self) {
         self.inner.stages.lock().clear();
-    }
-
-    /// Replays the recorded job on `num_nodes` nodes of the configured
-    /// node type under dynamic scheduling — the SpatialSpark deployment
-    /// model.
-    pub fn simulate_runtime(&self, num_nodes: usize) -> f64 {
-        let spec = ClusterSpec {
-            num_nodes,
-            ..self.inner.conf.cluster
-        };
-        self.job_report()
-            .simulate_runtime(&spec, &self.inner.conf.network, Scheduler::Dynamic)
-    }
-
-    /// Helper for layers that execute their own parallel work: runs a
-    /// stage of `items` through the local pool dynamically, records the
-    /// measured costs, and returns the results in order.
-    pub fn run_stage<T, R, F>(
-        &self,
-        name: &str,
-        items: Vec<T>,
-        localities: &[Option<usize>],
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Send + Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.execute_stage(name, items, localities.to_vec(), f)
     }
 
     /// The stage executor behind every transformation. Tasks run under
@@ -261,7 +226,6 @@ impl SparkContext {
                 name: stage_name,
                 tasks,
                 broadcast_bytes: 0,
-                shuffle_bytes: 0,
             });
             if round == 0 && run.failures.is_empty() {
                 return run.out;
@@ -327,7 +291,7 @@ mod tests {
         let ds = c.parallelize(vec![1, 2, 3], 2);
         let _ = ds.map("double", |x| x * 2);
         assert_eq!(c.job_report().stages.len(), 1);
-        c.record_movement("broadcast", 1000, 0);
+        c.record_movement("broadcast", 1000);
         assert_eq!(c.job_report().stages.len(), 2);
         assert_eq!(c.job_report().total_broadcast_bytes(), 1000);
         c.reset_metrics();
@@ -339,8 +303,16 @@ mod tests {
         let c = ctx();
         let ds = c.parallelize((0..1000).collect::<Vec<u64>>(), 32);
         let _ = ds.map("spin", |&x| (0..5000u64).fold(x, |a, b| a.wrapping_add(b)));
-        let t1 = c.simulate_runtime(1);
-        let t10 = c.simulate_runtime(10);
+        let conf = c.conf();
+        let on = |num_nodes| {
+            let spec = ClusterSpec {
+                num_nodes,
+                ..conf.cluster
+            };
+            c.job_report()
+                .simulate_runtime(&spec, &conf.network, cluster::Scheduler::Dynamic)
+        };
+        let (t1, t10) = (on(1), on(10));
         assert!(t1 > 0.0 && t10 > 0.0);
         // Tiny job: 10 nodes pay more startup than they save.
         assert!(t10 > t1 * 0.5);

@@ -7,17 +7,17 @@
 //!   cluster ([`Dataset`]), created from minihdfs text files with one
 //!   partition per block (locality preserved) or by parallelising a
 //!   local collection;
-//! * functional transformations (`map`, `flat_map`, `filter`,
-//!   `zip_with_index`, …) execute as **stages of per-partition tasks**
-//!   under *dynamic* scheduling — any free core takes the next task,
-//!   which is what gives Spark its good load balance on skewed spatial
-//!   data;
+//! * functional transformations (`map`, `map_partitions`,
+//!   `flat_map_with`, `filter`, `zip_with_index`) execute as **stages of
+//!   per-partition tasks** under *dynamic* scheduling — any free core
+//!   takes the next task, which is what gives Spark its good load
+//!   balance on skewed spatial data;
 //! * read-only values can be **broadcast** to every node
 //!   ([`Broadcast`]), which is how the R-tree of the join's right side
 //!   is shipped;
-//! * every stage records its measured task costs and data-movement
-//!   volumes ([`StageMetrics`]), so a finished job can be replayed on
-//!   any simulated cluster size ([`SparkContext::simulate_runtime`]) —
+//! * every stage records its measured task costs and broadcast volume
+//!   ([`StageMetrics`]), so a finished job can be replayed on any
+//!   simulated cluster size ([`JobReport::simulate_runtime`]) —
 //!   including Spark's per-stage actor-system reconstruction overhead
 //!   and the per-run jar-shipping cost the paper discusses.
 //!

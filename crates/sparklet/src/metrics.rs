@@ -11,8 +11,6 @@ pub struct StageMetrics {
     pub tasks: Vec<TaskSpec>,
     /// Bytes broadcast to every node before the stage ran.
     pub broadcast_bytes: u64,
-    /// Bytes moved all-to-all (shuffle) before the stage ran.
-    pub shuffle_bytes: u64,
 }
 
 impl StageMetrics {
@@ -41,8 +39,8 @@ impl JobReport {
 
     /// Rebases the report onto the workspace observability layer: one
     /// [`obs::RunStats`] child per stage, the stage's task costs
-    /// aggregated into a `"tasks"` span and its data movement into the
-    /// byte counters. Root-level hot-path counters (filter/refine/edge
+    /// aggregated into a `"tasks"` span and its broadcast bytes into
+    /// `bytes_broadcast`. Root-level hot-path counters (filter/refine/edge
     /// visits) are *not* reconstructed here — they accumulate in the
     /// caller's thread cells while the job runs and belong to whatever
     /// snapshot delta the caller takes around it.
@@ -56,15 +54,14 @@ impl JobReport {
                 stage.total_work(),
             ));
             child.counters.bytes_broadcast = stage.broadcast_bytes;
-            child.counters.bytes_shuffled = stage.shuffle_bytes;
             root.children.push(child);
         }
         root
     }
 
     /// Replays the job on a simulated cluster: job startup (jar
-    /// shipping), then per stage the coordination cost, the data
-    /// movement, and the task makespan under `scheduler`.
+    /// shipping), then per stage the coordination cost, the
+    /// broadcast, and the task makespan under `scheduler`.
     pub fn simulate_runtime(
         &self,
         spec: &ClusterSpec,
@@ -75,7 +72,6 @@ impl JobReport {
         for stage in &self.stages {
             total += network.stage_coordination_cost(stage.tasks.len());
             total += network.broadcast_cost(stage.broadcast_bytes, spec.num_nodes);
-            total += network.shuffle_cost(stage.shuffle_bytes, spec.num_nodes);
             total += simulate(&stage.tasks, spec, scheduler).makespan;
         }
         total
@@ -91,7 +87,6 @@ mod tests {
             name: name.into(),
             tasks: costs.iter().map(|&c| TaskSpec::of_cost(c)).collect(),
             broadcast_bytes: 0,
-            shuffle_bytes: 0,
         }
     }
 
@@ -107,7 +102,6 @@ mod tests {
     fn run_stats_mirror_stages() {
         let mut s = stage("map:parse", &[1.0, 2.0]);
         s.broadcast_bytes = 10;
-        s.shuffle_bytes = 20;
         let report = JobReport {
             stages: vec![s, stage("probe", &[0.5])],
         };
@@ -116,11 +110,10 @@ mod tests {
         assert_eq!(stats.children.len(), 2);
         let parse = stats.child("map:parse").unwrap();
         assert_eq!(parse.counters.bytes_broadcast, 10);
-        assert_eq!(parse.counters.bytes_shuffled, 20);
         let tasks = parse.span("tasks").unwrap();
         assert_eq!(tasks.count, 2);
         assert!((tasks.total_secs() - 3.0).abs() < 1e-9);
-        assert_eq!(stats.total_counters().bytes_shuffled, 20);
+        assert_eq!(stats.total_counters().bytes_broadcast, 10);
     }
 
     #[test]

@@ -17,9 +17,8 @@ const SCOPE: &str = "crates/geom/src/";
 
 /// Files where exact float comparison is part of the algorithm
 /// (orientation zero-tests, bit-identical vertex dedup).
-const APPROVED: [&str; 3] = [
+const APPROVED: [&str; 2] = [
     "crates/geom/src/algorithms/segment.rs",
-    "crates/geom/src/algorithms/intersects.rs",
     "crates/geom/src/algorithms/distance.rs",
 ];
 

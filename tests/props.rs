@@ -4,7 +4,7 @@
 use geom::engine::{FlatEngine, NaiveEngine, PreparedEngine, RefinementEngine, SpatialPredicate};
 use geom::{Envelope, Geometry, HasEnvelope, LineString, Point, Polygon};
 use proph::{check, f64_range, vec_of, Gen, GenExt};
-use rtree::{DynamicRTree, GridIndex, RTree};
+use rtree::RTree;
 
 /// Generator: a finite coordinate in a sane range.
 fn coord() -> impl Gen<Value = f64> {
@@ -232,78 +232,6 @@ fn rtree_query_equals_linear_scan() {
             expected.sort_unstable();
             got.sort_unstable();
             assert_eq!(got, expected);
-        },
-    );
-}
-
-#[test]
-fn dynamic_rtree_matches_str_tree() {
-    check(
-        "dynamic_rtree_matches_str_tree",
-        &(
-            vec_of(
-                (coord(), coord(), f64_range(0.0, 20.0), f64_range(0.0, 20.0)),
-                1,
-                199,
-            ),
-            envelope(),
-        ),
-        |(boxes, query)| {
-            let entries: Vec<(Envelope, usize)> = boxes
-                .iter()
-                .enumerate()
-                .map(|(i, &(x, y, w, h))| (Envelope::new(x, y, x + w, y + h), i))
-                .collect();
-            let str_tree = RTree::bulk_load_entries(entries.clone());
-            let mut dyn_tree = DynamicRTree::new();
-            for (e, i) in &entries {
-                dyn_tree.insert_entry(*e, *i);
-            }
-            let mut a: Vec<usize> = str_tree.query(&query).into_iter().copied().collect();
-            let mut b: Vec<usize> = dyn_tree.query(&query).into_iter().copied().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        },
-    );
-}
-
-#[test]
-fn grid_matches_rtree() {
-    check(
-        "grid_matches_rtree",
-        &(
-            vec_of(
-                (
-                    f64_range(0.0, 100.0),
-                    f64_range(0.0, 100.0),
-                    f64_range(0.0, 10.0),
-                    f64_range(0.0, 10.0),
-                ),
-                1,
-                199,
-            ),
-            (
-                f64_range(0.0, 100.0),
-                f64_range(0.0, 100.0),
-                f64_range(0.0, 30.0),
-                f64_range(0.0, 30.0),
-            ),
-        ),
-        |(boxes, (qx, qy, qw, qh))| {
-            let entries: Vec<(Envelope, usize)> = boxes
-                .iter()
-                .enumerate()
-                .map(|(i, &(x, y, w, h))| (Envelope::new(x, y, x + w, y + h), i))
-                .collect();
-            let query = Envelope::new(qx, qy, qx + qw, qy + qh);
-            let tree = RTree::bulk_load_entries(entries.clone());
-            let grid = GridIndex::build(Envelope::new(0.0, 0.0, 115.0, 115.0), 8, 8, entries);
-            let mut a: Vec<usize> = tree.query(&query).into_iter().copied().collect();
-            let mut b: Vec<usize> = grid.query(&query).into_iter().copied().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
         },
     );
 }

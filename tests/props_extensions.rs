@@ -1,9 +1,7 @@
-//! Property-based tests for the extension modules: the STR partitioner,
-//! simplification, binary codec and trajectories, running on the
+//! Property-based tests for the STR space partitioner, running on the
 //! in-tree `proph` harness.
 
-use geom::algorithms::simplify::simplify_points;
-use geom::{Envelope, LineString, Point, Trajectory};
+use geom::{Envelope, Point};
 use proph::{check_with, f64_range, vec_of, Config, Gen, GenExt};
 use rtree::StrPartitioner;
 
@@ -51,82 +49,6 @@ fn str_partitioner_owns_every_interior_point() {
                 // point routes to — the partitioned-join invariant.
                 let routed = p.cells_intersecting(&Envelope::of_point(probe).expanded_by(1.0));
                 assert!(routed.contains(&cell));
-            }
-        },
-    );
-}
-
-// --- simplification ---
-
-#[test]
-fn simplification_error_is_bounded() {
-    check(
-        "simplification_error_is_bounded",
-        &(points(60), f64_range(0.01, 5.0)),
-        |(pts, tol)| {
-            let kept = simplify_points(&pts, tol);
-            assert!(kept.len() >= 2);
-            assert_eq!(kept[0], pts[0]);
-            assert_eq!(*kept.last().unwrap(), *pts.last().unwrap());
-            if kept.len() >= 2 {
-                let chain = LineString::from_points(&kept).unwrap();
-                for p in &pts {
-                    assert!(chain.distance_to_point(*p) <= tol + 1e-9);
-                }
-            }
-        },
-    );
-}
-
-// --- trajectories ---
-
-#[test]
-fn trajectory_record_round_trip() {
-    check(
-        "trajectory_record_round_trip",
-        &(
-            points(20),
-            f64_range(0.1, 100.0),
-            proph::i64_range(0, 1_000_000),
-        ),
-        |(pts, dt, id)| {
-            let coords: Vec<f64> = pts.iter().flat_map(|p| [p.x, p.y]).collect();
-            let path = LineString::new(coords).unwrap();
-            let times: Vec<f64> = (0..path.num_points()).map(|i| i as f64 * dt).collect();
-            let t = Trajectory::new(path, times).unwrap();
-            let (rid, back) = Trajectory::from_record(&t.to_record(id)).unwrap();
-            assert_eq!(rid, id);
-            assert_eq!(back, t);
-        },
-    );
-}
-
-#[test]
-fn trajectory_position_interpolates_between_samples() {
-    check(
-        "trajectory_position_interpolates_between_samples",
-        &(points(10), f64_range(1.0, 10.0)),
-        |(pts, dt)| {
-            let coords: Vec<f64> = pts.iter().flat_map(|p| [p.x, p.y]).collect();
-            let path = LineString::new(coords).unwrap();
-            let n = path.num_points();
-            let times: Vec<f64> = (0..n).map(|i| i as f64 * dt).collect();
-            let t = Trajectory::new(path.clone(), times).unwrap();
-            // At sample instants, position equals the sample.
-            for i in 0..n {
-                let p = t.position_at(i as f64 * dt);
-                assert!((p.x - path.point(i).x).abs() < 1e-9);
-                assert!((p.y - path.point(i).y).abs() < 1e-9);
-            }
-            // Between samples, position lies on the segment.
-            for i in 0..n - 1 {
-                let mid = t.position_at((i as f64 + 0.5) * dt);
-                let d = geom::algorithms::segment::point_segment_distance(
-                    mid,
-                    path.point(i),
-                    path.point(i + 1),
-                );
-                assert!(d < 1e-9);
             }
         },
     );
