@@ -36,7 +36,10 @@
 #                                 at tiny size, untraced and traced;
 #                                 checks metric names, units and
 #                                 failed_frac 0
-#  10. line count (non-gating)    prints the non-test, non-blank Rust
+#  10. cargo clippy               lints on every target (tests,
+#                                 benches, examples included), warnings
+#                                 denied
+#  11. line count (non-gating)    prints the non-test, non-blank Rust
 #                                 lines of crates/ + src/: each file's
 #                                 lines before its first #[cfg(test)],
 #                                 skipping */tests/*, so every change
@@ -53,6 +56,7 @@
 #   7  obs stats artifact missing or malformed
 #   8  chaos suite failed, or fault-tolerance artifact missing/malformed
 #   9  benchmark self-test failed (or python3 missing)
+#  10  clippy warnings
 set -u
 
 cd "$(dirname "$0")" || exit 2
@@ -163,6 +167,9 @@ fi
 
 echo "ci: benchmark self-test (perfbench/selftest.py, tiny size)"
 python3 perfbench/selftest.py || exit 9
+
+echo "ci: cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy -q --workspace --all-targets -- -D warnings || exit 10
 
 echo "ci: non-test, non-blank Rust lines in crates/ + src/ (non-gating)"
 find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/target/*' |

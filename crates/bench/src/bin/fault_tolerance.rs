@@ -29,8 +29,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use bench::{
-    parse_bench_args, run_ispmc_chaos, run_spark_chaos, scale_spark_report, BenchError, Experiment,
-    Workload,
+    parse_bench_args, run_ispmc, run_spark, scale_spark_report, BenchError, Experiment, Workload,
 };
 use cluster::{
     simulate, simulate_with_recompute, simulate_with_restart, Chaos, ChaosConfig, ClusterSpec,
@@ -83,13 +82,13 @@ fn main() -> Result<(), BenchError> {
     std::panic::set_hook(Box::new(|_| {}));
 
     // --- Fault-free baselines (live wall clock + reference output) ---
-    let spark_base = run_spark_chaos(&w, exp, threads, ChaosConfig::disabled())?;
+    let spark_base = run_spark(&w, exp, threads, ChaosConfig::disabled())?;
     let t0 = Instant::now();
-    let spark_base2 = run_spark_chaos(&w, exp, threads, ChaosConfig::disabled())?;
+    let spark_base2 = run_spark(&w, exp, threads, ChaosConfig::disabled())?;
     let spark_base_secs = t0.elapsed().as_secs_f64();
-    let ispmc_base = run_ispmc_chaos(&w, exp, threads, ChaosConfig::disabled())?;
+    let ispmc_base = run_ispmc(&w, exp, threads, ChaosConfig::disabled())?;
     let t0 = Instant::now();
-    let _ = run_ispmc_chaos(&w, exp, threads, ChaosConfig::disabled())?;
+    let _ = run_ispmc(&w, exp, threads, ChaosConfig::disabled())?;
     let ispmc_base_secs = t0.elapsed().as_secs_f64();
     if spark_base2.pairs != spark_base.pairs {
         return Err(BenchError::Usage(
@@ -196,7 +195,7 @@ fn spark_recompute_row(
     let before = obs::thread_snapshot();
     let t0 = Instant::now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_spark_chaos(w, exp, threads, ChaosConfig::uniform(SEED, rate))
+        run_spark(w, exp, threads, ChaosConfig::uniform(SEED, rate))
     }));
     let wall_secs = t0.elapsed().as_secs_f64();
     let delta = obs::thread_snapshot().minus(&before);
@@ -236,7 +235,7 @@ fn impala_failfast_row(
     let mut bit_identical = false;
     loop {
         let seed = SEED.wrapping_add(7919u64.wrapping_mul(u64::from(restarts)));
-        match run_ispmc_chaos(w, exp, threads, ChaosConfig::uniform(seed, rate)) {
+        match run_ispmc(w, exp, threads, ChaosConfig::uniform(seed, rate)) {
             Ok(run) => {
                 completed = true;
                 bit_identical = run.pairs() == base_pairs;

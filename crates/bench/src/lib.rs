@@ -28,7 +28,7 @@
 pub mod ablation;
 pub mod timing;
 
-use cluster::TaskSpec;
+use cluster::{ChaosConfig, TaskSpec};
 use geom::engine::SpatialPredicate;
 use impalite::{ImpaladConf, QueryMetrics};
 use minihdfs::MiniDfs;
@@ -234,8 +234,8 @@ pub fn run_spark_warm(
     exp: Experiment,
     threads: usize,
 ) -> Result<SpatialSparkRun, BenchError> {
-    let _ = run_spark(w, exp, threads)?;
-    run_spark(w, exp, threads)
+    let _ = run_spark(w, exp, threads, ChaosConfig::disabled())?;
+    run_spark(w, exp, threads, ChaosConfig::disabled())
 }
 
 /// Runs an experiment through ISP-MC after one warm-up run.
@@ -247,63 +247,26 @@ pub fn run_ispmc_warm(
     exp: Experiment,
     threads: usize,
 ) -> Result<IspMcRun, BenchError> {
-    let _ = run_ispmc(w, exp, threads)?;
-    run_ispmc(w, exp, threads)
+    let _ = run_ispmc(w, exp, threads, ChaosConfig::disabled())?;
+    run_ispmc(w, exp, threads, ChaosConfig::disabled())
 }
 
-/// Runs an experiment through SpatialSpark.
+/// Runs an experiment through SpatialSpark with `chaos` wired into
+/// every stage: injected executor deaths are recovered live by lineage
+/// recompute on the surviving workers.
 ///
 /// # Errors
-/// Propagates run failures (usually a missing dataset path).
+/// Propagates run failures (usually a missing dataset path);
+/// unrecoverable chaos (a partition failing every recompute round)
+/// panics by design and should be caught by the caller when sweeping
+/// aggressive fault rates.
 pub fn run_spark(
     w: &Workload,
     exp: Experiment,
     threads: usize,
+    chaos: ChaosConfig,
 ) -> Result<SpatialSparkRun, BenchError> {
     let conf = SparkConf {
-        app_name: format!("spatialspark:{}", exp.label()),
-        threads,
-        ..SparkConf::default()
-    };
-    let sys = SpatialSpark::new(conf, w.dfs.clone());
-    Ok(sys.broadcast_spatial_join(exp.left_path(), exp.right_path(), exp.predicate())?)
-}
-
-/// Runs an experiment through ISP-MC.
-///
-/// # Errors
-/// Propagates run failures (usually a missing dataset path).
-pub fn run_ispmc(w: &Workload, exp: Experiment, threads: usize) -> Result<IspMcRun, BenchError> {
-    let conf = ImpaladConf {
-        threads,
-        ..ImpaladConf::default()
-    };
-    let (lname, rname) = exp.table_names();
-    let sys = IspMc::new(
-        conf,
-        w.dfs.clone(),
-        (lname, exp.left_path()),
-        (rname, exp.right_path()),
-    );
-    Ok(sys.spatial_join(lname, rname, exp.predicate())?)
-}
-
-/// Runs an experiment through SpatialSpark with fault injection wired
-/// into every stage: injected executor deaths are recovered live by
-/// lineage recompute on the surviving workers.
-///
-/// # Errors
-/// Propagates run failures; unrecoverable chaos (a partition failing
-/// every recompute round) panics by design and should be caught by the
-/// caller when sweeping aggressive fault rates.
-pub fn run_spark_chaos(
-    w: &Workload,
-    exp: Experiment,
-    threads: usize,
-    chaos: cluster::ChaosConfig,
-) -> Result<SpatialSparkRun, BenchError> {
-    let conf = SparkConf {
-        app_name: format!("spatialspark-chaos:{}", exp.label()),
         threads,
         chaos,
         ..SparkConf::default()
@@ -312,17 +275,17 @@ pub fn run_spark_chaos(
     Ok(sys.broadcast_spatial_join(exp.left_path(), exp.right_path(), exp.predicate())?)
 }
 
-/// Runs an experiment through ISP-MC with fault injection: any
-/// fragment failure aborts the query with an `Err` (fail-fast, no
-/// partial results) — the caller decides whether to restart.
+/// Runs an experiment through ISP-MC with `chaos`: any fragment
+/// failure aborts the query with an `Err` (fail-fast, no partial
+/// results) — the caller decides whether to restart.
 ///
 /// # Errors
 /// Propagates run failures, including injected fragment failures.
-pub fn run_ispmc_chaos(
+pub fn run_ispmc(
     w: &Workload,
     exp: Experiment,
     threads: usize,
-    chaos: cluster::ChaosConfig,
+    chaos: ChaosConfig,
 ) -> Result<IspMcRun, BenchError> {
     let conf = ImpaladConf {
         threads,
@@ -527,33 +490,6 @@ pub fn run_hadoop_baseline(
     Ok((run, t))
 }
 
-/// Like [`run_hadoop_baseline`] but excluding any one-time
-/// partitioning job from the reported runtime.
-///
-/// # Errors
-/// Propagates run failures (usually a missing dataset path).
-pub fn run_hadoop_baseline_join_only(
-    w: &Workload,
-    exp: Experiment,
-    threads: usize,
-    strategy_is_spatialhadoop: bool,
-    replay: &Replay,
-    nodes: usize,
-) -> Result<(hadooplet::HadoopJoinRun, f64), BenchError> {
-    let conf = hadooplet::HadoopConf {
-        threads,
-        ..hadooplet::HadoopConf::default()
-    };
-    let mr = hadooplet::MapReduce::new(conf.clone(), w.dfs.clone());
-    let run = if strategy_is_spatialhadoop {
-        hadooplet::spatialhadoop_join(&mr, exp.left_path(), exp.right_path(), exp.predicate(), 256)
-    } else {
-        hadooplet::hadoopgis_join(&mr, exp.left_path(), exp.right_path(), exp.predicate(), 256)
-    }?;
-    let t = scale_hadoop_metrics(&run.metrics, replay).simulate_runtime(&conf, nodes);
-    Ok((run, t))
-}
-
 /// Estimates the full-scale in-memory footprint of an experiment:
 /// both sides resident (raw text plus ~2× object overhead for the
 /// JVM/engine structures) plus working space. This is what limited the
@@ -726,8 +662,10 @@ mod tests {
         ] {
             assert!(w.dfs.exists(p), "{p} missing");
         }
-        let spark = run_spark(&w, Experiment::TaxiNycb, 2).expect("spark runs");
-        let ispmc = run_ispmc(&w, Experiment::TaxiNycb, 2).expect("ispmc runs");
+        let spark =
+            run_spark(&w, Experiment::TaxiNycb, 2, ChaosConfig::disabled()).expect("spark runs");
+        let ispmc =
+            run_ispmc(&w, Experiment::TaxiNycb, 2, ChaosConfig::disabled()).expect("ispmc runs");
         // Cross-system agreement on the same data.
         assert_eq!(
             spatialjoin::normalize_pairs(spark.pairs.clone()),
@@ -738,7 +676,8 @@ mod tests {
     #[test]
     fn scaling_applies_per_stage_factors() {
         let w = build_small_workload(0.0001, 0.01, 8).expect("workload builds");
-        let run = run_spark(&w, Experiment::TaxiNycb, 2).expect("spark runs");
+        let run =
+            run_spark(&w, Experiment::TaxiNycb, 2, ChaosConfig::disabled()).expect("spark runs");
         let replay = Replay {
             scale: 0.1,
             calibration: 2.0,

@@ -348,7 +348,7 @@ mod tests {
         // Tags 0..4 with wildly different sizes: 8, 4, 2, 1 tasks.
         let mut tags = Vec::new();
         for (tag, n) in [(0usize, 8usize), (1, 4), (2, 2), (3, 1)] {
-            tags.extend(std::iter::repeat(tag).take(n));
+            tags.extend(std::iter::repeat_n(tag, n));
         }
         let assign = scan_range_assignment(&tags, 2);
         assert_eq!(assign.len(), tags.len());

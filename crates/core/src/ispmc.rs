@@ -1,22 +1,28 @@
 //! ISP-MC: the spatial join through the impalite SQL engine.
 //!
 //! Where SpatialSpark is "API-driven", ISP-MC "takes spatially extended
-//! SQL statements" (§VI). This wrapper registers the two sides as
-//! catalog tables, renders the paper's Fig. 1 SQL for the requested
-//! predicate, and hands it to the impalite backend — which runs the
-//! broadcast R-tree build, statically-chunked row-batch probing and
-//! GEOS-like naive refinement.
+//! SQL statements" (§VI). [`IspMc`] registers the two sides as catalog
+//! tables, renders the paper's Fig. 1 SQL for the requested predicate,
+//! plans it with the impalite frontend and runs the plan's fragments
+//! ([`crate::exec`]): the broadcast R-tree build and probe every query
+//! path shares, statically-chunked row batches and GEOS-like naive
+//! refinement.
 
+use cluster::Chaos;
 use geom::engine::SpatialPredicate;
-use impalite::{Catalog, Impalad, ImpaladConf, QueryResult, TableDef};
+use impalite::{Catalog, ImpaladConf, QueryResult, TableDef};
 use minihdfs::MiniDfs;
 
 use crate::error::SpatialJoinError;
 use crate::JoinPair;
 
-/// The ISP-MC system.
+/// The ISP-MC system: one Impala daemon standing in for the whole
+/// backend, over a file system and a two-table catalog.
 pub struct IspMc {
-    impalad: Impalad,
+    pub(crate) conf: ImpaladConf,
+    pub(crate) dfs: MiniDfs,
+    pub(crate) catalog: Catalog,
+    pub(crate) chaos: Chaos,
 }
 
 /// One completed ISP-MC join.
@@ -70,8 +76,12 @@ impl IspMc {
         let mut catalog = Catalog::new();
         catalog.register(TableDef::id_geom(left.0, left.1));
         catalog.register(TableDef::id_geom(right.0, right.1));
+        let chaos = Chaos::new(conf.chaos);
         IspMc {
-            impalad: Impalad::new(conf, dfs, catalog),
+            conf,
+            dfs,
+            catalog,
+            chaos,
         }
     }
 
@@ -103,24 +113,20 @@ impl IspMc {
         right: &str,
         predicate: SpatialPredicate,
     ) -> Result<IspMcRun, SpatialJoinError> {
-        let sql = Self::render_sql(left, right, predicate);
-        let result = self.impalad.execute(&sql)?;
-        Ok(IspMcRun {
-            result,
-            conf: self.impalad.conf().clone(),
-            sql,
-        })
+        self.execute_sql(&Self::render_sql(left, right, predicate))
     }
 
-    /// Runs an arbitrary SQL statement through the engine.
+    /// Parses, plans and executes one spatial-join statement. An
+    /// `EXPLAIN` prefix plans without executing: the run has the plan,
+    /// no rows and empty metrics.
     ///
     /// # Errors
-    /// Propagates SQL/planning/storage errors from the engine.
+    /// Propagates SQL/planning/storage errors from the engine, and a
+    /// fragment failure as the query's error.
     pub fn execute_sql(&self, sql: &str) -> Result<IspMcRun, SpatialJoinError> {
-        let result = self.impalad.execute(sql)?;
         Ok(IspMcRun {
-            result,
-            conf: self.impalad.conf().clone(),
+            result: self.execute(sql)?,
+            conf: self.conf.clone(),
             sql: sql.to_string(),
         })
     }

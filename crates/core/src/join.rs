@@ -75,39 +75,50 @@ pub fn partitioner(
     target_cells: usize,
 ) -> StrPartitioner {
     let radius = predicate.filter_radius();
+    let envelopes = right.iter().map(|(_, g)| g.envelope().expanded_by(radius));
+    cells_over(left, envelopes, target_cells)
+}
+
+/// [`partitioner`] over right envelopes already expanded by the filter
+/// radius.
+fn cells_over(
+    left: &[PointRecord],
+    right: impl Iterator<Item = Envelope>,
+    target_cells: usize,
+) -> StrPartitioner {
     let mut extent = Envelope::EMPTY;
     for &(_, p) in left {
         extent.expand_to(p.x, p.y);
     }
-    for (_, g) in right {
-        extent = extent.union(&g.envelope().expanded_by(radius));
+    for env in right {
+        extent = extent.union(&env);
     }
     let stride = (left.len() / 10_000).max(1);
     let sample: Vec<Point> = left.iter().step_by(stride).map(|&(_, p)| p).collect();
     StrPartitioner::build(extent, &sample, target_cells)
 }
 
-/// One partition's join task: its points, and the indices of the right
-/// geometries whose expanded envelopes overlap its cell.
+/// One partition's join task: its points, and the positions of the
+/// right entries whose expanded envelopes overlap its cell.
 #[derive(Default)]
 pub(crate) struct PartitionTask {
     pub left: Vec<PointRecord>,
-    pub right_ids: Vec<u32>,
+    pub right: Vec<u32>,
 }
 
 /// Splits a join into partition tasks over a [`partitioner`] of
 /// `ceil(|left| / target_points_per_partition)` cells: points are
-/// routed to exactly one cell, right-side geometries (their expanded
-/// envelopes) to every cell they overlap. Cells left without points or
-/// without geometries are dropped, so every task has work.
-pub(crate) fn partition_work(
+/// routed to exactly one cell, right entries (their already-expanded
+/// envelopes) to every cell they overlap, by position in `right`.
+/// Cells left without points or without entries are dropped, so every
+/// task has work.
+pub(crate) fn partition_work<T>(
     left: &[PointRecord],
-    right: &[GeomRecord],
-    predicate: SpatialPredicate,
+    right: &[(Envelope, T)],
     target_points_per_partition: usize,
 ) -> Vec<PartitionTask> {
     let target_cells = left.len().div_ceil(target_points_per_partition.max(1));
-    let cells = partitioner(left, right, predicate, target_cells);
+    let cells = cells_over(left, right.iter().map(|e| e.0), target_cells);
     let mut tasks: Vec<PartitionTask> = Vec::new();
     tasks.resize_with(cells.num_cells(), PartitionTask::default);
     for &(id, p) in left {
@@ -115,14 +126,12 @@ pub(crate) fn partition_work(
             tasks[c].left.push((id, p));
         }
     }
-    let radius = predicate.filter_radius();
-    for (ri, (_, g)) in right.iter().enumerate() {
-        let env = g.envelope().expanded_by(radius);
-        for c in cells.cells_intersecting(&env) {
-            tasks[c].right_ids.push(ri as u32);
+    for (i, (env, _)) in right.iter().enumerate() {
+        for c in cells.cells_intersecting(env) {
+            tasks[c].right.push(i as u32);
         }
     }
-    tasks.retain(|t| !t.left.is_empty() && !t.right_ids.is_empty());
+    tasks.retain(|t| !t.left.is_empty() && !t.right.is_empty());
     tasks
 }
 

@@ -24,13 +24,15 @@
 //!   prepared-geometry refinement, dynamic scheduling.
 //! * [`ispmc`] — **ISP-MC**: the join pushed into the impalite SQL
 //!   engine via the `SPATIAL JOIN` keyword, GEOS-like naive refinement,
-//!   static scheduling — plus the standalone variant of Table 1.
+//!   static scheduling — plus the standalone variant of Table 1; its
+//!   plan fragments run in [`exec`] on the same [`PreparedSet`].
 //!
 //! Both systems execute the real join locally and expose
 //! simulated-cluster runtimes for any node count, which is how the
 //! benches regenerate the paper's tables and figures.
 
 pub mod error;
+pub mod exec;
 pub mod ispmc;
 pub mod join;
 pub mod parallel;

@@ -5,11 +5,12 @@
 //! R-tree probe in parallel — dynamic task scheduling on Spark, static
 //! OpenMP-style chunking in Impala (§IV–V). This module is the single
 //! executor behind both: the right side is prepared **once** into a
-//! shared [`PreparedSet`] (ids, expanded envelopes and engine-prepared
-//! geometries, indexed by `u32`), and the left side is probed in
-//! fixed-size morsels handed to [`cluster::dispatch`] under any
-//! [`ScheduleMode`]. The partitioned strategy behind
-//! [`crate::JoinRequest`] reuses the same set.
+//! shared [`PreparedSet`] (an STR tree whose entries hold each record's
+//! id and engine-prepared geometry inline under its expanded envelope),
+//! and the left side is probed in fixed-size morsels handed to
+//! [`cluster::dispatch`] under any [`ScheduleMode`]. ISP-MC's fragments
+//! and the partitioned strategy behind [`crate::JoinRequest`] reuse the
+//! same set.
 //!
 //! The build is parallel too, on the same dispatch core: one unit per
 //! DFS block ([`PreparedSet::from_blocks`], parse then prepare) or per
@@ -33,8 +34,8 @@
 //! The partitioned join replicates right geometries into every
 //! partition they overlap. The paper's systems re-read and re-prepare
 //! the replicated fragments per partition task; here a partition task
-//! carries only `right_ids: &[u32]` into the shared set and builds a
-//! subset R-tree over envelope *copies* — zero geometry clones
+//! carries only `u32` positions into the shared tree's entries and
+//! builds a subset R-tree over envelope *copies* — zero geometry clones
 //! end-to-end.
 
 use cluster::{
@@ -215,22 +216,21 @@ impl Default for MorselConfig {
 /// with it every counter — does not depend on the thread count.
 pub const BUILD_CHUNK: usize = 256;
 
-/// One build unit's output row: id, envelope expanded by the filter
-/// radius, prepared geometry.
-type BuildRow<P> = (i64, Envelope, P);
+/// One build unit's output row, which is the tree entry itself: the
+/// envelope expanded by the filter radius, then the record's id and
+/// prepared geometry.
+type Entry<P> = (Envelope, (i64, P));
 
 /// The right side of a join, prepared exactly once and shared by
 /// reference across every morsel, partition task and system layer.
 pub struct PreparedSet<E: RefinementEngine> {
-    ids: Vec<i64>,
-    /// Envelopes already expanded by the predicate's filter radius.
-    envelopes: Vec<Envelope>,
-    prepared: Vec<E::Prepared>,
-    /// Filter tree over `u32` indices into the vectors above.
-    tree: RTree<u32>,
+    /// Filter tree over `(id, prepared geometry)` entries stored inline
+    /// in leaf order, their envelopes already expanded by the
+    /// predicate's filter radius.
+    tree: RTree<(i64, E::Prepared)>,
     predicate: SpatialPredicate,
     /// Serial-equivalent build seconds: summed per-unit work plus the
-    /// assemble and bulk-load step.
+    /// bulk load.
     build_work: f64,
 }
 
@@ -246,11 +246,11 @@ impl<E: RefinementEngine> PreparedSet<E> {
 
     /// Prepares in-memory `right` for `predicate` on `threads` workers:
     /// one dispatch unit per [`BUILD_CHUNK`] records, each pushing the
-    /// record's id, its envelope expanded by the filter radius and one
+    /// record's envelope expanded by the filter radius, its id and one
     /// `engine.prepare` result. Units are stitched in record order, so
     /// the STR tree sees the same envelope sequence as the serial
     /// [`crate::join::build_right_index`] (hence the same packing) at
-    /// any thread count.
+    /// any thread count. A panicking unit is re-raised.
     pub fn prepare_threads(
         right: &[GeomRecord],
         predicate: SpatialPredicate,
@@ -259,72 +259,68 @@ impl<E: RefinementEngine> PreparedSet<E> {
     ) -> PreparedSet<E> {
         let radius = predicate.filter_radius();
         let units = right.len().div_ceil(BUILD_CHUNK);
-        Self::assemble(predicate, threads, units, |i, out| {
+        let run = Self::build(threads, units, |i, out| {
             let chunk = &right[i * BUILD_CHUNK..((i + 1) * BUILD_CHUNK).min(right.len())];
             for (id, g) in chunk {
-                out.push((*id, g.envelope().expanded_by(radius), engine.prepare(g)));
+                out.push((g.envelope().expanded_by(radius), (*id, engine.prepare(g))));
             }
-        })
+        });
+        Self::assemble(predicate, run.or_raise())
     }
 
     /// Parses and prepares the right side straight from its DFS blocks
     /// on `threads` workers: one dispatch unit per block, running
     /// [`RecordReader::read_geom`] on every line (malformed lines are
     /// counted and dropped) and preparing each survivor. Units are
-    /// stitched in block order, so ids, envelopes and the STR packing
-    /// are exactly those of `prepare(read_geoms(lines))` over the whole
-    /// file.
+    /// stitched in block order, so the tree is exactly that of
+    /// `prepare(read_geoms(lines))` over the whole file.
+    ///
+    /// A unit that dies is reported, not re-raised: the failures come
+    /// back for the caller to translate.
     pub fn from_blocks(
         blocks: &[BlockRef],
         reader: RecordReader,
         predicate: SpatialPredicate,
         engine: &E,
         threads: usize,
-    ) -> PreparedSet<E> {
+    ) -> Result<PreparedSet<E>, Vec<TaskFailure>> {
         let radius = predicate.filter_radius();
-        Self::assemble(predicate, threads, blocks.len(), |i, out| {
+        let run = Self::build(threads, blocks.len(), |i, out| {
             for line in blocks[i].lines() {
                 if let Ok((id, g)) = reader.read_geom(line) {
-                    out.push((id, g.envelope().expanded_by(radius), engine.prepare(&g)));
+                    out.push((g.envelope().expanded_by(radius), (id, engine.prepare(&g))));
                 }
             }
-        })
+        });
+        if run.failures.is_empty() {
+            Ok(Self::assemble(predicate, run))
+        } else {
+            Err(run.failures)
+        }
     }
 
-    /// The build both constructors share: `unit(i, out)` for every unit
-    /// on the dispatch pool (worker counters folded into the calling
-    /// thread, a panicking unit re-raised), then unzip the stitched rows
-    /// and bulk-load the filter tree over their indices.
-    fn assemble(
-        predicate: SpatialPredicate,
+    /// Runs `unit(i, out)` for every build unit on the dispatch pool,
+    /// folding worker counters into the calling thread.
+    fn build(
         threads: usize,
         units: usize,
-        unit: impl Fn(usize, &mut Vec<BuildRow<E::Prepared>>) + Sync,
-    ) -> PreparedSet<E> {
+        unit: impl Fn(usize, &mut Vec<Entry<E::Prepared>>) + Sync,
+    ) -> Dispatched<Entry<E::Prepared>> {
         let d = Dispatch::new(threads, ScheduleMode::Dynamic);
-        let run = dispatch(units, &d, |i, _, out| unit(i, out)).or_raise();
+        let run = dispatch(units, &d, |i, _, out| unit(i, out));
         obs::add_thread(&run.exec.worker_counters);
+        run
+    }
+
+    /// Bulk-loads the filter tree over a build's stitched entries.
+    fn assemble(
+        predicate: SpatialPredicate,
+        run: Dispatched<Entry<E::Prepared>>,
+    ) -> PreparedSet<E> {
         let t0 = Instant::now();
-        let n = run.out.len();
-        let mut ids = Vec::with_capacity(n);
-        let mut envelopes = Vec::with_capacity(n);
-        let mut prepared = Vec::with_capacity(n);
-        for (id, env, p) in run.out {
-            ids.push(id);
-            envelopes.push(env);
-            prepared.push(p);
-        }
-        let entries: Vec<(Envelope, u32)> = envelopes
-            .iter()
-            .enumerate()
-            .map(|(i, &env)| (env, i as u32))
-            .collect();
-        let tree = RTree::bulk_load_entries(entries);
+        let tree = RTree::bulk_load_entries(run.out);
         let unit_work: f64 = run.timings.iter().map(|t| t.secs).sum();
         PreparedSet {
-            ids,
-            envelopes,
-            prepared,
             tree,
             predicate,
             build_work: unit_work + t0.elapsed().as_secs_f64(),
@@ -341,19 +337,24 @@ impl<E: RefinementEngine> PreparedSet<E> {
 
     /// Number of prepared right-side records.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.tree.len()
     }
 
     /// True when the right side is empty.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.tree.is_empty()
     }
 
-    /// Right-side ids in build order: file order for
-    /// [`PreparedSet::from_blocks`], input order for
-    /// [`PreparedSet::prepare_threads`].
-    pub fn ids(&self) -> &[i64] {
-        &self.ids
+    /// Right-side ids in the tree's leaf order, which depends only on
+    /// the input records, never on the build's thread count.
+    pub fn ids(&self) -> Vec<i64> {
+        self.tree.entries().iter().map(|(_, (id, _))| *id).collect()
+    }
+
+    /// The tree's entries in leaf order; a position in this slice is
+    /// what [`PreparedSet::subset_tree`] indexes.
+    pub(crate) fn entries(&self) -> &[Entry<E::Prepared>] {
+        self.tree.entries()
     }
 
     /// The predicate the set was prepared for.
@@ -370,13 +371,13 @@ impl<E: RefinementEngine> PreparedSet<E> {
             engine,
             left_id,
             p,
-            |&i| (self.ids[i as usize], &self.prepared[i as usize]),
+            |(id, prepared)| (*id, prepared),
             out,
         );
     }
 
     /// Probes one morsel of left points — the body every worker thread
-    /// runs. Geometry is reached through the shared set by index.
+    /// runs.
     pub fn probe_slice(&self, engine: &E, morsel: &[PointRecord], out: &mut Vec<JoinPair>) {
         // tidy:alloc-free:start
         for &(id, p) in morsel {
@@ -386,14 +387,16 @@ impl<E: RefinementEngine> PreparedSet<E> {
     }
 
     /// Builds a filter tree over a subset of the right side, given as
-    /// indices into this set. Only envelopes are copied — the prepared
-    /// geometries stay shared.
-    pub fn subset_tree(&self, right_ids: &[u32]) -> RTree<u32> {
-        let entries: Vec<(Envelope, u32)> = right_ids
-            .iter()
-            .map(|&ri| (self.envelopes[ri as usize], ri))
-            .collect();
-        RTree::bulk_load_entries(entries)
+    /// positions in [`PreparedSet::entries`]. Only envelopes are copied
+    /// — the prepared geometries stay shared.
+    pub fn subset_tree(&self, positions: &[u32]) -> RTree<u32> {
+        let entries = self.tree.entries();
+        RTree::bulk_load_entries(
+            positions
+                .iter()
+                .map(|&i| (entries[i as usize].0, i))
+                .collect(),
+        )
     }
 
     /// Probes a [`PreparedSet::subset_tree`] with one point.
@@ -406,13 +409,17 @@ impl<E: RefinementEngine> PreparedSet<E> {
         p: Point,
         out: &mut Vec<JoinPair>,
     ) {
+        let entries = self.tree.entries();
         probe_with(
             subset,
             self.predicate,
             engine,
             left_id,
             p,
-            |&i| (self.ids[i as usize], &self.prepared[i as usize]),
+            |&i| {
+                let (id, prepared) = &entries[i as usize].1;
+                (*id, prepared)
+            },
             out,
         );
     }

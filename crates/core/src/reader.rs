@@ -54,11 +54,12 @@ impl RecordReader {
     }
 
     /// Splits one line exactly once, returning the parsed id and the
-    /// raw WKT column. The dominant layout (`geom_col == 1`) takes a
-    /// direct fast path; other layouts skip ahead on the same iterator
-    /// instead of re-splitting the line.
+    /// raw WKT column, without parsing the WKT or touching obs. The
+    /// dominant layout (`geom_col == 1`) takes a direct fast path; other
+    /// layouts skip ahead on the same iterator instead of re-splitting
+    /// the line.
     #[inline]
-    fn split<'l>(&self, line: &'l str) -> Result<(i64, &'l str), RecordError> {
+    pub fn split<'l>(&self, line: &'l str) -> Result<(i64, &'l str), RecordError> {
         let mut cols = line.split('\t');
         let id_col = cols.next().unwrap_or("");
         let id = id_col

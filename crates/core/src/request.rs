@@ -182,7 +182,7 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
     }
 }
 
-/// The partitioned strategy: partitions carry `right_ids` into one
+/// The partitioned strategy: partitions carry positions into one
 /// shared [`PreparedSet`], built on the same `cfg.threads`; each
 /// partition is a pool task that builds a subset filter tree over
 /// envelope copies and probes its own points.
@@ -198,10 +198,10 @@ fn partitioned_pairs<E: RefinementEngine>(
     cfg: MorselConfig,
 ) -> (Vec<JoinPair>, obs::ExecStats) {
     let set = PreparedSet::prepare_threads(right, predicate, engine, cfg.threads);
-    let tasks = partition_work(left, right, predicate, target_points_per_partition);
+    let tasks = partition_work(left, set.entries(), target_points_per_partition);
     let d = Dispatch::new(cfg.threads, cfg.mode);
     let run = dispatch(tasks.len(), &d, |i, _, out| {
-        let subset = set.subset_tree(&tasks[i].right_ids);
+        let subset = set.subset_tree(&tasks[i].right);
         for &(id, p) in &tasks[i].left {
             set.probe_subset(&subset, engine, id, p, out);
         }

@@ -103,13 +103,16 @@ impl SpatialSpark {
         // so the replay model's inputs do not depend on local threads.
         let right_stat = self.sc.dfs().stat(right_path)?;
         let right_blocks = self.sc.dfs().blocks(right_path)?;
+        // A dying build unit is a bug on this path, not an injected
+        // fault: it is re-raised on the driver.
         let set = PreparedSet::from_blocks(
             &right_blocks,
             reader,
             predicate,
             &engine,
             self.sc.conf().threads,
-        );
+        )
+        .unwrap_or_else(|failures| std::panic::panic_any(failures[0].message.clone()));
         self.sc.record_stage(StageMetrics {
             name: "driver:collect+build-strtree".into(),
             tasks: vec![TaskSpec::of_cost(set.build_work())],

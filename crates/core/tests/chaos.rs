@@ -31,8 +31,10 @@ use spatialjoin::{
 
 /// Restores the default panic hook when dropped. Injected worker
 /// panics are expected output here; keep them off test stderr.
+type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
+
 struct QuietPanics {
-    prev: Option<Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>>,
+    prev: Option<PanicHook>,
 }
 
 fn quiet_panics() -> QuietPanics {
@@ -136,7 +138,7 @@ fn zero_rate_chaos_is_bit_identical_at_every_thread_count() {
                     morsel_size: 5,
                 };
                 let plain = set.par_probe_observed(&points, &engine, cfg).0;
-                for chaos_cfg in [ChaosConfig::uniform(seed, 0.0), delay_only.clone()] {
+                for chaos_cfg in [ChaosConfig::uniform(seed, 0.0), delay_only] {
                     let chaos = Chaos::new(chaos_cfg);
                     let (pairs, _) = set
                         .par_probe_faulted(&points, &engine, cfg, &chaos, 1)
@@ -246,7 +248,7 @@ fn impalite_under_fragment_faults_is_all_or_nothing() {
                 // No fault fired anywhere: output must be complete and
                 // identical — fail-fast admits no partial success.
                 Ok(run) => assert_eq!(run.pairs(), base.pairs(), "partial rows leaked"),
-                // The wrapper stringifies `QueryError::FragmentFailed`;
+                // The wrapper stringifies `ImpalaError::FragmentFailed`;
                 // its message names the dead fragment and the contract.
                 Err(SpatialJoinError::Impala(msg)) => {
                     assert!(msg.contains("fragment failed"), "unexpected error: {msg}");

@@ -73,12 +73,6 @@ pub const WORLD_EXTENT: Envelope = Envelope {
 pub struct Scale(pub f64);
 
 impl Scale {
-    /// The default reproduction scale: 1/1000 of the paper's points
-    /// (170 K taxi, 10 K gbif), full-size right sides.
-    pub fn default_repro() -> Scale {
-        Scale(1.0 / 1000.0)
-    }
-
     /// Applies the scale to a full-size cardinality (at least 1).
     pub fn apply(&self, full: usize) -> usize {
         ((full as f64 * self.0).round() as usize).max(1)

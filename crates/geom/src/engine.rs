@@ -42,11 +42,6 @@ impl SpatialPredicate {
         }
     }
 
-    /// True for the arg-min variant, which join layers must post-process.
-    pub fn is_nearest_one(&self) -> bool {
-        matches!(self, SpatialPredicate::Nearest(_))
-    }
-
     /// Evaluates the predicate through a refinement engine. For
     /// [`SpatialPredicate::Nearest`] this is the *range filter* only;
     /// the arg-min across candidates is the join layer's job.

@@ -79,11 +79,6 @@ impl Envelope {
         self.width() * self.height()
     }
 
-    /// Half-perimeter margin, used by R-tree split heuristics.
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     /// Centre point. Meaningless for empty envelopes.
     pub fn center(&self) -> Point {
         Point::new(

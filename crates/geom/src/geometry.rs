@@ -48,13 +48,6 @@ impl Geometry {
         }
     }
 
-    pub fn as_linestring(&self) -> Option<&LineString> {
-        match self {
-            Geometry::LineString(l) => Some(l),
-            _ => None,
-        }
-    }
-
     /// `Within` semantics for a point against this geometry: polygons and
     /// multipolygons test containment; anything else is false (a point is
     /// never within a line in the paper's joins).

@@ -18,7 +18,7 @@ pub enum ImpalaError {
     /// any fragment failure aborts the whole query; no partial result
     /// rows are ever returned.
     FragmentFailed {
-        /// Which fragment died (`"scan"`, `"probe"`, `"read"`).
+        /// Which fragment died (`"build"`, `"scan"`, `"probe"`, `"read"`).
         fragment: String,
         /// The failure message of the fragment's final attempt.
         message: String,

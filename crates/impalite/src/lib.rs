@@ -13,14 +13,17 @@
 //!   fragments, fixed before execution starts — Impala "makes the
 //!   execution plan at the frontend … no changes on the plan are made
 //!   after the plan starts to execute";
-//! * a **backend** ([`exec`]) that scans the left table as row batches,
-//!   builds an in-memory R-tree from the broadcast right side, probes it
-//!   batch by batch with *static OpenMP-style chunking* across cores,
-//!   and refines candidate pairs with the GEOS-like
-//!   [`geom::engine::NaiveEngine`];
-//! * recorded metrics that replay the query on any cluster size under
-//!   Impala's **static scheduling** (scan ranges pinned to the node
-//!   holding the block).
+//! * the **backend's model** ([`exec`]): its configuration, the
+//!   [`QueryMetrics`] one execution records — per-block scan tasks, the
+//!   per-instance build, and row batches ([`row`]) probed in *static
+//!   OpenMP-style chunks* across cores — and their replay on any
+//!   cluster size under Impala's **static scheduling** (scan ranges
+//!   pinned to the node holding the block).
+//!
+//! The backend's fragments run in `spatialjoin::IspMc`: they build and
+//! probe the broadcast R-tree through the same prepared set as the
+//! other query paths and refine with the GEOS-like
+//! [`geom::engine::NaiveEngine`].
 //!
 //! A `standalone` mode runs the same join logic without the engine
 //! machinery, reproducing the ISP-MC-standalone column of Table 1.
@@ -34,9 +37,6 @@ pub mod sql;
 
 pub use catalog::{Catalog, TableDef};
 pub use error::ImpalaError;
-/// The error a failed query surfaces — every fragment failure under
-/// fault injection aborts with one of these (fail-fast, §III).
-pub use error::ImpalaError as QueryError;
-pub use exec::{Impalad, ImpaladConf, QueryMetrics, QueryResult};
+pub use exec::{ImpaladConf, QueryMetrics, QueryResult};
 pub use plan::{ExchangeMode, PhysicalPlan, PlanNode};
 pub use sql::{parse_query, Query};

@@ -19,9 +19,6 @@ use crate::sql::Query;
 pub enum ExchangeMode {
     /// Every batch goes to all instances (the spatial join's right side).
     Broadcast,
-    /// Batches are hashed to one instance (unused by this join but part
-    /// of the engine model).
-    Partition,
 }
 
 /// One node of the physical plan AST.

@@ -16,31 +16,6 @@ pub struct Row {
     pub wkt: String,
 }
 
-impl Row {
-    /// Parses a tab-separated text record: `id \t wkt [\t ...]`.
-    /// Returns `None` for malformed records (both systems in the paper
-    /// silently drop unparsable rows).
-    pub fn from_line(line: &str, geom_col: usize) -> Option<Row> {
-        let (id, wkt) = split_record(line, geom_col)?;
-        Some(Row {
-            id,
-            wkt: wkt.to_string(),
-        })
-    }
-}
-
-/// Splits a tab-separated text record `id \t wkt [\t ...]` once into
-/// its id and the borrowed geometry column, for callers that parse the
-/// WKT in place instead of keeping a [`Row`]. `None` exactly when
-/// [`Row::from_line`] drops the record.
-pub(crate) fn split_record(line: &str, geom_col: usize) -> Option<(i64, &str)> {
-    // Column 0 is the id by convention.
-    let wkt_skip = geom_col.checked_sub(1)?;
-    let mut cols = line.split('\t');
-    let id = cols.next()?.trim().parse::<i64>().ok()?;
-    Some((id, cols.nth(wkt_skip)?))
-}
-
 /// A batch of rows.
 #[derive(Debug, Clone, Default)]
 pub struct RowBatch {
@@ -80,29 +55,6 @@ impl RowBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_tab_separated_records() {
-        let r = Row::from_line("42\tPOINT (1 2)", 1).unwrap();
-        assert_eq!(r.id, 42);
-        assert_eq!(r.wkt, "POINT (1 2)");
-        // Extra columns are fine; geometry can sit anywhere but 0.
-        let r2 = Row::from_line("7\tfoo\tPOINT (3 4)", 2).unwrap();
-        assert_eq!(r2.wkt, "POINT (3 4)");
-    }
-
-    #[test]
-    fn malformed_records_are_dropped() {
-        assert_eq!(
-            split_record("7\tfoo\tPOINT (3 4)", 2),
-            Some((7, "POINT (3 4)"))
-        );
-        assert!(split_record("7\tPOINT (3 4)", 0).is_none());
-        assert!(Row::from_line("notanid\tPOINT (1 2)", 1).is_none());
-        assert!(Row::from_line("42", 1).is_none());
-        assert!(Row::from_line("42\tPOINT (1 2)", 0).is_none());
-        assert!(Row::from_line("", 1).is_none());
-    }
 
     #[test]
     fn batching_respects_batch_size() {

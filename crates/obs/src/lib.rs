@@ -68,8 +68,6 @@ pub struct Counters {
     pub row_batches: u64,
     /// Bytes broadcast to every node.
     pub bytes_broadcast: u64,
-    /// Bytes moved all-to-all (shuffle).
-    pub bytes_shuffled: u64,
     /// Faults injected by the chaos layer (panics, corruptions,
     /// transient errors, straggler delays).
     pub faults_injected: u64,
@@ -97,7 +95,6 @@ macro_rules! for_each_counter {
         $m!(records_skipped);
         $m!(row_batches);
         $m!(bytes_broadcast);
-        $m!(bytes_shuffled);
         $m!(faults_injected);
         $m!(task_retries);
         $m!(blocks_failed_over);
@@ -138,7 +135,7 @@ impl Counters {
     }
 
     /// `(name, value)` pairs in declaration order, for reports.
-    pub fn fields(&self) -> [(&'static str, u64); 18] {
+    pub fn fields(&self) -> [(&'static str, u64); 17] {
         [
             ("filter_hits", self.filter_hits),
             ("refine_calls", self.refine_calls),
@@ -153,7 +150,6 @@ impl Counters {
             ("records_skipped", self.records_skipped),
             ("row_batches", self.row_batches),
             ("bytes_broadcast", self.bytes_broadcast),
-            ("bytes_shuffled", self.bytes_shuffled),
             ("faults_injected", self.faults_injected),
             ("task_retries", self.task_retries),
             ("blocks_failed_over", self.blocks_failed_over),
@@ -178,7 +174,6 @@ struct CounterCells {
     records_skipped: Cell<u64>,
     row_batches: Cell<u64>,
     bytes_broadcast: Cell<u64>,
-    bytes_shuffled: Cell<u64>,
     faults_injected: Cell<u64>,
     task_retries: Cell<u64>,
     blocks_failed_over: Cell<u64>,
@@ -201,7 +196,6 @@ thread_local! {
             records_skipped: Cell::new(0),
             row_batches: Cell::new(0),
             bytes_broadcast: Cell::new(0),
-            bytes_shuffled: Cell::new(0),
             faults_injected: Cell::new(0),
             task_retries: Cell::new(0),
             blocks_failed_over: Cell::new(0),
@@ -292,15 +286,6 @@ pub fn row_batches(n: u64) {
     CELLS.with(|c| bump(&c.row_batches, n));
 }
 
-/// Records bytes broadcast / shuffled by a data-movement stage.
-#[inline]
-pub fn bytes_moved(broadcast: u64, shuffled: u64) {
-    CELLS.with(|c| {
-        bump(&c.bytes_broadcast, broadcast);
-        bump(&c.bytes_shuffled, shuffled);
-    });
-}
-
 /// Records `n` faults injected by the chaos layer.
 #[inline]
 pub fn faults_injected(n: u64) {
@@ -344,7 +329,6 @@ pub fn thread_snapshot() -> Counters {
         records_skipped: c.records_skipped.get(),
         row_batches: c.row_batches.get(),
         bytes_broadcast: c.bytes_broadcast.get(),
-        bytes_shuffled: c.bytes_shuffled.get(),
         faults_injected: c.faults_injected.get(),
         task_retries: c.task_retries.get(),
         blocks_failed_over: c.blocks_failed_over.get(),
@@ -413,24 +397,6 @@ pub struct ExecStats {
     /// One entry per worker that ran (inline execution reports itself
     /// as worker 0).
     pub workers: Vec<WorkerStats>,
-}
-
-impl ExecStats {
-    /// Total busy nanoseconds across workers.
-    pub fn total_busy_ns(&self) -> u64 {
-        self.workers.iter().map(|w| w.busy_ns).sum()
-    }
-
-    /// Total items across workers.
-    pub fn total_items(&self) -> u64 {
-        self.workers.iter().map(|w| w.items).sum()
-    }
-
-    /// Merges another region's stats into this one (workers appended).
-    pub fn absorb(&mut self, other: ExecStats) {
-        self.worker_counters = self.worker_counters.plus(&other.worker_counters);
-        self.workers.extend(other.workers);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -627,13 +593,17 @@ mod tests {
 
     #[test]
     fn counters_add_sub_roundtrip() {
-        let mut a = Counters::default();
-        a.filter_hits = 10;
-        a.refine_calls = 10;
-        a.refine_accepts = 7;
-        let mut b = Counters::default();
-        b.filter_hits = 3;
-        b.refine_calls = 3;
+        let a = Counters {
+            filter_hits: 10,
+            refine_calls: 10,
+            refine_accepts: 7,
+            ..Counters::default()
+        };
+        let b = Counters {
+            filter_hits: 3,
+            refine_calls: 3,
+            ..Counters::default()
+        };
         let sum = a.plus(&b);
         assert_eq!(sum.filter_hits, 13);
         assert_eq!(sum.minus(&b), a);
@@ -656,7 +626,6 @@ mod tests {
             morsel(DispatchMode::StaticLocality);
             records(9, 1);
             row_batches(3);
-            bytes_moved(100, 200);
             faults_injected(4);
             task_retry();
             block_failed_over();
@@ -674,8 +643,6 @@ mod tests {
             assert_eq!(snap.records_parsed, 9);
             assert_eq!(snap.records_skipped, 1);
             assert_eq!(snap.row_batches, 3);
-            assert_eq!(snap.bytes_broadcast, 100);
-            assert_eq!(snap.bytes_shuffled, 200);
             assert_eq!(snap.faults_injected, 4);
             assert_eq!(snap.task_retries, 1);
             assert_eq!(snap.blocks_failed_over, 1);
@@ -717,38 +684,6 @@ mod tests {
         assert_eq!(agg.total_ns, 2_500_000_000);
         assert!((agg.total_secs() - 2.5).abs() < 1e-9);
         assert_eq!(secs_to_ns(-1.0), 0);
-    }
-
-    #[test]
-    fn exec_stats_totals_and_absorb() {
-        let mut a = ExecStats {
-            worker_counters: Counters {
-                refine_calls: 5,
-                ..Counters::default()
-            },
-            workers: vec![WorkerStats {
-                worker: 0,
-                items: 3,
-                busy_ns: 100,
-                wait_ns: 10,
-            }],
-        };
-        let b = ExecStats {
-            worker_counters: Counters {
-                refine_calls: 2,
-                ..Counters::default()
-            },
-            workers: vec![WorkerStats {
-                worker: 1,
-                items: 1,
-                busy_ns: 50,
-                wait_ns: 5,
-            }],
-        };
-        a.absorb(b);
-        assert_eq!(a.worker_counters.refine_calls, 7);
-        assert_eq!(a.total_busy_ns(), 150);
-        assert_eq!(a.total_items(), 4);
     }
 
     #[test]

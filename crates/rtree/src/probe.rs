@@ -1,9 +1,9 @@
 //! Engine-generic single-point probe against a broadcast R-tree.
 //!
 //! This is the one copy of the filter-refine inner loop shared by the
-//! serial join driver (`core::join`), the morsel-parallel executor
-//! (`core::parallel`) and the Impala-style row-batch probe
-//! (`impalite::exec`). Entry envelopes are expected to have been
+//! serial join driver (`core::join`) and the prepared set every query
+//! path probes (`core::parallel`), whose partition subset trees reach
+//! their entries by position. Entry envelopes are expected to have been
 //! expanded by the predicate's filter radius at build time, so the
 //! query itself uses radius zero.
 
@@ -17,7 +17,8 @@ use crate::RTree;
 ///
 /// `resolve` maps a stored tree payload to the right-side record id and
 /// its prepared geometry — callers store either the pair inline
-/// (`(i64, E::Prepared)`) or a `u32` index into a shared prepared set.
+/// (`(i64, E::Prepared)`) or a `u32` position into another tree's
+/// entries.
 /// For [`SpatialPredicate::Nearest`] the arg-min over candidates is
 /// applied here: at most one pair is emitted per point, ties broken by
 /// the smaller right id.
@@ -159,8 +160,8 @@ mod tests {
     fn resolver_can_indirect_through_indices() {
         let engine = PreparedEngine;
         let g = geom::wkt::parse("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))").unwrap();
-        let prepared = vec![engine.prepare(&g)];
-        let ids = vec![42i64];
+        let prepared = [engine.prepare(&g)];
+        let ids = [42i64];
         let tree: RTree<u32> =
             RTree::bulk_load_entries(vec![(Envelope::new(0.0, 0.0, 4.0, 4.0), 0u32)]);
         let mut out = Vec::new();

@@ -7,7 +7,7 @@
 //! ideal for the build-once/probe-many broadcast joins both systems in
 //! the paper run.
 
-use geom::{Envelope, HasEnvelope, Point};
+use geom::{Envelope, Point};
 
 /// Maximum entries per node.
 const NODE_CAPACITY: usize = 16;
@@ -115,15 +115,6 @@ impl<T> RTree<T> {
         }
     }
 
-    /// Bulk-loads from items that know their own envelope.
-    pub fn bulk_load(items: Vec<T>) -> RTree<T>
-    where
-        T: HasEnvelope,
-    {
-        let entries = items.into_iter().map(|t| (t.envelope(), t)).collect();
-        RTree::bulk_load_entries(entries)
-    }
-
     /// Number of indexed items.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -137,11 +128,6 @@ impl<T> RTree<T> {
     /// Tree height in levels (1 for a single leaf).
     pub fn height(&self) -> usize {
         self.height
-    }
-
-    /// Envelope of everything in the tree.
-    pub fn root_envelope(&self) -> Envelope {
-        self.nodes[self.root as usize].env
     }
 
     // This probe loop (and `for_each_within_distance` below) is the
@@ -236,159 +222,10 @@ impl<T> RTree<T> {
     }
     // tidy:alloc-free:end
 
-    /// Best-first nearest-neighbour search with a caller-supplied exact
-    /// distance. `exact(item)` must be ≥ the envelope lower bound (true
-    /// for any metric distance to geometry inside the envelope).
-    pub fn nearest_by<F: FnMut(&T) -> f64>(&self, p: Point, mut exact: F) -> Option<(&T, f64)> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        if self.entries.is_empty() {
-            return None;
-        }
-
-        #[derive(PartialEq)]
-        struct Cand(f64, u32, bool); // (lower bound, node or entry id, is_entry)
-        impl Eq for Cand {}
-        impl PartialOrd for Cand {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Cand {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0.total_cmp(&other.0)
-            }
-        }
-
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse(Cand(
-            self.nodes[self.root as usize].env.distance_to_point(p),
-            self.root,
-            false,
-        )));
-        let mut best: Option<(u32, f64)> = None;
-
-        while let Some(Reverse(Cand(lower, id, is_entry))) = heap.pop() {
-            if let Some((_, bd)) = best {
-                if lower > bd {
-                    break;
-                }
-            }
-            if is_entry {
-                let d = exact(&self.entries[id as usize].1);
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((id, d));
-                }
-                continue;
-            }
-            let node = &self.nodes[id as usize];
-            let first = node.first as usize;
-            let count = node.count as usize;
-            if node.is_leaf {
-                for e in first..first + count {
-                    heap.push(Reverse(Cand(
-                        self.entries[e].0.distance_to_point(p),
-                        e as u32,
-                        true,
-                    )));
-                }
-            } else {
-                for child in first..first + count {
-                    heap.push(Reverse(Cand(
-                        self.nodes[child].env.distance_to_point(p),
-                        child as u32,
-                        false,
-                    )));
-                }
-            }
-        }
-        best.map(|(id, d)| (&self.entries[id as usize].1, d))
-    }
-
-    /// Best-first k-nearest-neighbour search with a caller-supplied
-    /// exact distance, generalising [`RTree::nearest_by`]. Returns up to
-    /// `k` items ordered by ascending distance.
-    pub fn nearest_k_by<F: FnMut(&T) -> f64>(
-        &self,
-        p: Point,
-        k: usize,
-        mut exact: F,
-    ) -> Vec<(&T, f64)> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        if self.entries.is_empty() || k == 0 {
-            return Vec::new();
-        }
-
-        #[derive(PartialEq)]
-        struct Cand(f64, u32, bool);
-        impl Eq for Cand {}
-        impl PartialOrd for Cand {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Cand {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0.total_cmp(&other.0)
-            }
-        }
-
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse(Cand(
-            self.nodes[self.root as usize].env.distance_to_point(p),
-            self.root,
-            false,
-        )));
-        let mut results: Vec<(u32, f64)> = Vec::with_capacity(k);
-
-        while let Some(Reverse(Cand(lower, id, is_entry))) = heap.pop() {
-            if results.len() == k && lower > results[results.len() - 1].1 {
-                break;
-            }
-            if is_entry {
-                let d = exact(&self.entries[id as usize].1);
-                let pos = results
-                    .binary_search_by(|(_, rd)| rd.total_cmp(&d))
-                    .unwrap_or_else(|e| e);
-                if pos < k {
-                    results.insert(pos, (id, d));
-                    results.truncate(k);
-                }
-                continue;
-            }
-            let node = &self.nodes[id as usize];
-            let first = node.first as usize;
-            let count = node.count as usize;
-            if node.is_leaf {
-                for e in first..first + count {
-                    heap.push(Reverse(Cand(
-                        self.entries[e].0.distance_to_point(p),
-                        e as u32,
-                        true,
-                    )));
-                }
-            } else {
-                for child in first..first + count {
-                    heap.push(Reverse(Cand(
-                        self.nodes[child].env.distance_to_point(p),
-                        child as u32,
-                        false,
-                    )));
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|(id, d)| (&self.entries[id as usize].1, d))
-            .collect()
-    }
-
-    /// Iterates over all `(envelope, item)` entries in leaf order.
-    pub fn entries(&self) -> impl Iterator<Item = &(Envelope, T)> {
-        self.entries.iter()
+    /// All `(envelope, item)` entries in leaf order. A position in
+    /// this slice is a stable handle on its entry.
+    pub fn entries(&self) -> &[(Envelope, T)] {
+        &self.entries
     }
 }
 
@@ -434,7 +271,6 @@ mod tests {
         let t: RTree<usize> = RTree::bulk_load_entries(vec![]);
         assert!(t.is_empty());
         assert_eq!(t.query(&Envelope::new(0.0, 0.0, 1.0, 1.0)).len(), 0);
-        assert!(t.nearest_by(Point::new(0.0, 0.0), |_| 0.0).is_none());
     }
 
     #[test]
@@ -481,29 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_finds_true_minimum() {
-        let boxes = grid_boxes(15);
-        let tree = RTree::bulk_load_entries(boxes.clone());
-        let p = Point::new(7.3, 7.9);
-        // Exact distance = envelope distance here (items are their boxes).
-        let (_, d) = tree
-            .nearest_by(p, |&id| {
-                let e = &boxes.iter().find(|(_, i)| *i == id).unwrap().0;
-                e.distance_to_point(p)
-            })
-            .unwrap();
-        assert_eq!(d, 0.0); // p is inside some box
-        let far = Point::new(-3.0, 0.5);
-        let (_, d2) = tree
-            .nearest_by(far, |&id| {
-                let e = &boxes.iter().find(|(_, i)| *i == id).unwrap().0;
-                e.distance_to_point(far)
-            })
-            .unwrap();
-        assert_eq!(d2, 3.0);
-    }
-
-    #[test]
     fn single_leaf_tree() {
         let tree = RTree::bulk_load_entries(vec![
             (Envelope::new(0.0, 0.0, 1.0, 1.0), 1usize),
@@ -511,7 +324,6 @@ mod tests {
         ]);
         assert_eq!(tree.height(), 1);
         assert_eq!(tree.query(&Envelope::new(0.5, 0.5, 0.6, 0.6)), vec![&1]);
-        assert_eq!(tree.root_envelope(), Envelope::new(0.0, 0.0, 3.0, 3.0));
     }
 
     #[test]
@@ -519,39 +331,6 @@ mod tests {
         let boxes = grid_boxes(64); // 4096 items
         let tree = RTree::bulk_load_entries(boxes);
         assert!(tree.height() <= 4, "height {} too deep", tree.height());
-        assert_eq!(tree.entries().count(), 4096);
-    }
-    #[test]
-    fn nearest_k_matches_brute_force() {
-        let boxes = grid_boxes(15);
-        let tree = RTree::bulk_load_entries(boxes.clone());
-        let p = Point::new(-2.5, 6.3);
-        for k in [1usize, 4, 10, 300] {
-            let got: Vec<(usize, f64)> = tree
-                .nearest_k_by(p, k, |&id| {
-                    boxes
-                        .iter()
-                        .find(|(_, i)| *i == id)
-                        .unwrap()
-                        .0
-                        .distance_to_point(p)
-                })
-                .into_iter()
-                .map(|(&id, d)| (id, d))
-                .collect();
-            let mut expected: Vec<(usize, f64)> = boxes
-                .iter()
-                .map(|&(e, id)| (id, e.distance_to_point(p)))
-                .collect();
-            expected.sort_by(|a, b| a.1.total_cmp(&b.1));
-            expected.truncate(k);
-            assert_eq!(got.len(), expected.len());
-            for ((_, gd), (_, ed)) in got.iter().zip(&expected) {
-                assert!((gd - ed).abs() < 1e-12, "k={k}");
-            }
-            // Ascending order.
-            assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
-        }
-        assert!(tree.nearest_k_by(p, 0, |_| 0.0).is_empty());
+        assert_eq!(tree.entries().len(), 4096);
     }
 }

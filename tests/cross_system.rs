@@ -155,3 +155,51 @@ fn all_three_engines_agree_on_real_shaped_data() {
     assert_eq!(a, b, "prepared vs flat");
     assert_eq!(a, c, "prepared vs naive");
 }
+
+/// ISP-MC runs the direct path's join: at any thread count its pairs
+/// are exactly the `JoinRequest` pairs on the same engine, order
+/// included, not just the same set.
+#[test]
+fn ispmc_pairs_equal_join_request_pairs_in_order() {
+    let fx = fixture();
+    for (left, right, predicate) in [
+        (
+            ("taxi", "/taxi"),
+            ("nycb", "/nycb"),
+            SpatialPredicate::Within,
+        ),
+        (
+            ("taxi", "/taxi"),
+            ("lion", "/lion"),
+            SpatialPredicate::NearestD(500.0),
+        ),
+    ] {
+        let (l, r) = read(&fx.dfs, left.1, right.1);
+        let want = JoinRequest::new(&l, &r, &NaiveEngine)
+            .predicate(predicate)
+            .run()
+            .pairs;
+        assert!(
+            !want.is_empty(),
+            "{}-{} fixture must match",
+            left.0,
+            right.0
+        );
+        for threads in [1, 2, 7] {
+            let conf = impalite::ImpaladConf {
+                threads,
+                ..impalite::ImpaladConf::default()
+            };
+            let run = IspMc::new(conf, fx.dfs.clone(), left, right)
+                .spatial_join(left.0, right.0, predicate)
+                .unwrap();
+            assert_eq!(
+                run.pairs(),
+                want.as_slice(),
+                "{}-{} at {threads} threads",
+                left.0,
+                right.0
+            );
+        }
+    }
+}

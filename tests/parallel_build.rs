@@ -95,8 +95,10 @@ fn block_build_matches_serial_prepare_at_any_thread_count() {
     let want = probe(&serial);
     assert!(!want.is_empty(), "fixture must match");
     for threads in THREAD_COUNTS {
-        let (set, counts) =
-            counted(|| PreparedSet::from_blocks(&blocks, reader, predicate, &engine, threads));
+        let (set, counts) = counted(|| {
+            PreparedSet::from_blocks(&blocks, reader, predicate, &engine, threads)
+                .expect("no build unit dies")
+        });
         assert_eq!(
             set.ids(),
             serial.ids(),
