@@ -16,7 +16,9 @@
 #                                 accounting) and parallel_build (the
 #                                 right side's per-block build ≡ the
 #                                 serial build on all three paths, and
-#                                 corrupt right-side blocks), run
+#                                 corrupt right-side blocks) and
+#                                 cell_join (the cell-covering Within
+#                                 join ≡ the STR probe loop), run
 #                                 single-test-threaded so the executor's
 #                                 own pools of up to 7 threads are the
 #                                 only parallelism in the process
@@ -78,7 +80,7 @@ cargo test -q || exit 4
 
 echo "ci: join front-door suites (RUST_TEST_THREADS=1, executor threads up to 7)"
 RUST_TEST_THREADS=1 cargo test -q --test parallel_join --test join_request \
-    --test parallel_build || exit 5
+    --test parallel_build --test cell_join || exit 5
 
 echo "ci: schedule-mode ablation (fig4 --ablate, tiny scale)"
 rm -f results/BENCH_fig45_ablation.json results/BENCH_obs_stats.json

@@ -7,8 +7,9 @@
 //! building blocks they share:
 //!
 //! * [`request`] — the one join front door, [`JoinRequest`]: broadcast
-//!   R-tree indexed, spatially partitioned and nested-loop joins, serial
-//!   or parallel, each returning its pairs plus an `obs::RunStats`.
+//!   R-tree indexed (cell-covered for `Within` on `PreparedEngine`),
+//!   spatially partitioned and nested-loop joins, serial or parallel,
+//!   each returning its pairs plus an `obs::RunStats`.
 //! * [`join`] — the serial building blocks: the right-side R-tree and
 //!   per-point probe (the serial reference loop) and the one STR space
 //!   partitioner, used by the partitioned strategy and the Hadoop
@@ -44,8 +45,8 @@ pub use error::SpatialJoinError;
 pub use geom::engine::SpatialPredicate;
 pub use ispmc::{IspMc, IspMcRun};
 pub use parallel::{
-    morsel_partitions, partition_blocks, spatial_sort_points, timings_to_taskspecs, MorselConfig,
-    PreparedSet,
+    morsel_partitions, partition_blocks, spatial_sort_points, timings_to_taskspecs, CellCover,
+    MorselConfig, PreparedSet,
 };
 pub use reader::{RecordError, RecordReader};
 pub use request::{JoinOutcome, JoinRequest, JoinStrategy};

@@ -10,7 +10,9 @@
 //! and the left side is probed in fixed-size morsels handed to
 //! [`cluster::dispatch`] under any [`ScheduleMode`]. ISP-MC's fragments
 //! and the partitioned strategy behind [`crate::JoinRequest`] reuse the
-//! same set.
+//! same set. A broadcast `Within` request on an engine with a cell
+//! covering builds a [`CellCover`] over the set and probes its cells
+//! instead of the tree.
 //!
 //! The build is parallel too, on the same dispatch core: one unit per
 //! DFS block ([`PreparedSet::from_blocks`], parse then prepare) or per
@@ -42,6 +44,7 @@ use cluster::{
     dispatch, Chaos, ChaosSite, Dispatch, Dispatched, ScheduleMode, TaskFailure, TaskSpec,
     TaskTiming,
 };
+use geom::cells::CellGrid;
 use geom::engine::{RefinementEngine, SpatialPredicate};
 use geom::{Envelope, HasEnvelope, Point};
 use minihdfs::BlockRef;
@@ -472,8 +475,7 @@ impl<E: RefinementEngine> PreparedSet<E> {
         }
     }
 
-    /// The one morsel loop behind both probes. Locality mode needs the
-    /// per-morsel hints; the other modes skip the tagging pass.
+    /// The morsel loop behind both probes.
     fn dispatch_probe(
         &self,
         left: &[PointRecord],
@@ -482,22 +484,193 @@ impl<E: RefinementEngine> PreparedSet<E> {
         attempts: u32,
         chaos: &Chaos,
     ) -> Dispatched<JoinPair> {
-        let size = cfg.morsel_size.max(1);
-        let hints = if cfg.mode == ScheduleMode::StaticLocality {
-            morsel_partitions(left, size, LOCALITY_GRID_SIDE)
-        } else {
-            Vec::new()
-        };
-        let d = Dispatch {
-            hints: &hints,
-            attempts,
-            ..Dispatch::new(cfg.threads, cfg.mode)
-        };
-        dispatch(left.len().div_ceil(size), &d, |i, attempt, out| {
-            let morsel = &left[i * size..((i + 1) * size).min(left.len())];
+        dispatch_morsels(left, cfg, attempts, |i, attempt, morsel, out| {
             self.probe_slice(engine, morsel, out);
             chaos.inject(ChaosSite::Morsel, i as u64, attempt);
         })
+    }
+}
+
+/// Runs `body(i, attempt, morsel, out)` over `left` in morsels of
+/// `cfg.morsel_size` on the dispatch pool. Locality mode needs the
+/// per-morsel hints; the other modes skip the tagging pass.
+fn dispatch_morsels(
+    left: &[PointRecord],
+    cfg: MorselConfig,
+    attempts: u32,
+    body: impl Fn(usize, u32, &[PointRecord], &mut Vec<JoinPair>) + Sync,
+) -> Dispatched<JoinPair> {
+    let size = cfg.morsel_size.max(1);
+    let hints = if cfg.mode == ScheduleMode::StaticLocality {
+        morsel_partitions(left, size, LOCALITY_GRID_SIDE)
+    } else {
+        Vec::new()
+    };
+    let d = Dispatch {
+        hints: &hints,
+        attempts,
+        ..Dispatch::new(cfg.threads, cfg.mode)
+    };
+    dispatch(left.len().div_ceil(size), &d, |i, attempt, out| {
+        let morsel = &left[i * size..((i + 1) * size).min(left.len())];
+        body(i, attempt, morsel, out);
+    })
+}
+
+/// Grid cells per axis for a covering of `n` right-side records:
+/// `ceil(GRID_CELLS_PER_SQRT_RECORD · √n)`, clamped to
+/// `[1, MAX_GRID_SIDE]`. A right side that tiles its extent then gets
+/// about `GRID_CELLS_PER_SQRT_RECORD²` cells per record, whatever the
+/// workload.
+fn grid_side(n: usize) -> u32 {
+    let side = (GRID_CELLS_PER_SQRT_RECORD * (n as f64).sqrt()).ceil();
+    side.clamp(1.0, MAX_GRID_SIDE as f64) as u32
+}
+
+/// See [`grid_side`]; chosen by a resolution sweep on the benchmark
+/// workloads.
+const GRID_CELLS_PER_SQRT_RECORD: f64 = 4.0;
+
+/// Cap on [`grid_side`]: at most 1024² cells, a 4 MiB offset array.
+const MAX_GRID_SIDE: u32 = 1024;
+
+/// Tag bit of a [`CellCover`] item: set when the item's cell lies
+/// wholly inside the item's geometry.
+const INTERIOR: u32 = 1;
+
+/// The cell-covering index for a broadcast `Within` join on an engine
+/// with a [`RefinementEngine::within_cover`].
+///
+/// One [`CellGrid`] spans the union of the right envelopes, and every
+/// right record is covered on it. The cells are stored as one CSR: the
+/// items of cell `c` are `items[offsets[c]..offsets[c + 1]]`, each an
+/// entry position in the [`PreparedSet`] shifted left by one, tagged
+/// with [`INTERIOR`]. A probe computes one cell and walks its list:
+/// interior items are pairs without refinement, boundary items call
+/// [`RefinementEngine::within`].
+///
+/// Each cell lists its items in the STR tree's visit order, so every
+/// point emits its right ids exactly as the tree probe would: the
+/// covering lists every record whose `within` can hold in the cell,
+/// and `within` implies the envelope filter.
+pub struct CellCover<'s, E: RefinementEngine> {
+    set: &'s PreparedSet<E>,
+    grid: CellGrid,
+    offsets: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl<'s, E: RefinementEngine> CellCover<'s, E> {
+    /// Covers `set` on `threads` workers, or `None` when the engine has
+    /// no covering or the set was not prepared for `Within`. One
+    /// dispatch unit per [`BUILD_CHUNK`] records in the tree's visit
+    /// order, so the unit count does not depend on the thread count;
+    /// the units' `(cell, item)` rows are stitched in unit order and
+    /// counting-sorted by cell, which keeps visit order within a cell.
+    pub fn build(set: &'s PreparedSet<E>, engine: &E, threads: usize) -> Option<Self> {
+        let cover = engine.within_cover()?;
+        if set.predicate != SpatialPredicate::Within {
+            return None;
+        }
+        let entries = set.entries();
+        let extent = entries
+            .iter()
+            .fold(Envelope::EMPTY, |e, (env, _)| e.union(env));
+        let grid = CellGrid::new(extent, grid_side(entries.len()));
+        let order = set.tree.visit_order();
+        let d = Dispatch::new(threads, ScheduleMode::Dynamic);
+        let units = order.len().div_ceil(BUILD_CHUNK);
+        let run = dispatch(units, &d, |i, _, out: &mut Vec<(u32, u32)>| {
+            let mut cells = Vec::new();
+            for &pos in &order[i * BUILD_CHUNK..((i + 1) * BUILD_CHUNK).min(order.len())] {
+                cells.clear();
+                cover(&entries[pos as usize].1 .1, &grid, &mut cells);
+                out.extend(
+                    cells
+                        .iter()
+                        .map(|&(cell, interior)| (cell, pos << 1 | u32::from(interior))),
+                );
+            }
+        })
+        .or_raise();
+        obs::add_thread(&run.exec.worker_counters);
+
+        let mut offsets = vec![0u32; grid.cells() + 1];
+        for &(cell, _) in &run.out {
+            offsets[cell as usize + 1] += 1;
+        }
+        for c in 0..grid.cells() {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut cursor = offsets.clone();
+        let mut items = vec![0u32; run.out.len()];
+        for &(cell, item) in &run.out {
+            items[cursor[cell as usize] as usize] = item;
+            cursor[cell as usize] += 1;
+        }
+        Some(CellCover {
+            set,
+            grid,
+            offsets,
+            items,
+        })
+    }
+
+    /// The grid the covering uses.
+    pub fn grid(&self) -> &CellGrid {
+        &self.grid
+    }
+
+    /// Heap bytes of the offsets and items arrays.
+    pub fn bytes(&self) -> usize {
+        4 * (self.offsets.len() + self.items.len())
+    }
+
+    /// Probes one morsel of left points through the cells, flushing
+    /// its counts once.
+    fn probe_slice(&self, engine: &E, morsel: &[PointRecord], out: &mut Vec<JoinPair>) {
+        let entries = self.set.entries();
+        let (mut interior, mut boundary, mut accepts) = (0u64, 0u64, 0u64);
+        // tidy:alloc-free:start
+        for &(left_id, p) in morsel {
+            let Some(cell) = self.grid.cell_of(p) else {
+                continue;
+            };
+            let c = cell as usize;
+            for &item in &self.items[self.offsets[c] as usize..self.offsets[c + 1] as usize] {
+                let (right_id, target) = &entries[(item >> 1) as usize].1;
+                if item & INTERIOR != 0 {
+                    interior += 1;
+                    out.push((left_id, *right_id));
+                } else {
+                    boundary += 1;
+                    if engine.within(p, target) {
+                        accepts += 1;
+                        out.push((left_id, *right_id));
+                    }
+                }
+            }
+        }
+        // tidy:alloc-free:end
+        obs::cell_counts(interior, boundary, accepts);
+    }
+
+    /// Probes `left` in parallel morsels, returning pairs in input
+    /// order and the pool's [`obs::ExecStats`]. Like
+    /// [`PreparedSet::par_probe_observed`], worker counters are
+    /// returned, not folded into the calling thread; a panicking morsel
+    /// is re-raised.
+    pub(crate) fn par_probe(
+        &self,
+        left: &[PointRecord],
+        engine: &E,
+        cfg: MorselConfig,
+    ) -> (Vec<JoinPair>, obs::ExecStats) {
+        let run = dispatch_morsels(left, cfg, 1, |_, _, morsel, out| {
+            self.probe_slice(engine, morsel, out);
+        })
+        .or_raise();
+        (run.out, run.exec)
     }
 }
 
@@ -614,6 +787,23 @@ mod tests {
         assert_eq!(set.predicate(), SpatialPredicate::Within);
         let empty = PreparedSet::prepare(&[], SpatialPredicate::Within, &engine);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn cell_cover_needs_a_covering_engine_and_within() {
+        let right = quadrant_polys(5.0);
+        let within = PreparedSet::prepare(&right, SpatialPredicate::Within, &PreparedEngine);
+        let cells = CellCover::build(&within, &PreparedEngine, 2).expect("covered");
+        // Four records: a ceil(4 · 2) = 8-cell side over the 10 × 10
+        // extent; every record lists at least one cell.
+        assert_eq!(cells.grid().side(), 8);
+        assert!(cells.bytes() > 4 * (64 + 1 + 4));
+        let nearest =
+            PreparedSet::prepare(&right, SpatialPredicate::NearestD(1.0), &PreparedEngine);
+        assert!(CellCover::build(&nearest, &PreparedEngine, 2).is_none());
+        let flat =
+            PreparedSet::prepare(&right, SpatialPredicate::Within, &geom::engine::FlatEngine);
+        assert!(CellCover::build(&flat, &geom::engine::FlatEngine, 2).is_none());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use geom::engine::{RefinementEngine, SpatialPredicate};
 use geom::Envelope;
 
 use crate::join::partition_work;
-use crate::parallel::{MorselConfig, PreparedSet};
+use crate::parallel::{CellCover, MorselConfig, PreparedSet};
 use crate::{GeomRecord, JoinPair, PointRecord};
 use cluster::{dispatch, Dispatch, ScheduleMode};
 
@@ -20,7 +20,11 @@ use cluster::{dispatch, Dispatch, ScheduleMode};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinStrategy {
     /// Index the right side once, probe every left point (the paper's
-    /// broadcast join; morsel-parallel under [`MorselConfig`]).
+    /// broadcast join; morsel-parallel under [`MorselConfig`]). A
+    /// `Within` join on an engine with a
+    /// [`RefinementEngine::within_cover`] probes a [`CellCover`] of the
+    /// right side instead of its STR tree, with the same pairs in the
+    /// same order.
     Broadcast,
     /// The O(|L|·|R|) cross-join-then-filter baseline of §II.
     NestedLoop,
@@ -121,7 +125,8 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
         self
     }
 
-    /// Executes the join.
+    /// Executes the join. The broadcast strategy records `prepare`,
+    /// `cover` (cell path only) and `probe` spans.
     ///
     /// Counter collection: a thread-snapshot delta around the run
     /// captures everything counted on the calling thread (serial and
@@ -149,8 +154,20 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
                     self.cfg.threads,
                 );
                 stats.spans.push(prepare_timer.finish());
+                let cover_timer = obs::SpanTimer::start("cover");
+                let cells = CellCover::build(&set, self.engine, self.cfg.threads);
+                if cells.is_some() {
+                    stats.spans.push(cover_timer.finish());
+                }
                 let probe_timer = obs::SpanTimer::start("probe");
-                let (pairs, _, exec) = set.par_probe_observed(self.left, self.engine, self.cfg);
+                let (pairs, exec) = match &cells {
+                    Some(cells) => cells.par_probe(self.left, self.engine, self.cfg),
+                    None => {
+                        let (pairs, _, exec) =
+                            set.par_probe_observed(self.left, self.engine, self.cfg);
+                        (pairs, exec)
+                    }
+                };
                 stats.spans.push(probe_timer.finish());
                 obs::add_thread(&exec.worker_counters);
                 stats.workers = exec.workers;
@@ -294,20 +311,26 @@ mod tests {
         let outcome = JoinRequest::new(&left, &right, &engine).threads(2).run();
         assert_eq!(outcome.pairs.len(), 100);
         assert_eq!(outcome.stats.name, "join:broadcast");
-        // Every emitted pair required at least one refinement call.
-        assert!(outcome.stats.counters.refine_calls >= outcome.pairs.len() as u64);
-        // Within accepts exactly the emitted pairs.
-        assert_eq!(outcome.stats.counters.refine_accepts, 100);
+        // Within on the cell path: every pair is an interior item or an
+        // accepted refinement of a boundary item, and every listed item
+        // is a filter hit. No tree is walked.
+        let c = &outcome.stats.counters;
+        assert!(c.cells_interior > 0 && c.cells_boundary > 0);
+        assert_eq!(c.refine_accepts + c.cells_interior, 100);
+        assert_eq!(c.refine_calls, c.cells_boundary);
+        assert_eq!(c.filter_hits, c.cells_interior + c.cells_boundary);
+        assert_eq!(c.node_visits, 0);
         assert!(outcome.stats.span("run").is_some());
         assert!(outcome.stats.span("prepare").is_some());
+        assert!(outcome.stats.span("cover").is_some());
         assert!(outcome.stats.span("probe").is_some());
         assert!(!outcome.stats.workers.is_empty());
-        // Pool units: the right side's build chunks, then the probe's
-        // morsels.
-        assert_eq!(outcome.stats.counters.morsels_executed, {
+        // Pool units: the right side's build chunks, the covering's
+        // chunks of the same size, then the probe's morsels.
+        assert_eq!(c.morsels_executed, {
             let build = right.len().div_ceil(crate::parallel::BUILD_CHUNK);
             let morsels = left.len().div_ceil(crate::parallel::DEFAULT_MORSEL_SIZE);
-            (build + morsels) as u64
+            (2 * build + morsels) as u64
         });
     }
 
@@ -343,7 +366,7 @@ mod tests {
             // The outer delta and the reported stats agree: worker
             // counts were folded in exactly once.
             assert_eq!(delta, outcome.stats.counters);
-            assert_eq!(delta.refine_accepts, 100);
+            assert_eq!(delta.refine_accepts + delta.cells_interior, 100);
         })
         .join()
         .unwrap();

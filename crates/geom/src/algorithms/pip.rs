@@ -2,8 +2,9 @@
 //!
 //! The core is the classic ray-casting (crossing-number) algorithm over a
 //! closed ring stored as a flat coordinate array. Boundary points are
-//! treated as *inside*, matching JTS/GEOS `within` semantics for the
-//! point-in-polygon joins the paper runs.
+//! treated as *inside*. That is JTS/GEOS `coveredBy`, not `within`:
+//! DE-9IM `within` excludes the boundary. Which rule the joins adopt
+//! is ROADMAP item 1.
 
 use crate::algorithms::segment::point_on_segment;
 use crate::point::Point;

@@ -2,11 +2,16 @@
 
 use crate::point::Point;
 
-/// Tolerance for the collinearity test in [`point_on_segment`]. The
-/// datasets in this workspace use coordinates with magnitude ≤ 1e3, so a
-/// fixed absolute tolerance this small only accepts genuinely-on-boundary
-/// points.
-const ON_SEGMENT_EPS: f64 = 1e-12;
+/// Tolerance for the collinearity test in [`point_on_segment`]: an
+/// absolute bound on the cross product `(b - a) × (p - a)`, after a
+/// bounding-box test widened by the same amount. The datasets' real
+/// coordinate magnitudes are up to 180 (WWF/GBIF degrees) and up to
+/// 1.2e5 (NYC feet, `NYC_EXTENT` is 90,000 × 120,000). At NYC
+/// magnitudes one coordinate ulp is ~1.5e-11, so the cross product's
+/// own rounding error exceeds this tolerance and points within ~1e-9
+/// of an edge are not decided consistently. ROADMAP item 1 replaces
+/// this test with an exact `orient2d`.
+pub(crate) const ON_SEGMENT_EPS: f64 = 1e-12;
 
 /// Sign of the cross product `(b - a) × (c - a)`:
 /// `> 0` when `c` is left of `a→b`, `< 0` right, `0` collinear.

@@ -5,9 +5,16 @@
 //! 3.3–3.9× gap between the two dominates end-to-end performance (§V.B).
 //! This module captures that as a trait so the join layer can be generic
 //! over the engine, with [`FlatEngine`] standing in for JTS,
-//! [`NaiveEngine`] for GEOS, and [`PreparedEngine`] as a beyond-paper
-//! indexed engine.
+//! [`NaiveEngine`] for GEOS, and [`PreparedEngine`] as the one
+//! beyond-paper fast engine: banded edge indexes for refinement, and
+//! the cell-covering engine for `Within`. Its
+//! [`RefinementEngine::within_cover`] covers every polygon on one grid,
+//! so a broadcast `Within` join probes one cell per point instead of an
+//! R-tree and refines only the polygons listed for a boundary cell.
+//! Flat and Naive have no covering: they model JTS and GEOS, which
+//! filter through the R-tree.
 
+use crate::cells::CellGrid;
 use crate::geometry::Geometry;
 use crate::naive;
 use crate::point::Point;
@@ -55,6 +62,12 @@ impl SpatialPredicate {
     }
 }
 
+/// Covers one prepared `Within` target on a grid, appending
+/// `(cell, interior)` once per cell the target may touch. An interior
+/// cell lies wholly inside the target; a point in a cell the covering
+/// does not list satisfies `within` for no target.
+pub type WithinCover<P> = fn(&P, &CellGrid, &mut Vec<(u32, bool)>);
+
 /// A refinement engine evaluates the paper's two spatial predicates
 /// against a pre-registered target geometry.
 ///
@@ -82,6 +95,13 @@ pub trait RefinementEngine: Send + Sync {
     /// Exact distance from the point to the target geometry (0 inside a
     /// polygon). Drives the arg-min of nearest-one joins.
     fn distance(&self, p: Point, target: &Self::Prepared) -> f64;
+
+    /// The engine's cell covering for `Within` targets, if it has one.
+    /// A broadcast `Within` join on an engine with a covering probes the
+    /// cells instead of an R-tree. Default: no covering.
+    fn within_cover(&self) -> Option<WithinCover<Self::Prepared>> {
+        None
+    }
 }
 
 /// Prepared form used by [`PreparedEngine`]: polygonal and linear targets
@@ -95,6 +115,30 @@ pub enum FastPrepared {
     MultiPolygon(Vec<PreparedPolygon>),
     Line(PreparedLineString),
     Other(Geometry),
+}
+
+impl FastPrepared {
+    /// [`PreparedEngine`]'s [`WithinCover`]. A multipolygon cell is
+    /// interior when it is interior to any part. Lines and points never
+    /// satisfy `within`, so they cover nothing.
+    fn cover_within(&self, grid: &CellGrid, out: &mut Vec<(u32, bool)>) {
+        match self {
+            FastPrepared::Polygon(poly) => poly.cover(grid, |cell, interior| {
+                out.push((cell, interior));
+            }),
+            FastPrepared::MultiPolygon(parts) => {
+                let mut cells = Vec::new();
+                for part in parts {
+                    part.cover(grid, |cell, interior| cells.push((cell, interior)));
+                }
+                // Per cell, an interior mark sorts first and survives.
+                cells.sort_unstable_by_key(|&(cell, interior)| (cell, !interior));
+                cells.dedup_by_key(|&mut (cell, _)| cell);
+                out.extend(cells);
+            }
+            FastPrepared::Line(_) | FastPrepared::Other(_) => {}
+        }
+    }
 }
 
 impl HasEnvelope for FastPrepared {
@@ -162,10 +206,11 @@ impl RefinementEngine for FlatEngine {
 }
 
 /// The prepared-geometry engine: one-time edge-index construction, then
-/// banded point-in-polygon tests and block-pruned distance queries.
+/// banded point-in-polygon tests and block-pruned distance queries, and
+/// the cell-covering engine for `Within` ([`PreparedPolygon::cover`]).
 /// This goes beyond both libraries in the paper (JTS has the machinery
 /// but Fig. 2 does not use it); `benches/refinement.rs` quantifies the
-/// gain over [`FlatEngine`].
+/// refinement gain over [`FlatEngine`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PreparedEngine;
 
@@ -206,6 +251,10 @@ impl RefinementEngine for PreparedEngine {
             FastPrepared::Other(Geometry::Point(q)) => p.distance(*q) <= d,
             _ => false,
         }
+    }
+
+    fn within_cover(&self) -> Option<WithinCover<FastPrepared>> {
+        Some(FastPrepared::cover_within)
     }
 
     fn distance(&self, p: Point, target: &FastPrepared) -> f64 {
@@ -277,6 +326,33 @@ mod tests {
         assert_eq!(fast.name(), "prepared");
         assert_eq!(flat.name(), "jts-like");
         assert_eq!(slow.name(), "geos-like");
+    }
+
+    #[test]
+    fn only_prepared_engine_covers_and_multipolygon_cells_take_any_part_interior() {
+        assert!(FlatEngine.within_cover().is_none());
+        assert!(NaiveEngine.within_cover().is_none());
+        let cover = PreparedEngine.within_cover().expect("prepared covers");
+        let grid = CellGrid::new(Envelope::new(0.0, 0.0, 8.0, 8.0), 8);
+        let marks = |wkt_str: &str| {
+            let mut out = Vec::new();
+            cover(
+                &PreparedEngine.prepare(&wkt::parse(wkt_str).unwrap()),
+                &grid,
+                &mut out,
+            );
+            out
+        };
+        // Overlapping parts: cell (2, 2) is boundary for the first part
+        // and interior to the second, so it is interior; cells appear
+        // once each.
+        let multi =
+            marks("MULTIPOLYGON (((0 0, 3 0, 3 3, 0 3, 0 0)), ((1 1, 7 1, 7 7, 1 7, 1 1)))");
+        assert!(multi.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(multi.contains(&(grid.id(2, 2), true)));
+        assert!(multi.contains(&(grid.id(0, 0), false)));
+        assert!(marks("LINESTRING (0 0, 8 8)").is_empty());
+        assert!(marks("POINT (1 1)").is_empty());
     }
 
     #[test]

@@ -16,8 +16,11 @@
 //!   (flat arrays, full edge scans, no per-call allocation),
 //!   [`engine::NaiveEngine`] models GEOS as characterised by the paper —
 //!   it "frequently creates and destroys small objects", which is
-//!   exactly what makes it slow — and [`engine::PreparedEngine`] adds a
-//!   banded edge index beyond both libraries.
+//!   exactly what makes it slow — and [`engine::PreparedEngine`], the
+//!   one fast engine beyond both libraries: a banded edge index for
+//!   refinement, and the cell-covering engine for `Within`, which covers
+//!   every polygon on one fixed-precision [`cells::CellGrid`] so that a
+//!   point in an interior cell is a hit without refinement.
 //!
 //! All engines produce bit-identical predicate results; they differ only
 //! in memory discipline and indexing, and therefore speed. The paper
@@ -26,6 +29,7 @@
 
 pub mod algorithms;
 pub mod binary;
+pub mod cells;
 pub mod engine;
 pub mod envelope;
 pub mod error;

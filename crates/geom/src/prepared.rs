@@ -7,6 +7,7 @@
 //! SpatialSpark side of the reproduction.
 
 use crate::algorithms::segment::{point_on_segment, point_segment_distance_sq};
+use crate::cells::CellGrid;
 use crate::envelope::Envelope;
 use crate::geometry::Geometry;
 use crate::linestring::LineString;
@@ -48,35 +49,6 @@ impl PreparedPolygon {
             push_ring_edges(h.coords(), &mut edges);
         }
         Self::from_edges(poly.envelope(), edges, poly.num_points())
-    }
-
-    /// Prepares every part of a multipolygon into one index. Even-odd
-    /// crossing parity over the union of all rings yields the same
-    /// containment answer as testing parts separately, provided the parts
-    /// do not overlap (true for the datasets modelled here).
-    pub fn from_multi(polys: &[Polygon]) -> PreparedPolygon {
-        let mut edges = Vec::new();
-        let mut env = Envelope::EMPTY;
-        let mut num_points = 0;
-        for poly in polys {
-            push_ring_edges(poly.exterior().coords(), &mut edges);
-            for h in poly.holes() {
-                push_ring_edges(h.coords(), &mut edges);
-            }
-            env = env.union(&poly.envelope());
-            num_points += poly.num_points();
-        }
-        Self::from_edges(env, edges, num_points)
-    }
-
-    /// Prepares any polygonal [`Geometry`]; returns `None` for
-    /// non-polygonal input.
-    pub fn from_geometry(geom: &Geometry) -> Option<PreparedPolygon> {
-        match geom {
-            Geometry::Polygon(p) => Some(PreparedPolygon::new(p)),
-            Geometry::MultiPolygon(mp) => Some(PreparedPolygon::from_multi(&mp.polygons)),
-            _ => None,
-        }
     }
 
     fn from_edges(env: Envelope, edges: Vec<f64>, num_points: usize) -> PreparedPolygon {
@@ -189,6 +161,58 @@ impl PreparedPolygon {
             }
         }
         inside
+    }
+
+    /// Covers the polygon on `grid`, calling `mark(cell, interior)` once
+    /// per cell the polygon may touch, in ascending cell order.
+    ///
+    /// A cell is *boundary* when the bounding box of some edge, widened
+    /// by the grid margin, touches it. The remaining cells of each row
+    /// form runs that no edge comes near, so the crossing parity — and
+    /// with it [`PreparedPolygon::contains_point`] — is exact and
+    /// constant across a run: the run is *interior* when the centre of
+    /// its first cell is contained, and is left out otherwise. A hole
+    /// reaching outside the exterior's envelope breaks the envelope
+    /// test's constancy, so such a polygon covers its whole window as
+    /// boundary.
+    pub fn cover(&self, grid: &CellGrid, mut mark: impl FnMut(u32, bool)) {
+        let (cols, rows) = grid.span(&self.env);
+        let width = cols.len();
+        let at =
+            |col: u32, row: u32| (row - rows.start) as usize * width + (col - cols.start) as usize;
+        let mut boundary = vec![false; width * rows.len()];
+        for e in self.edges.chunks_exact(4) {
+            let edge = Envelope::of_coords(e);
+            if !self.env.contains_envelope(&edge) {
+                boundary.fill(true);
+                break;
+            }
+            let (ec, er) = grid.span(&edge);
+            for row in er {
+                for col in ec.clone() {
+                    boundary[at(col, row)] = true;
+                }
+            }
+        }
+        for row in rows.clone() {
+            let mut col = cols.start;
+            while col < cols.end {
+                if boundary[at(col, row)] {
+                    mark(grid.id(col, row), false);
+                    col += 1;
+                    continue;
+                }
+                let run = col;
+                while col < cols.end && !boundary[at(col, row)] {
+                    col += 1;
+                }
+                if self.contains_point(grid.centre(run, row)) {
+                    for c in run..col {
+                        mark(grid.id(c, row), true);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -364,16 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn prepared_multi_handles_disjoint_parts() {
-        let a = Polygon::rectangle(Envelope::new(0.0, 0.0, 1.0, 1.0));
-        let b = Polygon::rectangle(Envelope::new(5.0, 5.0, 6.0, 6.0));
-        let prep = PreparedPolygon::from_multi(&[a, b]);
-        assert!(prep.contains_point(Point::new(0.5, 0.5)));
-        assert!(prep.contains_point(Point::new(5.5, 5.5)));
-        assert!(!prep.contains_point(Point::new(3.0, 3.0)));
-    }
-
-    #[test]
     fn prepared_linestring_distance_matches_plain() {
         let ls = LineString::new(vec![0.0, 0.0, 3.0, 0.0, 3.0, 4.0, 10.0, 4.0]).unwrap();
         let prep = PreparedLineString::new(&ls);
@@ -392,14 +406,56 @@ mod tests {
         }
     }
 
+    /// `(cell, interior)` marks of a polygon's covering.
+    fn cover_of(poly: &Polygon, grid: &CellGrid) -> Vec<(u32, bool)> {
+        let mut marks = Vec::new();
+        PreparedPolygon::new(poly).cover(grid, |cell, interior| marks.push((cell, interior)));
+        marks
+    }
+
     #[test]
-    fn from_geometry_dispatch() {
-        let poly = wkt::parse("POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))").unwrap();
-        assert!(PreparedPolygon::from_geometry(&poly).is_some());
-        assert!(PreparedLineString::from_geometry(&poly).is_none());
-        let line = wkt::parse("LINESTRING (0 0, 1 1)").unwrap();
-        assert!(PreparedLineString::from_geometry(&line).is_some());
-        assert!(PreparedPolygon::from_geometry(&line).is_none());
+    fn cover_marks_edge_cells_and_fills_interior_runs() {
+        // A 0..8 square with a 2..6 hole on a half-unit grid: edges on
+        // grid lines also reach the cell below or left of the line.
+        let poly = Polygon::from_coords(
+            vec![0.0, 0.0, 8.0, 0.0, 8.0, 8.0, 0.0, 8.0, 0.0, 0.0],
+            vec![vec![2.0, 2.0, 6.0, 2.0, 6.0, 6.0, 2.0, 6.0, 2.0, 2.0]],
+        )
+        .unwrap();
+        let grid = CellGrid::new(Envelope::new(0.0, 0.0, 8.0, 8.0), 16);
+        let marks = cover_of(&poly, &grid);
+        assert!(
+            marks.windows(2).all(|w| w[0].0 < w[1].0),
+            "ascending, once each"
+        );
+        let kind = |col, row| marks.iter().find(|m| m.0 == grid.id(col, row)).map(|m| m.1);
+        assert_eq!(kind(0, 0), Some(false));
+        assert_eq!(kind(3, 8), Some(false)); // left of the hole's x = 2 edge
+        assert_eq!(kind(4, 8), Some(false));
+        assert_eq!(kind(8, 8), None); // inside the hole
+        assert_eq!(kind(11, 8), Some(false));
+        assert_eq!(kind(12, 8), Some(false));
+        assert_eq!(kind(1, 1), Some(true)); // no edge near
+        assert_eq!(kind(14, 14), Some(true));
+        // The centre of every interior cell is contained.
+        let prep = PreparedPolygon::new(&poly);
+        for &(cell, interior) in &marks {
+            assert!(!interior || prep.contains_point(grid.centre(cell % 16, cell / 16)));
+        }
+    }
+
+    #[test]
+    fn cover_of_a_hole_outside_its_shell_envelope_is_all_boundary() {
+        let poly = Polygon::from_coords(
+            vec![0.0, 0.0, 4.0, 0.0, 4.0, 4.0, 0.0, 4.0, 0.0, 0.0],
+            vec![vec![3.0, 1.0, 6.0, 1.0, 6.0, 3.0, 3.0, 3.0, 3.0, 1.0]],
+        )
+        .unwrap();
+        let grid = CellGrid::new(Envelope::new(0.0, 0.0, 8.0, 8.0), 8);
+        let marks = cover_of(&poly, &grid);
+        // The window is the shell envelope widened by the margin.
+        assert_eq!(marks.len(), 5 * 5);
+        assert!(marks.iter().all(|&(_, interior)| !interior));
     }
 
     #[test]

@@ -42,7 +42,8 @@ use std::time::Instant;
 /// subtract freely.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
-    /// Candidates surviving the R-tree envelope filter.
+    /// Candidates surviving the filter: R-tree envelope hits, or the
+    /// items listed in a cell-covering probe's cell.
     pub filter_hits: u64,
     /// Refinement evaluations (predicate or distance calls).
     pub refine_calls: u64,
@@ -52,6 +53,11 @@ pub struct Counters {
     pub edge_visits: u64,
     /// R-tree nodes popped during index traversals.
     pub node_visits: u64,
+    /// Pairs a cell-covering probe emitted from an interior cell,
+    /// without refinement.
+    pub cells_interior: u64,
+    /// Boundary-cell items a cell-covering probe refined.
+    pub cells_boundary: u64,
     /// Morsels/tasks executed by the parallel pool.
     pub morsels_executed: u64,
     /// Pool items dispatched under dynamic scheduling.
@@ -87,6 +93,8 @@ macro_rules! for_each_counter {
         $m!(refine_accepts);
         $m!(edge_visits);
         $m!(node_visits);
+        $m!(cells_interior);
+        $m!(cells_boundary);
         $m!(morsels_executed);
         $m!(dispatch_dynamic);
         $m!(dispatch_static);
@@ -135,13 +143,15 @@ impl Counters {
     }
 
     /// `(name, value)` pairs in declaration order, for reports.
-    pub fn fields(&self) -> [(&'static str, u64); 17] {
+    pub fn fields(&self) -> [(&'static str, u64); 19] {
         [
             ("filter_hits", self.filter_hits),
             ("refine_calls", self.refine_calls),
             ("refine_accepts", self.refine_accepts),
             ("edge_visits", self.edge_visits),
             ("node_visits", self.node_visits),
+            ("cells_interior", self.cells_interior),
+            ("cells_boundary", self.cells_boundary),
             ("morsels_executed", self.morsels_executed),
             ("dispatch_dynamic", self.dispatch_dynamic),
             ("dispatch_static", self.dispatch_static),
@@ -166,6 +176,8 @@ struct CounterCells {
     refine_accepts: Cell<u64>,
     edge_visits: Cell<u64>,
     node_visits: Cell<u64>,
+    cells_interior: Cell<u64>,
+    cells_boundary: Cell<u64>,
     morsels_executed: Cell<u64>,
     dispatch_dynamic: Cell<u64>,
     dispatch_static: Cell<u64>,
@@ -188,6 +200,8 @@ thread_local! {
             refine_accepts: Cell::new(0),
             edge_visits: Cell::new(0),
             node_visits: Cell::new(0),
+            cells_interior: Cell::new(0),
+            cells_boundary: Cell::new(0),
             morsels_executed: Cell::new(0),
             dispatch_dynamic: Cell::new(0),
             dispatch_static: Cell::new(0),
@@ -248,6 +262,21 @@ pub fn probe_counts(nodes: u64, candidates: u64, accepts: u64) {
         bump(&c.node_visits, nodes);
         bump(&c.filter_hits, candidates);
         bump(&c.refine_calls, candidates);
+        bump(&c.refine_accepts, accepts);
+    });
+}
+
+/// Records one cell-covering probe of a morsel in a single
+/// thread-local access: `interior` pairs emitted without refinement and
+/// `boundary` items refined, of which `accepts` passed. Every item is a
+/// filter hit; only the boundary items are refinement calls.
+#[inline]
+pub fn cell_counts(interior: u64, boundary: u64, accepts: u64) {
+    CELLS.with(|c| {
+        bump(&c.cells_interior, interior);
+        bump(&c.cells_boundary, boundary);
+        bump(&c.filter_hits, interior.saturating_add(boundary));
+        bump(&c.refine_calls, boundary);
         bump(&c.refine_accepts, accepts);
     });
 }
@@ -321,6 +350,8 @@ pub fn thread_snapshot() -> Counters {
         refine_accepts: c.refine_accepts.get(),
         edge_visits: c.edge_visits.get(),
         node_visits: c.node_visits.get(),
+        cells_interior: c.cells_interior.get(),
+        cells_boundary: c.cells_boundary.get(),
         morsels_executed: c.morsels_executed.get(),
         dispatch_dynamic: c.dispatch_dynamic.get(),
         dispatch_static: c.dispatch_static.get(),
@@ -630,10 +661,13 @@ mod tests {
             task_retry();
             block_failed_over();
             partitions_recomputed(2);
+            cell_counts(6, 4, 3);
             let snap = thread_snapshot();
-            assert_eq!(snap.filter_hits, 5);
-            assert_eq!(snap.refine_calls, 5);
-            assert_eq!(snap.refine_accepts, 2);
+            assert_eq!(snap.filter_hits, 5 + 10);
+            assert_eq!(snap.refine_calls, 5 + 4);
+            assert_eq!(snap.refine_accepts, 2 + 3);
+            assert_eq!(snap.cells_interior, 6);
+            assert_eq!(snap.cells_boundary, 4);
             assert_eq!(snap.node_visits, 11);
             assert_eq!(snap.edge_visits, 40);
             assert_eq!(snap.morsels_executed, 2);

@@ -222,6 +222,28 @@ impl<T> RTree<T> {
     }
     // tidy:alloc-free:end
 
+    /// Entry positions in the order the traversals above visit them
+    /// when nothing is pruned. Pruning only skips subtrees, so every
+    /// traversal reports its hits as a subsequence of this order.
+    pub fn visit_order(&self) -> Vec<u32> {
+        let mut order = Vec::with_capacity(self.entries.len());
+        if self.entries.is_empty() {
+            return order;
+        }
+        // The same last-in-first-out stack discipline as the probes.
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            let node = &self.nodes[id as usize];
+            let range = node.first..node.first + u32::from(node.count);
+            if node.is_leaf {
+                order.extend(range);
+            } else {
+                stack.extend(range);
+            }
+        }
+        order
+    }
+
     /// All `(envelope, item)` entries in leaf order. A position in
     /// this slice is a stable handle on its entry.
     pub fn entries(&self) -> &[(Envelope, T)] {
@@ -324,6 +346,30 @@ mod tests {
         ]);
         assert_eq!(tree.height(), 1);
         assert_eq!(tree.query(&Envelope::new(0.5, 0.5, 0.6, 0.6)), vec![&1]);
+    }
+
+    #[test]
+    fn visit_order_ranks_every_probe_hit() {
+        let boxes = grid_boxes(30); // 900 items, three levels
+        let tree = RTree::bulk_load_entries(boxes);
+        let order = tree.visit_order();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..900).collect::<Vec<u32>>());
+        // Items are distinct box ids: rank each by its entry's visit rank.
+        let mut rank = vec![0usize; order.len()];
+        for (r, &pos) in order.iter().enumerate() {
+            rank[tree.entries()[pos as usize].1] = r;
+        }
+        for (x, y, d) in [(3.5, 7.5, 0.0), (10.0, 10.0, 2.5), (0.0, 29.0, 40.0)] {
+            let mut ranks = Vec::new();
+            tree.for_each_within_distance(Point::new(x, y), d, |&id| ranks.push(rank[id]));
+            assert!(!ranks.is_empty());
+            assert!(ranks.windows(2).all(|w| w[0] < w[1]), "at ({x}, {y}) d={d}");
+        }
+        assert!(RTree::<usize>::bulk_load_entries(vec![])
+            .visit_order()
+            .is_empty());
     }
 
     #[test]

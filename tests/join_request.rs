@@ -8,10 +8,11 @@
 //!   inline reference double loop, and the output is identical across
 //!   thread counts.
 //! * **Accounting** — the [`obs::RunStats`] carried by every outcome
-//!   obey the counter algebra: at least one refinement call per emitted
-//!   pair, refinement accepts equal to pairs for `Within`, per-worker
-//!   busy time bounded by the run wall time, and counters that do not
-//!   depend on the thread count at all.
+//!   obey the counter algebra: for `Within`, refinement accepts plus
+//!   interior-cell pairs equal the pairs, filter hits equal refinement
+//!   calls plus interior-cell pairs, per-worker busy time is bounded by
+//!   the run wall time, and counters do not depend on the thread count
+//!   at all.
 
 use cluster::ScheduleMode;
 use geom::engine::{FlatEngine, PreparedEngine, RefinementEngine, SpatialPredicate};
@@ -129,6 +130,40 @@ fn nested_loop_request_is_bit_identical_to_reference_loop() {
     );
 }
 
+/// The counter algebra of one broadcast `Within` run. `covered` says
+/// whether the engine probes a cell covering (interior items are pairs
+/// without refinement, boundary items are refined, no tree is walked)
+/// or the STR tree (no cells; every candidate is refined).
+fn assert_counter_algebra<E: RefinementEngine>(
+    engine: &E,
+    covered: bool,
+    left: &[PointRecord],
+    right: &[GeomRecord],
+) {
+    for threads in THREAD_COUNTS {
+        let outcome = JoinRequest::new(left, right, engine).threads(threads).run();
+        let c = &outcome.stats.counters;
+        let pairs = outcome.pairs.len() as u64;
+        // Every pair is an interior item or an accepted refinement,
+        // and every filter hit is one or the other.
+        assert_eq!(c.refine_accepts + c.cells_interior, pairs);
+        assert_eq!(c.filter_hits, c.refine_calls + c.cells_interior);
+        if covered {
+            assert_eq!(c.refine_calls, c.cells_boundary);
+            assert_eq!(c.node_visits, 0);
+        } else {
+            assert_eq!((c.cells_interior, c.cells_boundary), (0, 0));
+        }
+        // Workers only run inside the request's wall clock.
+        let wall = outcome.stats.span("run").expect("run span").total_ns;
+        let busy: u64 = outcome.stats.workers.iter().map(|w| w.busy_ns).sum();
+        assert!(
+            busy <= wall.saturating_mul(threads as u64),
+            "Σ busy {busy} ns > wall {wall} ns × {threads}"
+        );
+    }
+}
+
 #[test]
 fn run_stats_obey_counter_algebra() {
     check_with(
@@ -136,30 +171,8 @@ fn run_stats_obey_counter_algebra() {
         "run_stats_obey_counter_algebra",
         &(left_points(), right_rects()),
         |(left, right)| {
-            let engine = PreparedEngine;
-            for threads in THREAD_COUNTS {
-                let outcome = JoinRequest::new(&left, &right, &engine)
-                    .threads(threads)
-                    .run();
-                let c = &outcome.stats.counters;
-                // Every emitted pair passed refinement, and Within
-                // emits exactly its accepted candidates.
-                assert!(
-                    c.refine_calls >= outcome.pairs.len() as u64,
-                    "refine_calls {} < pairs {}",
-                    c.refine_calls,
-                    outcome.pairs.len()
-                );
-                assert_eq!(c.refine_accepts, outcome.pairs.len() as u64);
-                assert_eq!(c.filter_hits, c.refine_calls);
-                // Workers only run inside the request's wall clock.
-                let wall = outcome.stats.span("run").expect("run span").total_ns;
-                let busy: u64 = outcome.stats.workers.iter().map(|w| w.busy_ns).sum();
-                assert!(
-                    busy <= wall.saturating_mul(threads as u64),
-                    "Σ busy {busy} ns > wall {wall} ns × {threads}"
-                );
-            }
+            assert_counter_algebra(&PreparedEngine, true, &left, &right);
+            assert_counter_algebra(&FlatEngine, false, &left, &right);
         },
     );
 }
