@@ -9,7 +9,11 @@
 #   3. cargo build --release      the tree compiles at opt level, and
 #      cargo check --benches      the bench targets (skipped by the
 #                                 release build) type-check
-#   4. cargo test -q              unit + integration + tier-1 suites
+#   4. cargo test -q              unit + integration + tier-1 suites,
+#                                 then the cluster crate's tests again
+#                                 in release, so the pool's scheduling
+#                                 tests run at the optimisation level
+#                                 the executors ship at
 #   5. join front-door suites     parallel_join (morsel executor ≡
 #                                 serial probe loop), join_request
 #                                 (JoinRequest bit-identity and
@@ -52,8 +56,9 @@
 #   1  formatting drift (cargo fmt --check failed)
 #   2  tidy findings or tidy usage error (see its own output)
 #   3  release build or bench-target check failed
-#   4  tests failed
-#   5  parallel_join, join_request or parallel_build suite failed
+#   4  tests failed (debug, or the cluster crate in release)
+#   5  parallel_join, join_request, parallel_build or cell_join suite
+#      failed
 #   6  schedule-mode ablation failed or wrote a malformed artifact
 #   7  obs stats artifact missing or malformed
 #   8  chaos suite failed, or fault-tolerance artifact missing/malformed
@@ -77,6 +82,9 @@ cargo check -q --workspace --benches || exit 3
 
 echo "ci: cargo test -q"
 cargo test -q || exit 4
+
+echo "ci: cargo test -q --release -p cluster"
+cargo test -q --release -p cluster || exit 4
 
 echo "ci: join front-door suites (RUST_TEST_THREADS=1, executor threads up to 7)"
 RUST_TEST_THREADS=1 cargo test -q --test parallel_join --test join_request \

@@ -99,7 +99,6 @@ fn replay(timings: &[cluster::TaskTiming], threads: usize, mode: ScheduleMode) -
     let scheduler = match mode {
         ScheduleMode::Dynamic => Scheduler::Dynamic,
         ScheduleMode::Static => Scheduler::StaticChunked,
-        ScheduleMode::StaticLocality => Scheduler::StaticLocality,
     };
     cluster::simulate(&tasks, &spec, scheduler).makespan
 }
@@ -108,7 +107,6 @@ fn mode_name(mode: ScheduleMode) -> &'static str {
     match mode {
         ScheduleMode::Dynamic => "dynamic",
         ScheduleMode::Static => "static",
-        ScheduleMode::StaticLocality => "static-locality",
     }
 }
 

@@ -174,14 +174,10 @@ pub fn ablate_experiment<E: RefinementEngine>(
         }
     }
 
-    // Check all three modes reproduce the serial output exactly at the
+    // Check both modes reproduce the serial output exactly at the
     // requested thread count.
     let mut identical = true;
-    for mode in [
-        ScheduleMode::Dynamic,
-        ScheduleMode::Static,
-        ScheduleMode::StaticLocality,
-    ] {
+    for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
         let cfg = MorselConfig {
             threads,
             mode,

@@ -446,50 +446,6 @@ pub fn ispmc_standalone_at_scale(run: &IspMcRun, replay: &Replay) -> f64 {
     metrics.simulate_standalone_on(&cluster::ClusterSpec::single_node_highend())
 }
 
-/// Scales Hadoop job metrics to full dataset size: both task waves and
-/// the intermediate spill scale with the left side (the partition job
-/// moves the whole input through the shuffle).
-pub fn scale_hadoop_metrics(
-    metrics: &hadooplet::JobMetrics,
-    replay: &Replay,
-) -> hadooplet::JobMetrics {
-    hadooplet::JobMetrics {
-        map_tasks: scale_tasks(&metrics.map_tasks, replay.cost_factor()),
-        reduce_tasks: scale_tasks(&metrics.reduce_tasks, replay.cost_factor()),
-        intermediate_bytes: (metrics.intermediate_bytes as f64 / replay.scale) as u64,
-    }
-}
-
-/// Runs an experiment through a Hadoop-style baseline and returns the
-/// run plus its simulated full-scale runtime on `nodes` nodes.
-///
-/// # Errors
-/// Propagates run failures (usually a missing dataset path).
-pub fn run_hadoop_baseline(
-    w: &Workload,
-    exp: Experiment,
-    threads: usize,
-    strategy_is_spatialhadoop: bool,
-    replay: &Replay,
-    nodes: usize,
-) -> Result<(hadooplet::HadoopJoinRun, f64), BenchError> {
-    let conf = hadooplet::HadoopConf {
-        threads,
-        ..hadooplet::HadoopConf::default()
-    };
-    let mr = hadooplet::MapReduce::new(conf.clone(), w.dfs.clone());
-    let run = if strategy_is_spatialhadoop {
-        hadooplet::spatialhadoop_join(&mr, exp.left_path(), exp.right_path(), exp.predicate(), 256)
-    } else {
-        hadooplet::hadoopgis_join(&mr, exp.left_path(), exp.right_path(), exp.predicate(), 256)
-    }?;
-    let mut t = scale_hadoop_metrics(&run.metrics, replay).simulate_runtime(&conf, nodes);
-    if let Some(pre) = &run.preprocessing {
-        t += scale_hadoop_metrics(pre, replay).simulate_runtime(&conf, nodes);
-    }
-    Ok((run, t))
-}
-
 /// Estimates the full-scale in-memory footprint of an experiment:
 /// both sides resident (raw text plus ~2× object overhead for the
 /// JVM/engine structures) plus working space. This is what limited the

@@ -9,8 +9,8 @@
 //!    every task's wall-clock cost is measured.
 //! 2. **Replay simulation** ([`sim`]): the measured task costs are
 //!    replayed through a discrete-event simulator against a
-//!    [`ClusterSpec`] topology, a [`NetworkModel`] for broadcast/shuffle
-//!    costs, and a [`Scheduler`] policy — dynamic work-queue scheduling
+//!    [`ClusterSpec`] topology, a [`NetworkModel`] for broadcast and
+//!    coordination costs, and a [`Scheduler`] policy — dynamic work-queue scheduling
 //!    (Spark) or static pre-assignment (Impala / OpenMP-static).
 //!
 //! This preserves exactly what the paper measures: relative runtimes,

@@ -61,18 +61,6 @@ impl NetworkModel {
         }
     }
 
-    /// A zero-cost network for standalone (single-process) execution.
-    pub fn local() -> NetworkModel {
-        NetworkModel {
-            latency: 0.0,
-            bandwidth: f64::INFINITY,
-            stage_setup: 0.0,
-            per_partition_meta: 0.0,
-            job_startup_fixed: 0.0,
-            job_startup_per_node: 0.0,
-        }
-    }
-
     /// Time to move `bytes` point-to-point.
     pub fn transfer_cost(&self, bytes: u64) -> f64 {
         if bytes == 0 {
@@ -91,19 +79,6 @@ impl NetworkModel {
             return 0.0;
         }
         self.transfer_cost(bytes) + (num_nodes as f64 - 2.0).max(0.0) * self.latency
-    }
-
-    /// Time for an all-to-all shuffle of `total_bytes` across
-    /// `num_nodes`, each node sending and receiving its share in
-    /// parallel.
-    pub fn shuffle_cost(&self, total_bytes: u64, num_nodes: usize) -> f64 {
-        if num_nodes <= 1 || total_bytes == 0 {
-            return 0.0;
-        }
-        let per_node = total_bytes as f64 / num_nodes as f64;
-        // Each node exchanges (n-1)/n of its share with peers.
-        let cross = per_node * (num_nodes as f64 - 1.0) / num_nodes as f64;
-        self.latency * (num_nodes as f64 - 1.0) + cross / self.bandwidth
     }
 
     /// Coordination cost to launch one stage of `num_partitions` tasks.
@@ -139,15 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_improves_with_more_nodes() {
-        let n = NetworkModel::ec2_spark();
-        let four = n.shuffle_cost(1 << 30, 4);
-        let ten = n.shuffle_cost(1 << 30, 10);
-        assert!(ten < four, "per-node share shrinks with cluster size");
-        assert_eq!(n.shuffle_cost(1 << 30, 1), 0.0);
-    }
-
-    #[test]
     fn spark_coordination_grows_with_partitions() {
         let n = NetworkModel::ec2_spark();
         assert!(n.stage_coordination_cost(1000) > n.stage_coordination_cost(10));
@@ -156,15 +122,6 @@ mod tests {
             i.stage_coordination_cost(1000) < n.stage_coordination_cost(1000),
             "Impala's static planning has lower per-stage overheads"
         );
-    }
-
-    #[test]
-    fn local_model_is_free() {
-        let l = NetworkModel::local();
-        assert_eq!(l.transfer_cost(1 << 30), 0.0);
-        assert_eq!(l.broadcast_cost(1 << 30, 8), 0.0);
-        assert_eq!(l.job_startup_cost(8), 0.0);
-        assert_eq!(l.stage_coordination_cost(100), 0.0);
     }
 
     #[test]

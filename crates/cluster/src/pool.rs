@@ -27,31 +27,6 @@ pub enum ScheduleMode {
     Dynamic,
     /// Contiguous chunks assigned up front (OpenMP `schedule(static)`).
     Static,
-    /// Static assignment by a per-unit locality hint (Impala's
-    /// scan-range assignment, stood in for by the grid/STR partition of
-    /// the data): unit `i` is pre-assigned to worker `hints[i] % threads`.
-    /// Units without a hint — including every unit of a dispatch with
-    /// empty [`Dispatch::hints`] — fall back to static chunking.
-    StaticLocality,
-}
-
-/// Worker pre-assigned to unit `i` of `n` under static chunking — the
-/// exact inverse of the `[w*n/threads, (w+1)*n/threads)` chunk bounds
-/// the static arm iterates, so hint fallback and plain static mode
-/// agree on every unit.
-#[inline]
-fn chunk_worker(i: usize, n: usize, threads: usize) -> usize {
-    ((i + 1) * threads).div_ceil(n.max(1)).saturating_sub(1)
-}
-
-/// Worker pre-assigned to unit `i` under [`ScheduleMode::StaticLocality`]:
-/// the hinted worker when a hint exists, the static chunk otherwise.
-#[inline]
-fn hinted_worker(i: usize, n: usize, threads: usize, hints: &[usize]) -> usize {
-    match hints.get(i) {
-        Some(&h) => h % threads,
-        None => chunk_worker(i, n, threads),
-    }
 }
 
 /// Measured timing of one unit.
@@ -80,28 +55,22 @@ pub struct TaskFailure {
 
 /// How a [`dispatch`] call hands out and retries its units.
 #[derive(Debug, Clone, Copy)]
-pub struct Dispatch<'h> {
+pub struct Dispatch {
     /// Worker threads; 1 runs every unit inline on the calling thread.
     pub threads: usize,
     /// How units are handed to workers.
     pub mode: ScheduleMode,
-    /// Per-unit preferred-worker keys (a partition or block id, taken
-    /// modulo `threads`). Only [`ScheduleMode::StaticLocality`] reads
-    /// them; a slice shorter than the unit count falls back to static
-    /// chunking for the uncovered tail.
-    pub hints: &'h [usize],
     /// Total attempts per unit, including the first (clamped to ≥ 1).
     /// One attempt is fail-fast: a panic fails the unit immediately.
     pub attempts: u32,
 }
 
-impl Dispatch<'_> {
-    /// `threads` workers under `mode`, no hints, one attempt per unit.
+impl Dispatch {
+    /// `threads` workers under `mode`, one attempt per unit.
     pub fn new(threads: usize, mode: ScheduleMode) -> Self {
         Dispatch {
             threads,
             mode,
-            hints: &[],
             attempts: 1,
         }
     }
@@ -135,18 +104,6 @@ impl<R> Dispatched<R> {
             std::panic::panic_any(failure.message.clone());
         }
         self
-    }
-}
-
-/// The obs dispatch label for a schedule mode. Units are charged to the
-/// *requested* mode even where the implementation degenerates (locality
-/// without hints, the single-thread inline path), so counters are
-/// identical across thread counts.
-fn dispatch_mode(mode: ScheduleMode) -> obs::DispatchMode {
-    match mode {
-        ScheduleMode::Dynamic => obs::DispatchMode::Dynamic,
-        ScheduleMode::Static => obs::DispatchMode::Static,
-        ScheduleMode::StaticLocality => obs::DispatchMode::StaticLocality,
     }
 }
 
@@ -205,7 +162,6 @@ fn run_worker<R, F>(w: usize, n: usize, d: &Dispatch, next: &AtomicUsize, f: &F)
 where
     F: Fn(usize, u32, &mut Vec<R>),
 {
-    let dmode = dispatch_mode(d.mode);
     let wall0 = Instant::now();
     let mut busy_ns: u64 = 0;
     let mut buf: Vec<R> = Vec::new();
@@ -220,7 +176,7 @@ where
         });
         let elapsed = t0.elapsed();
         busy_ns = busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-        obs::morsel(dmode);
+        obs::morsel();
         match outcome {
             Ok(()) => segs.push((i, buf.len() - before, elapsed.as_secs_f64())),
             Err((attempts, message)) => {
@@ -242,11 +198,6 @@ where
             run(i);
         },
         ScheduleMode::Static => (w * n / d.threads..(w + 1) * n / d.threads).for_each(&mut run),
-        // Indices stay strictly increasing per worker, which the stitch
-        // relies on.
-        ScheduleMode::StaticLocality => (0..n)
-            .filter(|&i| hinted_worker(i, n, d.threads, d.hints) == w)
-            .for_each(&mut run),
     }
     // The inline worker has no queue to wait on.
     let wait_ns = if d.threads == 1 {
@@ -380,15 +331,11 @@ mod tests {
     /// Runs `f` over morsels of `items`, failures re-raised.
     fn morsels<T: Sync, R: Send>(
         morsels: &[&[T]],
-        hints: &[usize],
         threads: usize,
         mode: ScheduleMode,
         f: impl Fn(&[T], &mut Vec<R>) + Sync,
     ) -> (Vec<R>, Vec<TaskTiming>) {
-        let d = Dispatch {
-            hints,
-            ..Dispatch::new(threads, mode)
-        };
+        let d = Dispatch::new(threads, mode);
         let run = dispatch(morsels.len(), &d, |i, _, out| f(morsels[i], out)).or_raise();
         (run.out, run.timings)
     }
@@ -419,9 +366,24 @@ mod tests {
     #[test]
     fn dynamic_mode_uses_multiple_workers() {
         let items: Vec<u64> = (0..400).collect();
+        // The worker that takes unit 0 holds it until some other unit
+        // has started, which only another worker can do. Without the
+        // hold, cheap units let the first worker drain the whole queue
+        // before the rest are scheduled. The deadline turns a scheduler
+        // that never hands out a second unit into a failed assertion
+        // instead of a hang.
+        let other_started = std::sync::atomic::AtomicBool::new(false);
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
         let (_, timings) = tasks(&items, 4, ScheduleMode::Dynamic, |&x| {
-            // Enough work per item that no single worker grabs everything.
-            (0..2000).fold(x, |a, b| a.wrapping_add(b))
+            if x == 0 {
+                while !other_started.load(Ordering::Acquire) && Instant::now() < deadline {
+                    std::hint::spin_loop();
+                    std::thread::yield_now();
+                }
+            } else {
+                other_started.store(true, Ordering::Release);
+            }
+            x
         });
         let workers: std::collections::HashSet<usize> = timings.iter().map(|t| t.worker).collect();
         assert!(workers.len() > 1, "expected >1 worker, got {workers:?}");
@@ -459,7 +421,7 @@ mod tests {
             for threads in [1, 3, 8] {
                 for size in [1, 7, 128] {
                     let ms = chunked(&items, size);
-                    let (out, timings) = morsels(&ms, &[], threads, mode, |m, buf| {
+                    let (out, timings) = morsels(&ms, threads, mode, |m, buf| {
                         for &x in m {
                             buf.push(x * 2);
                             buf.push(x * 2 + 1);
@@ -478,7 +440,7 @@ mod tests {
         // Each morsel emits a different number of results (including 0).
         let items: Vec<u64> = (0..101).collect();
         let ms = chunked(&items, 13);
-        let (out, _) = morsels(&ms, &[], 4, ScheduleMode::Dynamic, |m, buf| {
+        let (out, _) = morsels(&ms, 4, ScheduleMode::Dynamic, |m, buf| {
             for &x in m {
                 for _ in 0..(x % 3) {
                     buf.push(x);
@@ -498,73 +460,6 @@ mod tests {
         assert!(run.out.is_empty() && run.timings.is_empty() && run.failures.is_empty());
     }
 
-    #[test]
-    fn locality_hints_pin_morsels_to_workers() {
-        let items: Vec<u64> = (0..120).collect();
-        let ms = chunked(&items, 1);
-        // Hint pattern: morsel i prefers worker (i % 3) of 4.
-        let hints: Vec<usize> = (0..ms.len()).map(|i| i % 3).collect();
-        let (out, timings) = morsels(&ms, &hints, 4, ScheduleMode::StaticLocality, |m, buf| {
-            buf.extend_from_slice(m)
-        });
-        assert_eq!(out, items, "locality must not change output order");
-        for t in &timings {
-            assert_eq!(t.worker, hints[t.index] % 4, "morsel {} misplaced", t.index);
-        }
-    }
-
-    #[test]
-    fn locality_without_hints_falls_back_to_static_chunks() {
-        let items: Vec<u64> = (0..103).collect();
-        let ms = chunked(&items, 1);
-        let n = ms.len();
-        let (out, timings) = morsels(&ms, &[], 4, ScheduleMode::StaticLocality, |m, buf| {
-            buf.extend_from_slice(m)
-        });
-        assert_eq!(out, items);
-        // Fallback worker must match the static chunk that owns index i.
-        for t in &timings {
-            let w = t.worker;
-            assert!(
-                t.index >= (w * n) / 4 && t.index < ((w + 1) * n) / 4,
-                "index {} outside worker {w}'s static chunk",
-                t.index
-            );
-        }
-    }
-
-    #[test]
-    fn partial_hints_cover_prefix_rest_chunked() {
-        let items: Vec<u64> = (0..60).collect();
-        let ms = chunked(&items, 2);
-        let hints = vec![1usize; 10]; // only the first 10 morsels hinted
-        let (out, timings) = morsels(&ms, &hints, 3, ScheduleMode::StaticLocality, |m, buf| {
-            buf.extend_from_slice(m)
-        });
-        assert_eq!(out, items);
-        for t in timings.iter().filter(|t| t.index < 10) {
-            assert_eq!(t.worker, 1);
-        }
-    }
-
-    #[test]
-    fn locality_output_identical_across_modes() {
-        let items: Vec<u64> = (0..500).collect();
-        let ms = chunked(&items, 7);
-        let hints: Vec<usize> = (0..ms.len()).map(|i| (i * 13) % 5).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| x * 3).collect();
-        for threads in [1, 2, 5, 8] {
-            let (out, _) = morsels(
-                &ms,
-                &hints,
-                threads,
-                ScheduleMode::StaticLocality,
-                |m, buf| buf.extend(m.iter().map(|&x| x * 3)),
-            );
-            assert_eq!(out, serial, "threads={threads}");
-        }
-    }
-
     /// Runs `f` with panic output suppressed — expected injected panics
     /// would otherwise spam the test log through the default hook.
     fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
@@ -579,11 +474,7 @@ mod tests {
     fn faulted_tasks_without_faults_match_plain() {
         let items: Vec<u64> = (0..300).collect();
         let expected: Vec<u64> = items.iter().map(|&x| x * 3).collect();
-        for mode in [
-            ScheduleMode::Dynamic,
-            ScheduleMode::Static,
-            ScheduleMode::StaticLocality,
-        ] {
+        for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
             for threads in [1, 2, 7] {
                 let d = Dispatch {
                     attempts: 3,
@@ -704,7 +595,7 @@ mod tests {
     fn morsels_static_assigns_contiguous_chunks() {
         let items: Vec<u64> = (0..100).collect();
         let ms = chunked(&items, 1);
-        let (_, timings) = morsels(&ms, &[], 4, ScheduleMode::Static, |m, buf| {
+        let (_, timings) = morsels(&ms, 4, ScheduleMode::Static, |m, buf| {
             buf.extend_from_slice(m);
         });
         for t in &timings {

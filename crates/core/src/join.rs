@@ -9,9 +9,8 @@
 //!
 //! Joins run through [`crate::JoinRequest`]; [`build_right_index`] and
 //! [`probe`] are the serial reference loop its output is checked
-//! against, and [`partitioner`] — the one STR space partitioner, also
-//! used by the Hadoop baselines — splits space for its partitioned
-//! strategy.
+//! against, and the one STR space partitioner splits space for its
+//! partitioned strategy.
 
 use geom::engine::{RefinementEngine, SpatialPredicate};
 use geom::{Envelope, HasEnvelope, Point};
@@ -64,23 +63,10 @@ pub fn probe<E: RefinementEngine>(
 }
 
 /// The one spatial partitioner of the partitioned strategy (the
-/// SpatialHadoop/HadoopGIS strategy discussed in §II): a
-/// [`StrPartitioner`] of `target_cells` cells over the extent of the
-/// left points and the radius-expanded right envelopes, built from a
-/// stride sample of the left points (about 10k at most).
-pub fn partitioner(
-    left: &[PointRecord],
-    right: &[GeomRecord],
-    predicate: SpatialPredicate,
-    target_cells: usize,
-) -> StrPartitioner {
-    let radius = predicate.filter_radius();
-    let envelopes = right.iter().map(|(_, g)| g.envelope().expanded_by(radius));
-    cells_over(left, envelopes, target_cells)
-}
-
-/// [`partitioner`] over right envelopes already expanded by the filter
-/// radius.
+/// SpatialHadoop-style strategy discussed in §II): a [`StrPartitioner`]
+/// of `target_cells` cells over the extent of the left points and the
+/// right envelopes (already expanded by the filter radius), built from
+/// a stride sample of the left points (about 10k at most).
 fn cells_over(
     left: &[PointRecord],
     right: impl Iterator<Item = Envelope>,
@@ -106,12 +92,12 @@ pub(crate) struct PartitionTask {
     pub right: Vec<u32>,
 }
 
-/// Splits a join into partition tasks over a [`partitioner`] of
-/// `ceil(|left| / target_points_per_partition)` cells: points are
-/// routed to exactly one cell, right entries (their already-expanded
-/// envelopes) to every cell they overlap, by position in `right`.
-/// Cells left without points or without entries are dropped, so every
-/// task has work.
+/// Splits a join into partition tasks over a [`cells_over`]
+/// partitioner of `ceil(|left| / target_points_per_partition)` cells:
+/// points are routed to exactly one cell, right entries (their
+/// already-expanded envelopes) to every cell they overlap, by position
+/// in `right`. Cells left without points or without entries are
+/// dropped, so every task has work.
 pub(crate) fn partition_work<T>(
     left: &[PointRecord],
     right: &[(Envelope, T)],

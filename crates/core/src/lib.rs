@@ -12,8 +12,7 @@
 //!   each returning its pairs plus an `obs::RunStats`.
 //! * [`join`] — the serial building blocks: the right-side R-tree and
 //!   per-point probe (the serial reference loop) and the one STR space
-//!   partitioner, used by the partitioned strategy and the Hadoop
-//!   baselines.
+//!   partitioner, used by the partitioned strategy.
 //! * [`parallel`] — the morsel-driven parallel executor behind both
 //!   systems: the right side prepared once into a shared
 //!   [`PreparedSet`], the left side probed in fixed-size morsels with

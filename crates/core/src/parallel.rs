@@ -95,8 +95,8 @@ fn points_extent(left: &[PointRecord]) -> Envelope {
 /// Tags each morsel of `left` (chunks of `morsel_size`) with its
 /// **dominant partition**: the grid cell holding the plurality of the
 /// morsel's points, ties to the lower cell id. This is the
-/// preferred-worker/preferred-node hint the locality-aware schedules
-/// consume — the grid partition standing in for HDFS block locality.
+/// preferred-node hint the simulator's locality-aware replay consumes
+/// — the grid partition standing in for HDFS block locality.
 pub fn morsel_partitions(left: &[PointRecord], morsel_size: usize, side: usize) -> Vec<usize> {
     let side = side.max(1);
     let extent = points_extent(left);
@@ -492,8 +492,7 @@ impl<E: RefinementEngine> PreparedSet<E> {
 }
 
 /// Runs `body(i, attempt, morsel, out)` over `left` in morsels of
-/// `cfg.morsel_size` on the dispatch pool. Locality mode needs the
-/// per-morsel hints; the other modes skip the tagging pass.
+/// `cfg.morsel_size` on the dispatch pool.
 fn dispatch_morsels(
     left: &[PointRecord],
     cfg: MorselConfig,
@@ -501,13 +500,7 @@ fn dispatch_morsels(
     body: impl Fn(usize, u32, &[PointRecord], &mut Vec<JoinPair>) + Sync,
 ) -> Dispatched<JoinPair> {
     let size = cfg.morsel_size.max(1);
-    let hints = if cfg.mode == ScheduleMode::StaticLocality {
-        morsel_partitions(left, size, LOCALITY_GRID_SIDE)
-    } else {
-        Vec::new()
-    };
     let d = Dispatch {
-        hints: &hints,
         attempts,
         ..Dispatch::new(cfg.threads, cfg.mode)
     };
@@ -807,28 +800,6 @@ mod tests {
     }
 
     #[test]
-    fn locality_mode_is_bit_identical_to_serial() {
-        let left = grid_points(20);
-        let right = quadrant_polys(10.0);
-        let engine = PreparedEngine;
-        let serial = serial_join(&left, &right);
-        for threads in [1, 2, 7] {
-            for morsel_size in [16, 500] {
-                let cfg = MorselConfig {
-                    threads,
-                    mode: ScheduleMode::StaticLocality,
-                    morsel_size,
-                };
-                let par = JoinRequest::new(&left, &right, &engine)
-                    .config(cfg)
-                    .run()
-                    .pairs;
-                assert_eq!(par, serial, "threads={threads} morsel={morsel_size}");
-            }
-        }
-    }
-
-    #[test]
     fn morsel_partitions_tag_dominant_cell() {
         // Two clusters far apart: morsels made purely of one cluster
         // must carry different tags.
@@ -928,11 +899,7 @@ mod tests {
         let engine = PreparedEngine;
         let set = PreparedSet::prepare(&right, SpatialPredicate::Within, &engine);
         let serial = serial_join(&left, &right);
-        for mode in [
-            ScheduleMode::Dynamic,
-            ScheduleMode::Static,
-            ScheduleMode::StaticLocality,
-        ] {
+        for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
             let cfg = MorselConfig {
                 threads: 4,
                 mode,

@@ -239,24 +239,6 @@ impl MiniDfs {
         self.inner.files.read().contains_key(path)
     }
 
-    /// Deletes a file.
-    ///
-    /// # Errors
-    /// Fails with [`DfsError::NotFound`] for unknown paths.
-    pub fn delete(&self, path: &str) -> Result<(), DfsError> {
-        self.inner
-            .files
-            .write()
-            .remove(path)
-            .map(|_| ())
-            .ok_or_else(|| DfsError::NotFound(path.to_string()))
-    }
-
-    /// Lists all paths, sorted.
-    pub fn list(&self) -> Vec<String> {
-        self.inner.files.read().keys().cloned().collect()
-    }
-
     /// File metadata.
     ///
     /// # Errors
@@ -493,10 +475,7 @@ mod tests {
             Err(DfsError::AlreadyExists("/f".into()))
         );
         assert!(dfs.exists("/f"));
-        dfs.delete("/f").unwrap();
-        assert!(!dfs.exists("/f"));
-        assert_eq!(dfs.delete("/f"), Err(DfsError::NotFound("/f".into())));
-        assert_eq!(dfs.stat("/f").unwrap_err(), DfsError::NotFound("/f".into()));
+        assert_eq!(dfs.read_all_lines("/f").unwrap(), vec!["x".to_string()]);
     }
 
     #[test]
@@ -517,14 +496,6 @@ mod tests {
         assert_eq!(stat.num_blocks, 0);
         assert_eq!(stat.total_records, 0);
         assert!(dfs.read_all_lines("/empty").unwrap().is_empty());
-    }
-
-    #[test]
-    fn list_is_sorted() {
-        let dfs = dfs();
-        dfs.write_lines("/b", ["1"]).unwrap();
-        dfs.write_lines("/a", ["1"]).unwrap();
-        assert_eq!(dfs.list(), vec!["/a".to_string(), "/b".to_string()]);
     }
 
     #[test]

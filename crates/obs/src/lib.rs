@@ -38,199 +38,128 @@ use std::time::Instant;
 // counters
 // ---------------------------------------------------------------------
 
-/// One full set of event counters. Plain data: snapshot, add and
-/// subtract freely.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counters {
-    /// Candidates surviving the filter: R-tree envelope hits, or the
-    /// items listed in a cell-covering probe's cell.
-    pub filter_hits: u64,
-    /// Refinement evaluations (predicate or distance calls).
-    pub refine_calls: u64,
-    /// Refinement evaluations that accepted the candidate.
-    pub refine_accepts: u64,
-    /// Geometry edges scanned by flat/naive refinement engines.
-    pub edge_visits: u64,
-    /// R-tree nodes popped during index traversals.
-    pub node_visits: u64,
-    /// Pairs a cell-covering probe emitted from an interior cell,
-    /// without refinement.
-    pub cells_interior: u64,
-    /// Boundary-cell items a cell-covering probe refined.
-    pub cells_boundary: u64,
-    /// Morsels/tasks executed by the parallel pool.
-    pub morsels_executed: u64,
-    /// Pool items dispatched under dynamic scheduling.
-    pub dispatch_dynamic: u64,
-    /// Pool items dispatched under static chunking.
-    pub dispatch_static: u64,
-    /// Pool items dispatched under locality-hinted static assignment.
-    pub dispatch_locality: u64,
-    /// Input lines parsed into records.
-    pub records_parsed: u64,
-    /// Input lines skipped as malformed.
-    pub records_skipped: u64,
-    /// Row batches produced by the SQL engine.
-    pub row_batches: u64,
-    /// Bytes broadcast to every node.
-    pub bytes_broadcast: u64,
-    /// Faults injected by the chaos layer (panics, corruptions,
-    /// transient errors, straggler delays).
-    pub faults_injected: u64,
-    /// Task/morsel attempts re-dispatched after a captured panic.
-    pub task_retries: u64,
-    /// Block reads served by a non-primary replica after a checksum
-    /// failure on an earlier replica.
-    pub blocks_failed_over: u64,
-    /// Partitions recomputed from lineage after an executor loss.
-    pub partitions_recomputed: u64,
-}
+/// Declares every counter once, in report order, and generates from
+/// that one list the [`Counters`] struct, its arithmetic and
+/// [`Counters::fields`], the thread-local cells behind the free
+/// functions, and the snapshot, drain and fold of those cells. Adding
+/// or removing a counter is one edit here.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $f:ident,)*) => {
+        /// One full set of event counters. Plain data: snapshot, add and
+        /// subtract freely.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct Counters {
+            $($(#[$doc])* pub $f: u64,)*
+        }
 
-macro_rules! for_each_counter {
-    ($m:ident) => {
-        $m!(filter_hits);
-        $m!(refine_calls);
-        $m!(refine_accepts);
-        $m!(edge_visits);
-        $m!(node_visits);
-        $m!(cells_interior);
-        $m!(cells_boundary);
-        $m!(morsels_executed);
-        $m!(dispatch_dynamic);
-        $m!(dispatch_static);
-        $m!(dispatch_locality);
-        $m!(records_parsed);
-        $m!(records_skipped);
-        $m!(row_batches);
-        $m!(bytes_broadcast);
-        $m!(faults_injected);
-        $m!(task_retries);
-        $m!(blocks_failed_over);
-        $m!(partitions_recomputed);
+        impl Counters {
+            /// `self + other`, saturating.
+            #[must_use]
+            pub fn plus(&self, other: &Counters) -> Counters {
+                Counters { $($f: self.$f.saturating_add(other.$f),)* }
+            }
+
+            /// `self - other`, saturating (deltas against an earlier
+            /// snapshot).
+            #[must_use]
+            pub fn minus(&self, other: &Counters) -> Counters {
+                Counters { $($f: self.$f.saturating_sub(other.$f),)* }
+            }
+
+            /// `(name, value)` pairs in declaration order, for reports.
+            pub fn fields(&self) -> [(&'static str, u64); [$(stringify!($f)),*].len()] {
+                [$((stringify!($f), self.$f)),*]
+            }
+        }
+
+        /// The thread-local cells behind the free functions.
+        /// Const-initialised so first access never allocates.
+        struct CounterCells {
+            $($f: Cell<u64>,)*
+        }
+
+        thread_local! {
+            static CELLS: CounterCells = const {
+                CounterCells { $($f: Cell::new(0),)* }
+            };
+        }
+
+        /// Reads the calling thread's counters **without** resetting
+        /// them. Collectors take a snapshot before and after a region of
+        /// work and subtract.
+        pub fn thread_snapshot() -> Counters {
+            CELLS.with(|c| Counters { $($f: c.$f.get(),)* })
+        }
+
+        /// Drains the calling thread's counters, returning them and
+        /// resetting every cell to zero. Worker threads call this once
+        /// before exiting so their counts travel back to the driver in an
+        /// [`ExecStats`].
+        pub fn take_thread() -> Counters {
+            CELLS.with(|c| Counters { $($f: c.$f.replace(0),)* })
+        }
+
+        /// Adds `counters` into the calling thread's cells. The pool's
+        /// plain (non-observed) entry points use this to fold worker
+        /// counts into the driver thread, so an outer snapshot-delta
+        /// still sees them.
+        pub fn add_thread(counters: &Counters) {
+            CELLS.with(|c| {
+                $(bump(&c.$f, counters.$f);)*
+            });
+        }
     };
 }
 
+counters! {
+    /// Candidates surviving the filter: R-tree envelope hits, or the
+    /// items listed in a cell-covering probe's cell.
+    filter_hits,
+    /// Refinement evaluations (predicate or distance calls).
+    refine_calls,
+    /// Refinement evaluations that accepted the candidate.
+    refine_accepts,
+    /// Geometry edges scanned by flat/naive refinement engines.
+    edge_visits,
+    /// R-tree nodes popped during index traversals.
+    node_visits,
+    /// Pairs a cell-covering probe emitted from an interior cell,
+    /// without refinement.
+    cells_interior,
+    /// Boundary-cell items a cell-covering probe refined.
+    cells_boundary,
+    /// Morsels/tasks executed by the parallel pool.
+    morsels_executed,
+    /// Input lines parsed into records.
+    records_parsed,
+    /// Input lines skipped as malformed.
+    records_skipped,
+    /// Row batches produced by the SQL engine.
+    row_batches,
+    /// Bytes broadcast to every node.
+    bytes_broadcast,
+    /// Faults injected by the chaos layer (panics, corruptions,
+    /// transient errors, straggler delays).
+    faults_injected,
+    /// Task/morsel attempts re-dispatched after a captured panic.
+    task_retries,
+    /// Block reads served by a non-primary replica after a checksum
+    /// failure on an earlier replica.
+    blocks_failed_over,
+    /// Partitions recomputed from lineage after an executor loss.
+    partitions_recomputed,
+}
+
 impl Counters {
-    /// `self + other`, saturating.
-    #[must_use]
-    pub fn plus(&self, other: &Counters) -> Counters {
-        let mut out = *self;
-        macro_rules! add {
-            ($f:ident) => {
-                out.$f = out.$f.saturating_add(other.$f);
-            };
-        }
-        for_each_counter!(add);
-        out
-    }
-
-    /// `self - other`, saturating (deltas against an earlier snapshot).
-    #[must_use]
-    pub fn minus(&self, other: &Counters) -> Counters {
-        let mut out = *self;
-        macro_rules! sub {
-            ($f:ident) => {
-                out.$f = out.$f.saturating_sub(other.$f);
-            };
-        }
-        for_each_counter!(sub);
-        out
-    }
-
     /// True when every counter is zero.
     pub fn is_zero(&self) -> bool {
         *self == Counters::default()
     }
-
-    /// `(name, value)` pairs in declaration order, for reports.
-    pub fn fields(&self) -> [(&'static str, u64); 19] {
-        [
-            ("filter_hits", self.filter_hits),
-            ("refine_calls", self.refine_calls),
-            ("refine_accepts", self.refine_accepts),
-            ("edge_visits", self.edge_visits),
-            ("node_visits", self.node_visits),
-            ("cells_interior", self.cells_interior),
-            ("cells_boundary", self.cells_boundary),
-            ("morsels_executed", self.morsels_executed),
-            ("dispatch_dynamic", self.dispatch_dynamic),
-            ("dispatch_static", self.dispatch_static),
-            ("dispatch_locality", self.dispatch_locality),
-            ("records_parsed", self.records_parsed),
-            ("records_skipped", self.records_skipped),
-            ("row_batches", self.row_batches),
-            ("bytes_broadcast", self.bytes_broadcast),
-            ("faults_injected", self.faults_injected),
-            ("task_retries", self.task_retries),
-            ("blocks_failed_over", self.blocks_failed_over),
-            ("partitions_recomputed", self.partitions_recomputed),
-        ]
-    }
-}
-
-/// The thread-local cells behind the free functions. Const-initialised
-/// so first access never allocates.
-struct CounterCells {
-    filter_hits: Cell<u64>,
-    refine_calls: Cell<u64>,
-    refine_accepts: Cell<u64>,
-    edge_visits: Cell<u64>,
-    node_visits: Cell<u64>,
-    cells_interior: Cell<u64>,
-    cells_boundary: Cell<u64>,
-    morsels_executed: Cell<u64>,
-    dispatch_dynamic: Cell<u64>,
-    dispatch_static: Cell<u64>,
-    dispatch_locality: Cell<u64>,
-    records_parsed: Cell<u64>,
-    records_skipped: Cell<u64>,
-    row_batches: Cell<u64>,
-    bytes_broadcast: Cell<u64>,
-    faults_injected: Cell<u64>,
-    task_retries: Cell<u64>,
-    blocks_failed_over: Cell<u64>,
-    partitions_recomputed: Cell<u64>,
-}
-
-thread_local! {
-    static CELLS: CounterCells = const {
-        CounterCells {
-            filter_hits: Cell::new(0),
-            refine_calls: Cell::new(0),
-            refine_accepts: Cell::new(0),
-            edge_visits: Cell::new(0),
-            node_visits: Cell::new(0),
-            cells_interior: Cell::new(0),
-            cells_boundary: Cell::new(0),
-            morsels_executed: Cell::new(0),
-            dispatch_dynamic: Cell::new(0),
-            dispatch_static: Cell::new(0),
-            dispatch_locality: Cell::new(0),
-            records_parsed: Cell::new(0),
-            records_skipped: Cell::new(0),
-            row_batches: Cell::new(0),
-            bytes_broadcast: Cell::new(0),
-            faults_injected: Cell::new(0),
-            task_retries: Cell::new(0),
-            blocks_failed_over: Cell::new(0),
-            partitions_recomputed: Cell::new(0),
-        }
-    };
 }
 
 #[inline]
 fn bump(cell: &Cell<u64>, by: u64) {
     cell.set(cell.get().saturating_add(by));
-}
-
-/// How the pool handed an item to its worker — mirrors
-/// `cluster::ScheduleMode` without depending on it (obs sits at the
-/// bottom of the dependency graph).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    Dynamic,
-    Static,
-    StaticLocality,
 }
 
 /// Records one probe's filter/refine outcome: `candidates` envelopes
@@ -287,17 +216,10 @@ pub fn edge_visits(n: u64) {
     CELLS.with(|c| bump(&c.edge_visits, n));
 }
 
-/// Records one morsel/task executed under `mode`.
+/// Records one morsel/task executed by the pool.
 #[inline]
-pub fn morsel(mode: DispatchMode) {
-    CELLS.with(|c| {
-        bump(&c.morsels_executed, 1);
-        match mode {
-            DispatchMode::Dynamic => bump(&c.dispatch_dynamic, 1),
-            DispatchMode::Static => bump(&c.dispatch_static, 1),
-            DispatchMode::StaticLocality => bump(&c.dispatch_locality, 1),
-        }
-    });
+pub fn morsel() {
+    CELLS.with(|c| bump(&c.morsels_executed, 1));
 }
 
 /// Records a batch of record-parse outcomes.
@@ -338,63 +260,6 @@ pub fn block_failed_over() {
 #[inline]
 pub fn partitions_recomputed(n: u64) {
     CELLS.with(|c| bump(&c.partitions_recomputed, n));
-}
-
-/// Reads the calling thread's counters **without** resetting them.
-/// Collectors take a snapshot before and after a region of work and
-/// subtract.
-pub fn thread_snapshot() -> Counters {
-    CELLS.with(|c| Counters {
-        filter_hits: c.filter_hits.get(),
-        refine_calls: c.refine_calls.get(),
-        refine_accepts: c.refine_accepts.get(),
-        edge_visits: c.edge_visits.get(),
-        node_visits: c.node_visits.get(),
-        cells_interior: c.cells_interior.get(),
-        cells_boundary: c.cells_boundary.get(),
-        morsels_executed: c.morsels_executed.get(),
-        dispatch_dynamic: c.dispatch_dynamic.get(),
-        dispatch_static: c.dispatch_static.get(),
-        dispatch_locality: c.dispatch_locality.get(),
-        records_parsed: c.records_parsed.get(),
-        records_skipped: c.records_skipped.get(),
-        row_batches: c.row_batches.get(),
-        bytes_broadcast: c.bytes_broadcast.get(),
-        faults_injected: c.faults_injected.get(),
-        task_retries: c.task_retries.get(),
-        blocks_failed_over: c.blocks_failed_over.get(),
-        partitions_recomputed: c.partitions_recomputed.get(),
-    })
-}
-
-/// Drains the calling thread's counters, returning them and resetting
-/// every cell to zero. Worker threads call this once before exiting so
-/// their counts travel back to the driver in an [`ExecStats`].
-pub fn take_thread() -> Counters {
-    let snap = thread_snapshot();
-    CELLS.with(|c| {
-        macro_rules! clear {
-            ($f:ident) => {
-                c.$f.set(0);
-            };
-        }
-        for_each_counter!(clear);
-    });
-    snap
-}
-
-/// Adds `counters` into the calling thread's cells. The pool's plain
-/// (non-observed) entry points use this to fold worker counts into the
-/// driver thread, so an outer snapshot-delta still sees them.
-pub fn add_thread(counters: &Counters) {
-    CELLS.with(|c| {
-        macro_rules! add {
-            ($f:ident) => {
-                bump(&c.$f, counters.$f);
-            };
-        }
-        for_each_counter!(add);
-    });
 }
 
 // ---------------------------------------------------------------------
@@ -653,8 +518,8 @@ mod tests {
             filter_refine(5, 2);
             node_visits(11);
             edge_visits(40);
-            morsel(DispatchMode::Dynamic);
-            morsel(DispatchMode::StaticLocality);
+            morsel();
+            morsel();
             records(9, 1);
             row_batches(3);
             faults_injected(4);
@@ -671,9 +536,6 @@ mod tests {
             assert_eq!(snap.node_visits, 11);
             assert_eq!(snap.edge_visits, 40);
             assert_eq!(snap.morsels_executed, 2);
-            assert_eq!(snap.dispatch_dynamic, 1);
-            assert_eq!(snap.dispatch_locality, 1);
-            assert_eq!(snap.dispatch_static, 0);
             assert_eq!(snap.records_parsed, 9);
             assert_eq!(snap.records_skipped, 1);
             assert_eq!(snap.row_batches, 3);

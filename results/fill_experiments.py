@@ -49,13 +49,6 @@ def fig_summary(key):
     return "\n".join(out)
 
 
-def baselines_summary():
-    body = sections.get("baselines", "")
-    lines = [l for l in body.splitlines()
-             if l.startswith(("SpatialSpark", "ISP-MC", "SpatialHadoop", "HadoopGIS"))]
-    return "\n" + "\n".join("  - " + re.sub(r"\s+", " ", l).strip() for l in lines)
-
-
 def fault_summary():
     body = sections.get("fault_tolerance", "")
     lines = [l for l in body.splitlines() if l.strip().endswith("x")]
@@ -104,7 +97,6 @@ repl = {
     "REPLACE_T2_WWF": t2_row("G10M-wwf"),
     "REPLACE_FIG4_SUMMARY": fig_summary("fig4"),
     "REPLACE_FIG5_SUMMARY": fig_summary("fig5"),
-    "REPLACE_BASELINES": baselines_summary(),
     "REPLACE_FAULT": fault_summary(),
     **ablation_rows(),
 }

@@ -7,7 +7,6 @@
 pub use cluster;
 pub use datagen;
 pub use geom;
-pub use hadooplet;
 pub use impalite;
 pub use minihdfs;
 pub use rtree;

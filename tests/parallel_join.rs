@@ -17,11 +17,7 @@ use spatialjoin::parallel::MorselConfig;
 use spatialjoin::{normalize_pairs, GeomRecord, JoinPair, JoinRequest, PointRecord};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
-const MODES: [ScheduleMode; 3] = [
-    ScheduleMode::Dynamic,
-    ScheduleMode::Static,
-    ScheduleMode::StaticLocality,
-];
+const MODES: [ScheduleMode; 2] = [ScheduleMode::Dynamic, ScheduleMode::Static];
 const PREDICATES: [SpatialPredicate; 2] =
     [SpatialPredicate::Within, SpatialPredicate::NearestD(3.0)];
 /// The partitioned sweep adds arg-min `Nearest`: a point's candidates
