@@ -9,14 +9,13 @@
 //!
 //! Joins run through [`crate::JoinRequest`]; [`build_right_index`] and
 //! [`probe`] are the serial reference loop its output is checked
-//! against, and the one STR space partitioner splits space for its
-//! partitioned strategy.
+//! against.
 
 use geom::engine::{RefinementEngine, SpatialPredicate};
 use geom::{Envelope, HasEnvelope, Point};
-use rtree::{RTree, StrPartitioner};
+use rtree::RTree;
 
-use crate::{GeomRecord, JoinPair, PointRecord};
+use crate::{GeomRecord, JoinPair};
 
 /// Builds the broadcastable R-tree over the right side: geometries are
 /// prepared once by the engine and indexed by their envelope expanded
@@ -62,69 +61,10 @@ pub fn probe<E: RefinementEngine>(
     );
 }
 
-/// The one spatial partitioner of the partitioned strategy (the
-/// SpatialHadoop-style strategy discussed in §II): a [`StrPartitioner`]
-/// of `target_cells` cells over the extent of the left points and the
-/// right envelopes (already expanded by the filter radius), built from
-/// a stride sample of the left points (about 10k at most).
-fn cells_over(
-    left: &[PointRecord],
-    right: impl Iterator<Item = Envelope>,
-    target_cells: usize,
-) -> StrPartitioner {
-    let mut extent = Envelope::EMPTY;
-    for &(_, p) in left {
-        extent.expand_to(p.x, p.y);
-    }
-    for env in right {
-        extent = extent.union(&env);
-    }
-    let stride = (left.len() / 10_000).max(1);
-    let sample: Vec<Point> = left.iter().step_by(stride).map(|&(_, p)| p).collect();
-    StrPartitioner::build(extent, &sample, target_cells)
-}
-
-/// One partition's join task: its points, and the positions of the
-/// right entries whose expanded envelopes overlap its cell.
-#[derive(Default)]
-pub(crate) struct PartitionTask {
-    pub left: Vec<PointRecord>,
-    pub right: Vec<u32>,
-}
-
-/// Splits a join into partition tasks over a [`cells_over`]
-/// partitioner of `ceil(|left| / target_points_per_partition)` cells:
-/// points are routed to exactly one cell, right entries (their
-/// already-expanded envelopes) to every cell they overlap, by position
-/// in `right`. Cells left without points or without entries are
-/// dropped, so every task has work.
-pub(crate) fn partition_work<T>(
-    left: &[PointRecord],
-    right: &[(Envelope, T)],
-    target_points_per_partition: usize,
-) -> Vec<PartitionTask> {
-    let target_cells = left.len().div_ceil(target_points_per_partition.max(1));
-    let cells = cells_over(left, right.iter().map(|e| e.0), target_cells);
-    let mut tasks: Vec<PartitionTask> = Vec::new();
-    tasks.resize_with(cells.num_cells(), PartitionTask::default);
-    for &(id, p) in left {
-        if let Some(c) = cells.cell_of(p) {
-            tasks[c].left.push((id, p));
-        }
-    }
-    for (i, (env, _)) in right.iter().enumerate() {
-        for c in cells.cells_intersecting(env) {
-            tasks[c].right.push(i as u32);
-        }
-    }
-    tasks.retain(|t| !t.left.is_empty() && !t.right.is_empty());
-    tasks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{JoinRequest, RecordReader};
+    use crate::{JoinRequest, PointRecord, RecordReader};
     use geom::engine::{NaiveEngine, PreparedEngine};
     use geom::{Geometry, Polygon};
 
@@ -136,19 +76,6 @@ mod tests {
     ) -> Vec<JoinPair> {
         JoinRequest::new(left, right, engine)
             .predicate(predicate)
-            .run()
-            .pairs
-    }
-
-    fn partitioned(
-        left: &[PointRecord],
-        right: &[GeomRecord],
-        predicate: SpatialPredicate,
-        target_points_per_partition: usize,
-    ) -> Vec<JoinPair> {
-        JoinRequest::new(left, right, &PreparedEngine)
-            .predicate(predicate)
-            .partitioned(target_points_per_partition)
             .run()
             .pairs
     }
@@ -242,36 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_join_matches_broadcast_join() {
-        let left = grid_points(12);
-        let right = quadrant_polys(6.0);
-        let engine = PreparedEngine;
-        let expected =
-            crate::normalize_pairs(broadcast(&left, &right, SpatialPredicate::Within, &engine));
-        // Small partitions force many cells and right-side replication.
-        let parted = partitioned(&left, &right, SpatialPredicate::Within, 10);
-        assert_eq!(parted, expected);
-    }
-
-    #[test]
-    fn partitioned_nearestd_matches_broadcast() {
-        let left = grid_points(10);
-        let right = vec![
-            (0, geom::wkt::parse("LINESTRING (0 5, 10 5)").unwrap()),
-            (1, geom::wkt::parse("LINESTRING (5 0, 5 10)").unwrap()),
-        ];
-        let engine = PreparedEngine;
-        let expected = crate::normalize_pairs(broadcast(
-            &left,
-            &right,
-            SpatialPredicate::NearestD(1.0),
-            &engine,
-        ));
-        let parted = partitioned(&left, &right, SpatialPredicate::NearestD(1.0), 8);
-        assert_eq!(parted, expected);
-    }
-
-    #[test]
     fn record_parsing_drops_garbage() {
         let lines = vec![
             "0\tPOINT (1 2)".to_string(),
@@ -304,7 +201,6 @@ mod tests {
     fn empty_inputs() {
         let engine = PreparedEngine;
         assert!(broadcast(&[], &[], SpatialPredicate::Within, &engine).is_empty());
-        assert!(partitioned(&[], &[], SpatialPredicate::Within, 16).is_empty());
         let left = grid_points(3);
         assert!(broadcast(&left, &[], SpatialPredicate::Within, &engine).is_empty());
     }

@@ -7,12 +7,11 @@
 //! building blocks they share:
 //!
 //! * [`request`] — the one join front door, [`JoinRequest`]: broadcast
-//!   R-tree indexed (cell-covered for `Within` on `PreparedEngine`),
-//!   spatially partitioned and nested-loop joins, serial or parallel,
-//!   each returning its pairs plus an `obs::RunStats`.
+//!   R-tree indexed (cell-covered for `Within` on `PreparedEngine`) and
+//!   nested-loop joins, serial or parallel, each returning its pairs
+//!   plus an `obs::RunStats`.
 //! * [`join`] — the serial building blocks: the right-side R-tree and
-//!   per-point probe (the serial reference loop) and the one STR space
-//!   partitioner, used by the partitioned strategy.
+//!   per-point probe, the serial reference loop.
 //! * [`parallel`] — the morsel-driven parallel executor behind both
 //!   systems: the right side prepared once into a shared
 //!   [`PreparedSet`], the left side probed in fixed-size morsels with

@@ -9,10 +9,9 @@
 //! id and engine-prepared geometry inline under its expanded envelope),
 //! and the left side is probed in fixed-size morsels handed to
 //! [`cluster::dispatch`] under any [`ScheduleMode`]. ISP-MC's fragments
-//! and the partitioned strategy behind [`crate::JoinRequest`] reuse the
-//! same set. A broadcast `Within` request on an engine with a cell
-//! covering builds a [`CellCover`] over the set and probes its cells
-//! instead of the tree.
+//! reuse the same set. A broadcast `Within` request on an engine with a
+//! cell covering builds a [`CellCover`] over the set and probes its
+//! cells instead of the tree.
 //!
 //! The build is parallel too, on the same dispatch core: one unit per
 //! DFS block ([`PreparedSet::from_blocks`], parse then prepare) or per
@@ -30,15 +29,6 @@
 //! traversal order are identical), and per-morsel output segments are
 //! stitched back in input order by the driver. Scheduling only decides
 //! *who* runs a morsel, never what it appends.
-//!
-//! # Prepare-once memory story
-//!
-//! The partitioned join replicates right geometries into every
-//! partition they overlap. The paper's systems re-read and re-prepare
-//! the replicated fragments per partition task; here a partition task
-//! carries only `u32` positions into the shared tree's entries and
-//! builds a subset R-tree over envelope *copies* — zero geometry clones
-//! end-to-end.
 
 use cluster::{
     dispatch, Chaos, ChaosSite, Dispatch, Dispatched, ScheduleMode, TaskFailure, TaskSpec,
@@ -225,7 +215,7 @@ pub const BUILD_CHUNK: usize = 256;
 type Entry<P> = (Envelope, (i64, P));
 
 /// The right side of a join, prepared exactly once and shared by
-/// reference across every morsel, partition task and system layer.
+/// reference across every morsel and system layer.
 pub struct PreparedSet<E: RefinementEngine> {
     /// Filter tree over `(id, prepared geometry)` entries stored inline
     /// in leaf order, their envelopes already expanded by the
@@ -354,8 +344,7 @@ impl<E: RefinementEngine> PreparedSet<E> {
         self.tree.entries().iter().map(|(_, (id, _))| *id).collect()
     }
 
-    /// The tree's entries in leaf order; a position in this slice is
-    /// what [`PreparedSet::subset_tree`] indexes.
+    /// The tree's entries in leaf order.
     pub(crate) fn entries(&self) -> &[Entry<E::Prepared>] {
         self.tree.entries()
     }
@@ -387,44 +376,6 @@ impl<E: RefinementEngine> PreparedSet<E> {
             self.probe_into(engine, id, p, out);
         }
         // tidy:alloc-free:end
-    }
-
-    /// Builds a filter tree over a subset of the right side, given as
-    /// positions in [`PreparedSet::entries`]. Only envelopes are copied
-    /// — the prepared geometries stay shared.
-    pub fn subset_tree(&self, positions: &[u32]) -> RTree<u32> {
-        let entries = self.tree.entries();
-        RTree::bulk_load_entries(
-            positions
-                .iter()
-                .map(|&i| (entries[i as usize].0, i))
-                .collect(),
-        )
-    }
-
-    /// Probes a [`PreparedSet::subset_tree`] with one point.
-    #[inline]
-    pub fn probe_subset(
-        &self,
-        subset: &RTree<u32>,
-        engine: &E,
-        left_id: i64,
-        p: Point,
-        out: &mut Vec<JoinPair>,
-    ) {
-        let entries = self.tree.entries();
-        probe_with(
-            subset,
-            self.predicate,
-            engine,
-            left_id,
-            p,
-            |&i| {
-                let (id, prepared) = &entries[i as usize].1;
-                (*id, prepared)
-            },
-            out,
-        );
     }
 
     /// Probes `left` in parallel morsels, returning pairs in the same
@@ -753,25 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_partitioned_matches_serial_partitioned() {
-        let left = grid_points(12);
-        let right = quadrant_polys(6.0);
-        let engine = PreparedEngine;
-        let partitioned = |threads| {
-            JoinRequest::new(&left, &right, &engine)
-                .partitioned(10)
-                .threads(threads)
-                .run()
-                .pairs
-        };
-        let serial = partitioned(1);
-        assert_eq!(serial, crate::normalize_pairs(serial_join(&left, &right)));
-        for threads in [2, 4] {
-            assert_eq!(partitioned(threads), serial, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn prepared_set_reports_size_and_predicate() {
         let engine = PreparedEngine;
         let set = PreparedSet::prepare(&quadrant_polys(2.0), SpatialPredicate::Within, &engine);
@@ -1006,6 +938,5 @@ mod tests {
         let join = |left, right| JoinRequest::new(left, right, &engine).threads(4);
         assert!(join(&[], &[]).run().pairs.is_empty());
         assert!(join(&left, &[]).run().pairs.is_empty());
-        assert!(join(&[], &[]).partitioned(16).run().pairs.is_empty());
     }
 }

@@ -208,6 +208,31 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_coordinates_are_skipped_and_counted() {
+        std::thread::spawn(|| {
+            let before = obs::thread_snapshot();
+            let r = RecordReader::new(1);
+            let lines = vec![
+                "0\tPOLYGON ((100 100, 1e999 100, 1e999 200, 100 200, 100 100))".to_string(),
+                "1\tPOLYGON ((100 100, 200 100, 200 200, 100 200, 100 100))".to_string(),
+            ];
+            let (geoms, skipped) = r.read_geoms(&lines);
+            assert_eq!(geoms.len(), 1);
+            assert_eq!(geoms[0].0, 1);
+            assert_eq!(skipped, 1);
+            assert!(matches!(
+                r.read_point("2\tPOINT (-1e999 150)"),
+                Err(RecordError::Wkt(_))
+            ));
+            let delta = obs::thread_snapshot().minus(&before);
+            assert_eq!(delta.records_parsed, 1);
+            assert_eq!(delta.records_skipped, 2);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
     fn reads_count_into_obs() {
         std::thread::spawn(|| {
             let before = obs::thread_snapshot();

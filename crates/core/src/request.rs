@@ -1,8 +1,8 @@
 //! The join front door.
 //!
-//! Every join in the workspace — serial or parallel, broadcast,
-//! nearest, nested-loop or partitioned — is a [`JoinRequest`]: one
-//! builder selects predicate, strategy and [`MorselConfig`], and
+//! Every join in the workspace — serial or parallel, broadcast or
+//! nested-loop, any predicate — is a [`JoinRequest`]: one builder
+//! selects predicate, strategy and [`MorselConfig`], and
 //! [`JoinRequest::run`] returns a [`JoinOutcome`] carrying both the
 //! pairs and an [`obs::RunStats`] tree collected uniformly (counters
 //! via thread-snapshot deltas, per-worker busy/wait from the pool's
@@ -11,10 +11,8 @@
 use geom::engine::{RefinementEngine, SpatialPredicate};
 use geom::Envelope;
 
-use crate::join::partition_work;
 use crate::parallel::{CellCover, MorselConfig, PreparedSet};
 use crate::{GeomRecord, JoinPair, PointRecord};
-use cluster::{dispatch, Dispatch, ScheduleMode};
 
 /// Which join algorithm executes the request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,13 +26,6 @@ pub enum JoinStrategy {
     Broadcast,
     /// The O(|L|·|R|) cross-join-then-filter baseline of §II.
     NestedLoop,
-    /// STR-partitioned join (the SpatialHadoop strategy):
-    /// partitions become pool tasks.
-    Partitioned {
-        /// Target number of left points per partition cell; the join
-        /// uses `ceil(|left| / target)` cells.
-        target_points_per_partition: usize,
-    },
 }
 
 /// A configured join, ready to run. Construct with
@@ -52,9 +43,9 @@ pub struct JoinRequest<'a, E: RefinementEngine> {
 /// What a join produced: the matched pairs plus the run's observability
 /// tree.
 pub struct JoinOutcome {
-    /// Matched `(left id, right id)` pairs, in the strategy's canonical
-    /// order: probe order for broadcast and nested-loop, sorted and
-    /// deduplicated for partitioned.
+    /// Matched `(left id, right id)` pairs in probe order: left points
+    /// in input order, each point's matches in the strategy's
+    /// right-side order.
     pub pairs: Vec<JoinPair>,
     /// Counters, per-worker accounting and span timings for the run.
     pub stats: obs::RunStats,
@@ -80,42 +71,15 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
         self
     }
 
-    /// Arg-min nearest join: the single nearest right geometry within
-    /// `max_distance` per point (ties to the smaller right id).
-    pub fn nearest(self, max_distance: f64) -> Self {
-        self.predicate(SpatialPredicate::Nearest(max_distance))
-    }
-
     /// Switches to the nested-loop baseline strategy.
     pub fn nested_loop(mut self) -> Self {
         self.strategy = JoinStrategy::NestedLoop;
         self
     }
 
-    /// Switches to the partitioned strategy with the given target cell
-    /// size: `ceil(|left| / target_points_per_partition)` STR cells.
-    pub fn partitioned(mut self, target_points_per_partition: usize) -> Self {
-        self.strategy = JoinStrategy::Partitioned {
-            target_points_per_partition,
-        };
-        self
-    }
-
     /// Sets worker thread count (keeps the current mode/morsel size).
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the pool schedule mode.
-    pub fn schedule(mut self, mode: ScheduleMode) -> Self {
-        self.cfg.mode = mode;
-        self
-    }
-
-    /// Sets left points per morsel.
-    pub fn morsel_size(mut self, morsel_size: usize) -> Self {
-        self.cfg.morsel_size = morsel_size.max(1);
         self
     }
 
@@ -141,7 +105,6 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
         let mut stats = obs::RunStats::new(match self.strategy {
             JoinStrategy::Broadcast => "join:broadcast",
             JoinStrategy::NestedLoop => "join:nested-loop",
-            JoinStrategy::Partitioned { .. } => "join:partitioned",
         });
 
         let pairs = match self.strategy {
@@ -176,58 +139,12 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
             JoinStrategy::NestedLoop => {
                 nested_loop_pairs(self.left, self.right, self.predicate, self.engine)
             }
-            JoinStrategy::Partitioned {
-                target_points_per_partition,
-            } => {
-                let (pairs, exec) = partitioned_pairs(
-                    self.left,
-                    self.right,
-                    self.predicate,
-                    self.engine,
-                    target_points_per_partition,
-                    self.cfg,
-                );
-                obs::add_thread(&exec.worker_counters);
-                stats.workers = exec.workers;
-                pairs
-            }
         };
 
         stats.spans.push(run_timer.finish());
         stats.counters = obs::thread_snapshot().minus(&before);
         JoinOutcome { pairs, stats }
     }
-}
-
-/// The partitioned strategy: partitions carry positions into one
-/// shared [`PreparedSet`], built on the same `cfg.threads`; each
-/// partition is a pool task that builds a subset filter tree over
-/// envelope copies and probes its own points.
-/// Output is sorted and deduplicated — a right geometry replicated into
-/// several cells can only match a point in the point's unique cell, but
-/// dedup keeps the contract obvious.
-fn partitioned_pairs<E: RefinementEngine>(
-    left: &[PointRecord],
-    right: &[GeomRecord],
-    predicate: SpatialPredicate,
-    engine: &E,
-    target_points_per_partition: usize,
-    cfg: MorselConfig,
-) -> (Vec<JoinPair>, obs::ExecStats) {
-    let set = PreparedSet::prepare_threads(right, predicate, engine, cfg.threads);
-    let tasks = partition_work(left, set.entries(), target_points_per_partition);
-    let d = Dispatch::new(cfg.threads, cfg.mode);
-    let run = dispatch(tasks.len(), &d, |i, _, out| {
-        let subset = set.subset_tree(&tasks[i].right);
-        for &(id, p) in &tasks[i].left {
-            set.probe_subset(&subset, engine, id, p, out);
-        }
-    })
-    .or_raise();
-    let mut out = run.out;
-    out.sort_unstable();
-    out.dedup();
-    (out, run.exec)
 }
 
 /// The nested-loop baseline, instrumented: every left×right pair whose
@@ -341,17 +258,11 @@ mod tests {
         let engine = PreparedEngine;
         let broadcast = JoinRequest::new(&left, &right, &engine).run();
         let nested = JoinRequest::new(&left, &right, &engine).nested_loop().run();
-        let parted = JoinRequest::new(&left, &right, &engine)
-            .partitioned(10)
-            .run();
         assert_eq!(
-            crate::normalize_pairs(broadcast.pairs.clone()),
+            crate::normalize_pairs(broadcast.pairs),
             crate::normalize_pairs(nested.pairs)
         );
         assert_eq!(nested.stats.name, "join:nested-loop");
-        assert_eq!(parted.stats.name, "join:partitioned");
-        assert!(parted.stats.counters.refine_calls > 0);
-        assert_eq!(parted.pairs, crate::normalize_pairs(broadcast.pairs));
     }
 
     #[test]

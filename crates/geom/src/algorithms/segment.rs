@@ -48,12 +48,6 @@ pub fn point_segment_distance_sq(p: Point, a: Point, b: Point) -> f64 {
     p.distance_sq(proj)
 }
 
-/// Distance from `p` to the closed segment `a..b`.
-#[inline]
-pub fn point_segment_distance(p: Point, a: Point, b: Point) -> f64 {
-    point_segment_distance_sq(p, a, b).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,18 +77,18 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(10.0, 0.0);
         // Perpendicular projection onto the interior.
-        assert_eq!(point_segment_distance(Point::new(5.0, 3.0), a, b), 3.0);
+        assert_eq!(point_segment_distance_sq(Point::new(5.0, 3.0), a, b), 9.0);
         // Clamped to endpoint a.
-        assert_eq!(point_segment_distance(Point::new(-3.0, 4.0), a, b), 5.0);
+        assert_eq!(point_segment_distance_sq(Point::new(-3.0, 4.0), a, b), 25.0);
         // Clamped to endpoint b.
-        assert_eq!(point_segment_distance(Point::new(13.0, 4.0), a, b), 5.0);
+        assert_eq!(point_segment_distance_sq(Point::new(13.0, 4.0), a, b), 25.0);
         // On the segment.
-        assert_eq!(point_segment_distance(Point::new(2.0, 0.0), a, b), 0.0);
+        assert_eq!(point_segment_distance_sq(Point::new(2.0, 0.0), a, b), 0.0);
     }
 
     #[test]
     fn degenerate_segment_is_a_point() {
         let a = Point::new(1.0, 1.0);
-        assert_eq!(point_segment_distance(Point::new(4.0, 5.0), a, a), 5.0);
+        assert_eq!(point_segment_distance_sq(Point::new(4.0, 5.0), a, a), 25.0);
     }
 }

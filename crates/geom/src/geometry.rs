@@ -41,13 +41,6 @@ impl Geometry {
         }
     }
 
-    pub fn as_polygon(&self) -> Option<&Polygon> {
-        match self {
-            Geometry::Polygon(p) => Some(p),
-            _ => None,
-        }
-    }
-
     /// `Within` semantics for a point against this geometry: polygons and
     /// multipolygons test containment; anything else is false (a point is
     /// never within a line in the paper's joins).

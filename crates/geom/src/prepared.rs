@@ -366,7 +366,9 @@ mod tests {
     fn prepared_matches_plain_polygon() {
         let wkt_str = "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 3 1, 3 3, 1 3, 1 1))";
         let geom = wkt::parse(wkt_str).unwrap();
-        let poly = geom.as_polygon().unwrap();
+        let Geometry::Polygon(poly) = &geom else {
+            panic!("expected a polygon, got {geom:?}");
+        };
         let prep = PreparedPolygon::new(poly);
         for &(x, y) in &[
             (0.5, 0.5),

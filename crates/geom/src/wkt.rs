@@ -183,6 +183,9 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads one finite coordinate. A token that overflows `f64` (say
+    /// `1e999`) would parse as an infinity, which no envelope, index or
+    /// predicate handles, so it is malformed like any other bad number.
     fn number(&mut self) -> Result<f64, GeomError> {
         self.skip_ws();
         let start = self.pos;
@@ -197,12 +200,13 @@ impl<'a> Parser<'a> {
         }
         // Every byte matched above is ASCII, so both ends of the token
         // are char boundaries of the source and no UTF-8 check is needed.
-        self.src[start..self.pos]
-            .parse::<f64>()
-            .map_err(|_| GeomError::WktParse {
+        match self.src[start..self.pos].parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(v),
+            _ => Err(GeomError::WktParse {
                 message: "malformed number".into(),
                 offset: start,
-            })
+            }),
+        }
     }
 
     /// Reads the next alphabetic keyword, as written in the source.
@@ -380,7 +384,9 @@ mod tests {
     fn polygon_with_hole_round_trip() {
         let wkt = "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 2, 1 1))";
         let g = parse(wkt).unwrap();
-        let poly = g.as_polygon().unwrap();
+        let Geometry::Polygon(poly) = &g else {
+            panic!("expected a polygon, got {g:?}");
+        };
         assert_eq!(poly.holes().len(), 1);
         let back = write(&g);
         assert_eq!(parse(&back).unwrap(), g);
@@ -424,6 +430,27 @@ mod tests {
         );
         let g = parse("POINT (1e-320 -2.5E+300)").unwrap();
         assert_eq!(g.as_point(), Some(Point::new(1e-320, -2.5e300)));
+    }
+
+    #[test]
+    fn non_finite_numbers_are_malformed() {
+        let malformed_at = |wkt: &str, offset| match parse(wkt).unwrap_err() {
+            GeomError::WktParse { message, offset: o } => {
+                assert_eq!(message, "malformed number", "{wkt}");
+                assert_eq!(o, offset, "{wkt}");
+            }
+            other => panic!("expected parse error for {wkt}, got {other:?}"),
+        };
+        malformed_at("POINT (1e999 2)", 7);
+        malformed_at("POINT (1 -1e999)", 9);
+        malformed_at(
+            "POLYGON ((100 100, 1e999 100, 1e999 200, 100 200, 100 100))",
+            19,
+        );
+        malformed_at("POLYGON ((100 100, 200 -1e999, 200 200, 100 100))", 23);
+        // The largest finite values still parse.
+        let g = parse("POINT (1.7976931348623157e308 -1.7976931348623157e308)").unwrap();
+        assert_eq!(g.as_point(), Some(Point::new(f64::MAX, f64::MIN)));
     }
 
     #[test]

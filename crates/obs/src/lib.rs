@@ -317,11 +317,6 @@ impl SpanStat {
             total_ns: secs_to_ns(secs),
         }
     }
-
-    /// Total seconds as `f64` (for reports).
-    pub fn total_secs(&self) -> f64 {
-        self.total_ns as f64 / 1e9
-    }
 }
 
 /// Converts seconds to nanoseconds, saturating on overflow/negatives.
@@ -578,7 +573,6 @@ mod tests {
         assert_eq!(span.count, 1);
         let agg = SpanStat::from_secs("scan", 4, 2.5);
         assert_eq!(agg.total_ns, 2_500_000_000);
-        assert!((agg.total_secs() - 2.5).abs() < 1e-9);
         assert_eq!(secs_to_ns(-1.0), 0);
     }
 

@@ -6,15 +6,9 @@
 //!   analogue of JTS's `STRtree` that SpatialSpark broadcasts (Fig. 2 of
 //!   the paper) and of the in-memory R-tree ISP-MC builds from the
 //!   broadcast right-side table (§IV).
-//! * [`StrPartitioner`] — SpatialHadoop's default space partitioner:
-//!   sample-derived STR cells that tile the extent, found by binary
-//!   search; used to derive balanced spatial partitions for partitioned
-//!   joins.
 
-pub mod partitioner;
 pub mod probe;
 pub mod str_tree;
 
-pub use partitioner::StrPartitioner;
 pub use probe::probe_with;
 pub use str_tree::RTree;

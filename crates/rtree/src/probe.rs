@@ -2,9 +2,8 @@
 //!
 //! This is the one copy of the filter-refine inner loop shared by the
 //! serial join driver (`core::join`) and the prepared set every query
-//! path probes (`core::parallel`), whose partition subset trees reach
-//! their entries by position. Entry envelopes are expected to have been
-//! expanded by the predicate's filter radius at build time, so the
+//! path probes (`core::parallel`). Entry envelopes are expected to have
+//! been expanded by the predicate's filter radius at build time, so the
 //! query itself uses radius zero.
 
 use geom::engine::{RefinementEngine, SpatialPredicate};

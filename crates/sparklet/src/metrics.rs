@@ -112,7 +112,7 @@ mod tests {
         assert_eq!(parse.counters.bytes_broadcast, 10);
         let tasks = parse.span("tasks").unwrap();
         assert_eq!(tasks.count, 2);
-        assert!((tasks.total_secs() - 3.0).abs() < 1e-9);
+        assert_eq!(tasks.total_ns, 3_000_000_000);
         assert_eq!(stats.total_counters().bytes_broadcast, 10);
     }
 

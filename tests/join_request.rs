@@ -19,7 +19,7 @@ use geom::engine::{FlatEngine, PreparedEngine, RefinementEngine, SpatialPredicat
 use geom::{Envelope, Geometry, Point, Polygon};
 use proph::{check_with, f64_range, vec_of, Config, Gen, GenExt};
 use spatialjoin::join::{build_right_index, probe};
-use spatialjoin::{GeomRecord, JoinRequest, PointRecord};
+use spatialjoin::{GeomRecord, JoinRequest, MorselConfig, PointRecord};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
@@ -189,8 +189,10 @@ fn counters_do_not_depend_on_thread_count_or_schedule() {
             for threads in THREAD_COUNTS {
                 for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
                     let outcome = JoinRequest::new(&left, &right, &engine)
-                        .threads(threads)
-                        .schedule(mode)
+                        .config(MorselConfig {
+                            mode,
+                            ..MorselConfig::new(threads)
+                        })
                         .run();
                     assert_eq!(outcome.pairs, baseline.pairs);
                     // Every counter, the morsel count included, is

@@ -17,7 +17,7 @@ fn nearest_one<E: RefinementEngine>(
     engine: &E,
 ) -> Vec<JoinPair> {
     JoinRequest::new(left, right, engine)
-        .nearest(max_distance)
+        .predicate(SpatialPredicate::Nearest(max_distance))
         .run()
         .pairs
 }

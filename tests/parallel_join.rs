@@ -4,9 +4,8 @@
 //! The contract under test (see `DESIGN.md`): a broadcast
 //! `JoinRequest` is **bit-identical** to the serial
 //! `build_right_index` + `probe` loop — same pairs, same order — at
-//! every thread count, schedule mode and morsel size; and a
-//! partitioned `JoinRequest` equals its single-thread run, which equals
-//! the broadcast pairs under its sorted-deduplicated contract.
+//! every thread count, schedule mode and morsel size, for every
+//! predicate, the arg-min `Nearest` included.
 
 use cluster::ScheduleMode;
 use geom::engine::{PreparedEngine, SpatialPredicate};
@@ -14,15 +13,11 @@ use geom::{Envelope, Geometry, Point, Polygon};
 use proph::{check_with, f64_range, usize_range, vec_of, Config, Gen, GenExt};
 use spatialjoin::join::{build_right_index, probe};
 use spatialjoin::parallel::MorselConfig;
-use spatialjoin::{normalize_pairs, GeomRecord, JoinPair, JoinRequest, PointRecord};
+use spatialjoin::{GeomRecord, JoinPair, JoinRequest, PointRecord};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 const MODES: [ScheduleMode; 2] = [ScheduleMode::Dynamic, ScheduleMode::Static];
-const PREDICATES: [SpatialPredicate; 2] =
-    [SpatialPredicate::Within, SpatialPredicate::NearestD(3.0)];
-/// The partitioned sweep adds arg-min `Nearest`: a point's candidates
-/// must all reach its one cell for the arg-min to match broadcast.
-const PARTITIONED_PREDICATES: [SpatialPredicate; 3] = [
+const PREDICATES: [SpatialPredicate; 3] = [
     SpatialPredicate::Within,
     SpatialPredicate::NearestD(3.0),
     SpatialPredicate::Nearest(3.0),
@@ -90,23 +85,8 @@ fn broadcast_join(
         .pairs
 }
 
-fn partitioned(
-    left: &[PointRecord],
-    right: &[GeomRecord],
-    predicate: SpatialPredicate,
-    per_partition: usize,
-    cfg: MorselConfig,
-) -> Vec<JoinPair> {
-    JoinRequest::new(left, right, &PreparedEngine)
-        .predicate(predicate)
-        .partitioned(per_partition)
-        .config(cfg)
-        .run()
-        .pairs
-}
-
 fn small_config() -> Config {
-    // Each case sweeps 3 thread counts × 2 modes × 2 predicates, with
+    // Each case sweeps 3 thread counts × 2 modes × 3 predicates, with
     // real thread spawns — keep the case budget modest.
     Config {
         cases: 24,
@@ -146,50 +126,6 @@ fn prop_parallel_broadcast_is_bit_identical_to_serial() {
     );
 }
 
-#[test]
-fn prop_parallel_partitioned_matches_serial() {
-    let cfg = Config {
-        cases: 16,
-        ..Config::default()
-    };
-    check_with(
-        cfg,
-        "serial partitioned ≡ broadcast, parallel partitioned ≡ serial partitioned",
-        &(left_points(), right_rects(), usize_range(4, 40)),
-        |(left, right, per_partition)| {
-            for predicate in PARTITIONED_PREDICATES {
-                let serial = partitioned(
-                    &left,
-                    &right,
-                    predicate,
-                    per_partition,
-                    MorselConfig::serial(),
-                );
-                let broadcast = broadcast_join(&left, &right, predicate, MorselConfig::serial());
-                assert_eq!(
-                    serial,
-                    normalize_pairs(broadcast),
-                    "partitioned vs broadcast: {predicate:?}"
-                );
-                for threads in THREAD_COUNTS {
-                    for mode in MODES {
-                        let mcfg = MorselConfig {
-                            threads,
-                            mode,
-                            morsel_size: 7,
-                        };
-                        let par = partitioned(&left, &right, predicate, per_partition, mcfg);
-                        assert_eq!(
-                            par, serial,
-                            "partitioned: threads={threads} mode={mode:?} {predicate:?}"
-                        );
-                    }
-                }
-            }
-        },
-    );
-}
-
 // --- fixed adversarial cases ---
 
 #[test]
@@ -206,7 +142,7 @@ fn empty_sides_are_equivalent() {
 
 #[test]
 fn all_points_in_one_cell_are_equivalent() {
-    // Every left point lands in the same partition cell: the skewed
+    // Every left point lies in one tiny patch of space: the skewed
     // case where static chunking gives one worker all the work.
     let left: Vec<PointRecord> = (0..200)
         .map(|i| (i as i64, Point::new(5.0 + (i as f64) * 1e-3, 5.0)))
@@ -221,13 +157,6 @@ fn all_points_in_one_cell_are_equivalent() {
         })
         .collect();
     assert_broadcast_equivalence(&left, &right, 16);
-
-    let within = SpatialPredicate::Within;
-    let serial = partitioned(&left, &right, within, 8, MorselConfig::serial());
-    for threads in THREAD_COUNTS {
-        let par = partitioned(&left, &right, within, 8, MorselConfig::new(threads));
-        assert_eq!(par, serial, "one-cell skew: threads={threads}");
-    }
 }
 
 #[test]

@@ -82,26 +82,3 @@ fn hotspot_aggregation_end_to_end() {
         "taxi pickups must be skewed: max {max} vs avg {avg}"
     );
 }
-
-#[test]
-fn partitioned_join_scales_to_many_cells_and_agrees() {
-    use geom::engine::PreparedEngine;
-    let taxi = datagen::taxi::points(8_000, 21);
-    let nycb = datagen::nycb::geometries(500, 21);
-    let left: Vec<(i64, geom::Point)> = taxi
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| (i as i64, p))
-        .collect();
-    let right: Vec<(i64, geom::Geometry)> = nycb
-        .into_iter()
-        .enumerate()
-        .map(|(i, g)| (i as i64, g))
-        .collect();
-    let join = || spatialjoin::JoinRequest::new(&left, &right, &PreparedEngine);
-    let broadcast = spatialjoin::normalize_pairs(join().run().pairs);
-    for target in [100, 1000, 8000] {
-        let partitioned = join().partitioned(target).run().pairs;
-        assert_eq!(partitioned, broadcast, "target {target}");
-    }
-}
