@@ -1,13 +1,12 @@
 //! Fault-tolerance sweep: **live** fault injection through the real
-//! executors, next to the original replay-model ablation.
+//! executors.
 //!
 //! §III notes that "Spark provides fault tolerance through re-computing
 //! as RDDs keep track of data processing workflows", where Impala's
-//! fixed plan must restart a failed query. The original harness modelled
-//! that contrast on measured task timings; this version also *runs* it:
-//! the chaos layer injects worker panics, stragglers and transient read
-//! faults into the actual execution paths at a sweep of fault rates,
-//! and each recovery mode pays its real cost —
+//! fixed plan must restart a failed query. This harness *runs* that
+//! contrast: the chaos layer injects worker panics, stragglers and
+//! transient read faults into the actual execution paths at a sweep of
+//! fault rates, and each recovery mode pays its real cost —
 //!
 //! * `spark-recompute` — sparklet recomputes lost partitions from
 //!   lineage mid-job on the surviving workers;
@@ -28,13 +27,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use bench::{
-    parse_bench_args, run_ispmc, run_spark, scale_spark_report, BenchError, Experiment, Workload,
-};
-use cluster::{
-    simulate, simulate_with_recompute, simulate_with_restart, Chaos, ChaosConfig, ClusterSpec,
-    Failure, Scheduler,
-};
+use bench::{parse_bench_args, run_ispmc, run_spark, BenchError, Experiment, Workload};
+use cluster::{Chaos, ChaosConfig};
 use spatialjoin::{MorselConfig, PreparedSet, RecordReader};
 
 const SEED: u64 = 42;
@@ -102,8 +96,9 @@ fn main() -> Result<(), BenchError> {
     let engine = geom::engine::PreparedEngine;
     let set = PreparedSet::prepare(&right, exp.predicate(), &engine);
     let cfg = MorselConfig::new(threads);
-    let t0 = Instant::now();
     let (pool_base, _, _) = set.par_probe_observed(&left, &engine, cfg);
+    let t0 = Instant::now();
+    let _ = set.par_probe_observed(&left, &engine, cfg);
     let pool_base_secs = t0.elapsed().as_secs_f64();
 
     eprintln!(
@@ -145,28 +140,7 @@ fn main() -> Result<(), BenchError> {
     // --- Checksum fail-over on a replication-3 copy of the right side ---
     let failover = checksum_failover_rows(&w)?;
 
-    // --- The original replay-model ablation, kept next to the live data ---
-    let report = scale_spark_report(&spark_base.report, &args.replay);
-    let probe = report
-        .stages
-        .iter()
-        .find(|s| s.name.contains("probe"))
-        .ok_or_else(|| BenchError::Usage("no probe stage in the spark report".into()))?;
-    let spec = ClusterSpec::ec2_paper_cluster();
-    let fault_free = simulate(&probe.tasks, &spec, Scheduler::Dynamic).makespan;
-    let mut replay_rows = Vec::new();
-    for frac in [0.25, 0.5, 0.75] {
-        let failure = Failure {
-            node: 3,
-            at_time: fault_free * frac,
-        };
-        let recompute = simulate_with_recompute(&probe.tasks, &spec, failure).makespan;
-        let restart =
-            simulate_with_restart(&probe.tasks, &spec, Scheduler::StaticLocality, failure).makespan;
-        replay_rows.push((frac, recompute, restart));
-    }
-
-    print_tables(&rows, &failover, fault_free, &replay_rows);
+    print_tables(&rows, &failover);
     let path = write_json(
         &args.replay.scale,
         threads,
@@ -175,8 +149,6 @@ fn main() -> Result<(), BenchError> {
         pool_base_secs,
         &rows,
         &failover,
-        fault_free,
-        &replay_rows,
     )
     .map_err(|e| BenchError::Usage(format!("writing artifact: {e}")))?;
     eprintln!("# wrote {path}");
@@ -338,12 +310,7 @@ fn checksum_failover_rows(w: &Workload) -> Result<Vec<FailoverRow>, BenchError> 
     Ok(out)
 }
 
-fn print_tables(
-    rows: &[LiveRow],
-    failover: &[FailoverRow],
-    fault_free: f64,
-    replay_rows: &[(f64, f64, f64)],
-) {
+fn print_tables(rows: &[LiveRow], failover: &[FailoverRow]) {
     println!("Live fault injection on taxi-nycb (recovered runs verified bit-identical)");
     println!(
         "{:<8}{:<20}{:>10}{:>12}{:>10}{:>9}{:>9}{:>11}{:>10}",
@@ -371,22 +338,8 @@ fn print_tables(
             f.rate, f.replicas_corrupted, f.blocks_failed_over, f.read_ok
         );
     }
-    println!();
-    println!(
-        "Replay model on the probe stage (fault-free {fault_free:.0}s on 10 nodes, \
-         one node lost mid-run)"
-    );
-    for &(frac, recompute, restart) in replay_rows {
-        println!(
-            "  failure at {:>3.0}%: recompute {recompute:.0}s, restart {restart:.0}s \
-             ({:.2}x advantage)",
-            frac * 100.0,
-            restart / recompute
-        );
-    }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn write_json(
     scale: &f64,
     threads: usize,
@@ -395,8 +348,6 @@ fn write_json(
     pool_base_secs: f64,
     rows: &[LiveRow],
     failover: &[FailoverRow],
-    fault_free: f64,
-    replay_rows: &[(f64, f64, f64)],
 ) -> std::io::Result<&'static str> {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -452,20 +403,7 @@ fn write_json(
             f.rate, f.replicas_corrupted, f.blocks_failed_over, f.read_ok
         );
     }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"replay_model\": {{\"fault_free_secs\": {fault_free:.6}, \"rows\": ["
-    );
-    for (i, &(frac, recompute, restart)) in replay_rows.iter().enumerate() {
-        let comma = if i + 1 == replay_rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"failure_frac\": {frac}, \"recompute_secs\": {recompute:.6}, \
-             \"restart_secs\": {restart:.6}}}{comma}"
-        );
-    }
-    let _ = writeln!(json, "  ]}}");
+    let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
 
     let path = concat!(

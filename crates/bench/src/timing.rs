@@ -5,7 +5,7 @@
 //! The measurement loop is the standard calibrate-then-sample design:
 //! each benchmark first doubles its iteration count until one batch
 //! takes at least [`CALIBRATION_FLOOR`], scales that count to the
-//! [`TARGET_SAMPLE`] batch duration, then times `sample_size` batches
+//! [`TARGET_SAMPLE`] batch duration, then times [`SAMPLES`] batches
 //! and reports the minimum, median and mean per-iteration time. The
 //! minimum is the headline number: wall-clock noise is strictly
 //! additive, so the fastest batch is the best estimate of the true
@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 const CALIBRATION_FLOOR: Duration = Duration::from_millis(5);
 /// Target duration of a single measured batch.
 const TARGET_SAMPLE: Duration = Duration::from_millis(40);
-/// Batches measured per benchmark unless overridden by `sample_size`.
-const DEFAULT_SAMPLES: usize = 7;
+/// Batches measured per benchmark.
+const SAMPLES: usize = 7;
 
 /// Top-level driver owning the CLI filter; create one in `main` and
 /// pass it to every bench function.
@@ -47,7 +47,6 @@ impl Harness {
         Group {
             harness: self,
             name,
-            samples: DEFAULT_SAMPLES,
         }
     }
 
@@ -64,17 +63,9 @@ impl Harness {
 pub struct Group<'a> {
     harness: &'a mut Harness,
     name: String,
-    samples: usize,
 }
 
 impl Group<'_> {
-    /// Overrides the number of measured batches for this group — used
-    /// by the slow end-to-end joins.
-    pub fn sample_size(&mut self, samples: usize) -> &mut Self {
-        self.samples = samples.max(2);
-        self
-    }
-
     /// Measures one closure. The closure receives a [`Bencher`] and
     /// must call [`Bencher::iter`] exactly once per invocation.
     pub fn bench_function<F>(&mut self, id: impl std::fmt::Display, mut f: F)
@@ -85,17 +76,8 @@ impl Group<'_> {
         if !self.harness.matches(&full) {
             return;
         }
-        let stats = drive(self.samples, &mut f);
+        let stats = drive(SAMPLES, &mut f);
         println!("  {id:<28} {stats}");
-    }
-
-    /// [`Group::bench_function`] with an explicit input reference,
-    /// mirroring the parameterised-benchmark shape.
-    pub fn bench_with_input<I, F>(&mut self, id: impl std::fmt::Display, input: &I, mut f: F)
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        self.bench_function(id, |b| f(b, input));
     }
 
     /// Ends the group (printing is incremental, so this is a no-op
@@ -103,15 +85,11 @@ impl Group<'_> {
     pub fn finish(self) {}
 }
 
-/// Identifier helper kept API-compatible with the original bench
-/// files: `BenchId::new("str", n)` renders as `str/n`.
+/// A benchmark's name within its group: `BenchId::from_parameter("wkt")`
+/// renders as `wkt`, and the group prefixes it (`group/wkt`).
 pub struct BenchId(String);
 
 impl BenchId {
-    pub fn new(name: impl std::fmt::Display, param: impl std::fmt::Display) -> BenchId {
-        BenchId(format!("{name}/{param}"))
-    }
-
     pub fn from_parameter(param: impl std::fmt::Display) -> BenchId {
         BenchId(param.to_string())
     }
@@ -218,7 +196,6 @@ mod tests {
 
     #[test]
     fn bench_id_renders_like_paths() {
-        assert_eq!(BenchId::new("str", 10).to_string(), "str/10");
         assert_eq!(BenchId::from_parameter("grid").to_string(), "grid");
     }
 

@@ -18,14 +18,12 @@
 //! static scheduling on skewed spatial data (§V.B–C).
 
 pub mod chaos;
-pub mod failure;
 pub mod network;
 pub mod pool;
 pub mod sim;
 pub mod topology;
 
 pub use chaos::{Chaos, ChaosConfig, ChaosEvent, ChaosSite, FaultKind};
-pub use failure::{simulate_with_recompute, simulate_with_restart, Failure, FailureReport};
 pub use network::NetworkModel;
 pub use pool::{dispatch, Dispatch, Dispatched, ScheduleMode, TaskFailure, TaskTiming};
 pub use sim::{scan_range_assignment, simulate, Scheduler, SimReport, TaskSpec};

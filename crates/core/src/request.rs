@@ -151,6 +151,11 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
 /// expanded envelope contains the point counts as a filter hit and a
 /// refinement call; accepted pairs count as refine accepts. One obs
 /// flush for the whole join.
+///
+/// For [`SpatialPredicate::Nearest`] it applies `rtree::probe_with`'s
+/// arg-min: among the candidates within D, the smallest distance wins,
+/// ties go to the smaller right id, and each point emits at most one
+/// pair.
 fn nested_loop_pairs<E: RefinementEngine>(
     left: &[PointRecord],
     right: &[GeomRecord],
@@ -167,14 +172,27 @@ fn nested_loop_pairs<E: RefinementEngine>(
     let mut candidates: u64 = 0;
     let mut accepts: u64 = 0;
     for &(lid, p) in left {
-        for (rid, env, target) in &prepared {
-            if env.contains(p.x, p.y) {
-                candidates += 1;
-                if predicate.eval(engine, p, target) {
-                    accepts += 1;
-                    out.push((lid, *rid));
-                }
+        let mut best: Option<(f64, i64)> = None;
+        for &(rid, env, ref target) in &prepared {
+            if !env.contains(p.x, p.y) {
+                continue;
             }
+            candidates += 1;
+            if let SpatialPredicate::Nearest(d) = predicate {
+                let dist = engine.distance(p, target);
+                if dist <= d {
+                    accepts += 1;
+                    if best.is_none_or(|b| (dist, rid) < b) {
+                        best = Some((dist, rid));
+                    }
+                }
+            } else if predicate.eval(engine, p, target) {
+                accepts += 1;
+                out.push((lid, rid));
+            }
+        }
+        if let Some((_, rid)) = best {
+            out.push((lid, rid));
         }
     }
     obs::filter_refine(candidates, accepts);
@@ -263,6 +281,32 @@ mod tests {
             crate::normalize_pairs(nested.pairs)
         );
         assert_eq!(nested.stats.name, "join:nested-loop");
+    }
+
+    #[test]
+    fn nested_loop_nearest_emits_the_single_argmin_pair() {
+        let left = vec![(0, Point::new(5.0, 1.0))];
+        let right: Vec<GeomRecord> = [
+            (10, "LINESTRING (0 0, 10 0)"),
+            (11, "LINESTRING (0 4, 10 4)"),
+        ]
+        .into_iter()
+        .map(|(id, wkt)| (id, geom::wkt::parse(wkt).unwrap()))
+        .collect();
+        let engine = PreparedEngine;
+        let predicate = SpatialPredicate::Nearest(5.0);
+        let broadcast = JoinRequest::new(&left, &right, &engine)
+            .predicate(predicate)
+            .run();
+        let nested = JoinRequest::new(&left, &right, &engine)
+            .predicate(predicate)
+            .nested_loop()
+            .run();
+        assert_eq!(broadcast.pairs, vec![(0, 10)]);
+        assert_eq!(nested.pairs, broadcast.pairs);
+        // Both lines are candidates within D; only the nearer is emitted.
+        assert_eq!(nested.stats.counters.filter_hits, 2);
+        assert_eq!(nested.stats.counters.refine_accepts, 2);
     }
 
     #[test]

@@ -49,12 +49,6 @@ def fig_summary(key):
     return "\n".join(out)
 
 
-def fault_summary():
-    body = sections.get("fault_tolerance", "")
-    lines = [l for l in body.splitlines() if l.strip().endswith("x")]
-    return "\n" + "\n".join("  - " + re.sub(r"\s+", " ", l).strip() for l in lines)
-
-
 def ablation_rows():
     """REPLACE_ABL_* values from results/BENCH_fig45_ablation.json."""
     import json
@@ -97,7 +91,6 @@ repl = {
     "REPLACE_T2_WWF": t2_row("G10M-wwf"),
     "REPLACE_FIG4_SUMMARY": fig_summary("fig4"),
     "REPLACE_FIG5_SUMMARY": fig_summary("fig5"),
-    "REPLACE_FAULT": fault_summary(),
     **ablation_rows(),
 }
 for k, v in repl.items():

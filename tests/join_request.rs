@@ -5,8 +5,9 @@
 //!
 //! * **Bit-identity** — the broadcast strategy matches the hand-rolled
 //!   build-index-then-probe loop, the nested-loop strategy matches an
-//!   inline reference double loop, and the output is identical across
-//!   thread counts.
+//!   inline reference double loop (and the broadcast strategy on
+//!   arg-min `Nearest`), and the output is identical across thread
+//!   counts.
 //! * **Accounting** — the [`obs::RunStats`] carried by every outcome
 //!   obey the counter algebra: for `Within`, refinement accepts plus
 //!   interior-cell pairs equal the pairs, filter hits equal refinement
@@ -126,6 +127,30 @@ fn nested_loop_request_is_bit_identical_to_reference_loop() {
             }
             let outcome = JoinRequest::new(&left, &right, &engine).nested_loop().run();
             assert_eq!(outcome.pairs, reference);
+        },
+    );
+}
+
+#[test]
+fn nested_loop_nearest_matches_broadcast() {
+    check_with(
+        cfg(),
+        "nested_loop_nearest_matches_broadcast",
+        &(left_points(), right_rects()),
+        |(left, right)| {
+            // Both strategies take the arg-min over the candidates within
+            // D (ties to the smaller right id), so each emits at most one
+            // pair per point, in left order.
+            let predicate = SpatialPredicate::Nearest(3.0);
+            let engine = PreparedEngine;
+            let broadcast = JoinRequest::new(&left, &right, &engine)
+                .predicate(predicate)
+                .run();
+            let nested = JoinRequest::new(&left, &right, &engine)
+                .predicate(predicate)
+                .nested_loop()
+                .run();
+            assert_eq!(nested.pairs, broadcast.pairs);
         },
     );
 }
