@@ -37,9 +37,12 @@
 #                                 then the live fault_tolerance sweep at
 #                                 tiny scale; asserts
 #                                 results/BENCH_fault_tolerance.json is
-#                                 produced and well-formed, and that
-#                                 lineage recompute and pool retry
-#                                 complete at every fault rate
+#                                 produced and well-formed, that it
+#                                 holds exactly the two paper recovery
+#                                 modes (spark-recompute and
+#                                 impala-fail-fast), and that lineage
+#                                 recompute completes at every fault
+#                                 rate
 #   9. benchmark self-test        perfbench/selftest.py: every workload
 #                                 at tiny size, untraced and traced;
 #                                 checks metric names, units and
@@ -160,14 +163,14 @@ d = json.load(open("results/BENCH_fault_tolerance.json"))
 assert d["bench"] == "fault_tolerance", d.get("bench")
 assert len(d["rates"]) >= 3, "expected >= 3 fault rates"
 modes = {r["mode"] for r in d["live"]}
-assert modes == {"spark-recompute", "impala-fail-fast", "pool-retry"}, modes
+assert modes == {"spark-recompute", "impala-fail-fast"}, modes
 for r in d["live"]:
     # Every completed recovery must have been verified bit-identical.
     assert not r["completed"] or r["bit_identical"], r
     assert r["overhead"] > 0, r
-    # Recompute and in-place retry recover at every rate; fault draws
-    # are a pure function of (seed, site, index, attempt).
-    if r["mode"] in ("spark-recompute", "pool-retry"):
+    # Lineage recompute recovers at every rate; fault draws are a pure
+    # function of (seed, site, index, attempt).
+    if r["mode"] == "spark-recompute":
         assert r["completed"], r
 for f in d["checksum_failover"]:
     assert f["read_ok"], f

@@ -12,14 +12,15 @@
 //!   lineage mid-job on the surviving workers;
 //! * `impala-fail-fast` — any fragment failure aborts the query; the
 //!   harness restarts it from scratch (fresh fault draws) until it
-//!   completes or the restart budget is spent;
-//! * `pool-retry` — the shared morsel pool retries panicking morsels in
-//!   place, up to a bounded number of attempts each.
+//!   completes or the restart budget is spent.
 //!
-//! Every recovered run is checked bit-identical to its fault-free
-//! twin, and a separate phase plants replica corruption on a
-//! replication-3 file to drive the minihdfs checksum fail-over.
-//! Results land in `results/BENCH_fault_tolerance.json`.
+//! Every baseline and every (rate, mode) cell runs [`REPS`] times and
+//! reports its median wall time with the min and max; fault draws are
+//! seeded, so every repetition injects the same faults. Every recovered
+//! run is checked bit-identical to its fault-free twin, and a separate
+//! phase plants replica corruption on a replication-3 file to drive the
+//! minihdfs checksum fail-over. Results land in
+//! `results/BENCH_fault_tolerance.json`.
 //!
 //! Usage: `cargo run --release -p bench --bin fault_tolerance -- \
 //!         [--scale f] [--threads n] [--right-scale f]`
@@ -29,7 +30,6 @@ use std::time::Instant;
 
 use bench::{parse_bench_args, run_ispmc, run_spark, BenchError, Experiment, Workload};
 use cluster::{Chaos, ChaosConfig};
-use spatialjoin::{MorselConfig, PreparedSet, RecordReader};
 
 const SEED: u64 = 42;
 /// Nonzero per-site fault rates swept through every live recovery mode.
@@ -39,22 +39,89 @@ const SEED: u64 = 42;
 const RATES: [f64; 4] = [0.001, 0.05, 0.15, 0.3];
 /// Restart budget for the fail-fast mode before the harness gives up.
 const MAX_RESTARTS: u32 = 25;
-/// Attempts per morsel in the pool-retry mode.
-const POOL_ATTEMPTS: u32 = 8;
+/// Timed repetitions of every baseline and every live cell.
+const REPS: usize = 5;
 
-/// One live (rate, mode) measurement.
+/// Median, min and max of [`REPS`] wall-clock samples, in seconds.
+#[derive(Debug, Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+/// Runs `f` [`REPS`] times, returning the wall-clock spread and every
+/// repetition's result.
+fn repeat<T>(mut f: impl FnMut() -> T) -> (Spread, Vec<T>) {
+    let mut secs = Vec::with_capacity(REPS);
+    let out = (0..REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let r = f();
+            secs.push(t0.elapsed().as_secs_f64());
+            r
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    let spread = Spread {
+        median: secs[REPS / 2],
+        min: secs[0],
+        max: secs[REPS - 1],
+    };
+    (spread, out)
+}
+
+/// What one live repetition of a recovery mode ended with.
+struct Outcome {
+    completed: bool,
+    bit_identical: bool,
+    restarts: u32,
+}
+
+/// One live (rate, mode) measurement over [`REPS`] repetitions.
 struct LiveRow {
     rate: f64,
     mode: &'static str,
+    /// True when every repetition completed.
     completed: bool,
-    wall_secs: f64,
-    /// Wall time relative to the mode's fault-free baseline.
+    wall: Spread,
+    /// Median wall time over the mode's median fault-free wall time.
     overhead: f64,
+    /// True when every repetition's output matched the baseline.
     bit_identical: bool,
+    /// Counts of the first repetition; seeded draws repeat them.
     faults_injected: u64,
-    task_retries: u64,
     partitions_recomputed: u64,
     restarts: u32,
+}
+
+impl LiveRow {
+    /// Times `run` [`REPS`] times against the fault-free `base`,
+    /// keeping the first repetition's fault and recompute counts.
+    fn measure(
+        rate: f64,
+        mode: &'static str,
+        base: Spread,
+        mut run: impl FnMut() -> Outcome,
+    ) -> LiveRow {
+        let (wall, reps) = repeat(|| {
+            let before = obs::thread_snapshot();
+            let outcome = run();
+            (outcome, obs::thread_snapshot().minus(&before))
+        });
+        let (first, delta) = &reps[0];
+        LiveRow {
+            rate,
+            mode,
+            completed: reps.iter().all(|(o, _)| o.completed),
+            wall,
+            overhead: wall.median / base.median.max(f64::EPSILON),
+            bit_identical: reps.iter().all(|(o, _)| o.bit_identical),
+            faults_injected: delta.faults_injected,
+            partitions_recomputed: delta.partitions_recomputed,
+            restarts: first.restarts,
+        }
+    }
 }
 
 /// One checksum fail-over measurement on the replicated file.
@@ -75,65 +142,41 @@ fn main() -> Result<(), BenchError> {
     // Injected panics are expected; keep them off stderr.
     std::panic::set_hook(Box::new(|_| {}));
 
-    // --- Fault-free baselines (live wall clock + reference output) ---
+    // --- Fault-free baselines: one warm-up run each (the reference
+    // output), then REPS timed runs ---
     let spark_base = run_spark(&w, exp, threads, ChaosConfig::disabled())?;
-    let t0 = Instant::now();
-    let spark_base2 = run_spark(&w, exp, threads, ChaosConfig::disabled())?;
-    let spark_base_secs = t0.elapsed().as_secs_f64();
-    let ispmc_base = run_ispmc(&w, exp, threads, ChaosConfig::disabled())?;
-    let t0 = Instant::now();
-    let _ = run_ispmc(&w, exp, threads, ChaosConfig::disabled())?;
-    let ispmc_base_secs = t0.elapsed().as_secs_f64();
-    if spark_base2.pairs != spark_base.pairs {
-        return Err(BenchError::Usage(
-            "fault-free spark runs disagree; cannot baseline".into(),
-        ));
+    let (spark_secs, spark_runs) = repeat(|| run_spark(&w, exp, threads, ChaosConfig::disabled()));
+    for run in spark_runs {
+        if run?.pairs != spark_base.pairs {
+            return Err(BenchError::Usage(
+                "fault-free spark runs disagree; cannot baseline".into(),
+            ));
+        }
     }
-
-    let reader = RecordReader::new(1);
-    let (left, _) = reader.read_points(&w.dfs.read_all_lines(exp.left_path())?);
-    let (right, _) = reader.read_geoms(&w.dfs.read_all_lines(exp.right_path())?);
-    let engine = geom::engine::PreparedEngine;
-    let set = PreparedSet::prepare(&right, exp.predicate(), &engine);
-    let cfg = MorselConfig::new(threads);
-    let (pool_base, _, _) = set.par_probe_observed(&left, &engine, cfg);
-    let t0 = Instant::now();
-    let _ = set.par_probe_observed(&left, &engine, cfg);
-    let pool_base_secs = t0.elapsed().as_secs_f64();
-
+    let ispmc_base = run_ispmc(&w, exp, threads, ChaosConfig::disabled())?;
+    let (ispmc_secs, ispmc_runs) = repeat(|| run_ispmc(&w, exp, threads, ChaosConfig::disabled()));
+    for run in ispmc_runs {
+        run?;
+    }
     eprintln!(
-        "# baselines: spark {spark_base_secs:.3}s, ispmc {ispmc_base_secs:.3}s, \
-         pool {pool_base_secs:.3}s ({} pairs)",
-        pool_base.len()
+        "# baselines (median of {REPS}): spark {:.3}s, ispmc {:.3}s",
+        spark_secs.median, ispmc_secs.median
     );
 
     // --- Live sweep: fault rates x recovery modes ---
     let mut rows: Vec<LiveRow> = Vec::new();
     for &rate in &RATES {
-        rows.push(spark_recompute_row(
-            &w,
-            exp,
-            threads,
+        rows.push(LiveRow::measure(
             rate,
-            &spark_base.pairs,
-            spark_base_secs,
+            "spark-recompute",
+            spark_secs,
+            || spark_recompute(&w, exp, threads, rate, &spark_base.pairs),
         ));
-        rows.push(impala_failfast_row(
-            &w,
-            exp,
-            threads,
+        rows.push(LiveRow::measure(
             rate,
-            ispmc_base.pairs(),
-            ispmc_base_secs,
-        ));
-        rows.push(pool_retry_row(
-            &set,
-            &left,
-            &engine,
-            cfg,
-            rate,
-            &pool_base,
-            pool_base_secs,
+            "impala-fail-fast",
+            ispmc_secs,
+            || impala_failfast(&w, exp, threads, rate, ispmc_base.pairs()),
         ));
     }
 
@@ -144,9 +187,8 @@ fn main() -> Result<(), BenchError> {
     let path = write_json(
         &args.replay.scale,
         threads,
-        spark_base_secs,
-        ispmc_base_secs,
-        pool_base_secs,
+        spark_secs,
+        ispmc_secs,
         &rows,
         &failover,
     )
@@ -156,35 +198,23 @@ fn main() -> Result<(), BenchError> {
 }
 
 /// Spark under chaos: lineage recompute recovers lost partitions live.
-fn spark_recompute_row(
+fn spark_recompute(
     w: &Workload,
     exp: Experiment,
     threads: usize,
     rate: f64,
     base_pairs: &[(i64, i64)],
-    base_secs: f64,
-) -> LiveRow {
-    let before = obs::thread_snapshot();
-    let t0 = Instant::now();
+) -> Outcome {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_spark(w, exp, threads, ChaosConfig::uniform(SEED, rate))
     }));
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let delta = obs::thread_snapshot().minus(&before);
     let (completed, bit_identical) = match &outcome {
         Ok(Ok(run)) => (true, run.pairs == base_pairs),
         _ => (false, false),
     };
-    LiveRow {
-        rate,
-        mode: "spark-recompute",
+    Outcome {
         completed,
-        wall_secs,
-        overhead: wall_secs / base_secs.max(f64::EPSILON),
         bit_identical,
-        faults_injected: delta.faults_injected,
-        task_retries: delta.task_retries,
-        partitions_recomputed: delta.partitions_recomputed,
         restarts: 0,
     }
 }
@@ -192,83 +222,35 @@ fn spark_recompute_row(
 /// Impala under chaos: any fragment failure aborts; the harness
 /// restarts from scratch with fresh fault draws (a real redeploy would
 /// not replay the identical faults) until success or budget exhaustion.
-fn impala_failfast_row(
+fn impala_failfast(
     w: &Workload,
     exp: Experiment,
     threads: usize,
     rate: f64,
     base_pairs: &[(i64, i64)],
-    base_secs: f64,
-) -> LiveRow {
-    let before = obs::thread_snapshot();
-    let t0 = Instant::now();
+) -> Outcome {
     let mut restarts = 0u32;
-    let mut completed = false;
-    let mut bit_identical = false;
     loop {
         let seed = SEED.wrapping_add(7919u64.wrapping_mul(u64::from(restarts)));
         match run_ispmc(w, exp, threads, ChaosConfig::uniform(seed, rate)) {
             Ok(run) => {
-                completed = true;
-                bit_identical = run.pairs() == base_pairs;
-                break;
+                return Outcome {
+                    completed: true,
+                    bit_identical: run.pairs() == base_pairs,
+                    restarts,
+                }
             }
             Err(_) => {
                 restarts += 1;
                 if restarts >= MAX_RESTARTS {
-                    break;
+                    return Outcome {
+                        completed: false,
+                        bit_identical: false,
+                        restarts,
+                    };
                 }
             }
         }
-    }
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let delta = obs::thread_snapshot().minus(&before);
-    LiveRow {
-        rate,
-        mode: "impala-fail-fast",
-        completed,
-        wall_secs,
-        overhead: wall_secs / base_secs.max(f64::EPSILON),
-        bit_identical,
-        faults_injected: delta.faults_injected,
-        task_retries: delta.task_retries,
-        partitions_recomputed: delta.partitions_recomputed,
-        restarts,
-    }
-}
-
-/// The shared morsel pool under chaos: panicking morsels retried in
-/// place, bounded by [`POOL_ATTEMPTS`] total attempts each.
-fn pool_retry_row(
-    set: &PreparedSet<geom::engine::PreparedEngine>,
-    left: &[(i64, geom::Point)],
-    engine: &geom::engine::PreparedEngine,
-    cfg: MorselConfig,
-    rate: f64,
-    base_pairs: &[(i64, i64)],
-    base_secs: f64,
-) -> LiveRow {
-    let before = obs::thread_snapshot();
-    let chaos = Chaos::new(ChaosConfig::uniform(SEED, rate));
-    let t0 = Instant::now();
-    let outcome = set.par_probe_faulted(left, engine, cfg, &chaos, POOL_ATTEMPTS);
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let delta = obs::thread_snapshot().minus(&before);
-    let (completed, bit_identical) = match &outcome {
-        Ok((pairs, _)) => (true, pairs == base_pairs),
-        Err(_) => (false, false),
-    };
-    LiveRow {
-        rate,
-        mode: "pool-retry",
-        completed,
-        wall_secs,
-        overhead: wall_secs / base_secs.max(f64::EPSILON),
-        bit_identical,
-        faults_injected: delta.faults_injected,
-        task_retries: delta.task_retries,
-        partitions_recomputed: delta.partitions_recomputed,
-        restarts: 0,
     }
 }
 
@@ -311,22 +293,35 @@ fn checksum_failover_rows(w: &Workload) -> Result<Vec<FailoverRow>, BenchError> 
 }
 
 fn print_tables(rows: &[LiveRow], failover: &[FailoverRow]) {
-    println!("Live fault injection on taxi-nycb (recovered runs verified bit-identical)");
     println!(
-        "{:<8}{:<20}{:>10}{:>12}{:>10}{:>9}{:>9}{:>11}{:>10}",
-        "rate", "mode", "wall (s)", "overhead", "ok", "ident", "faults", "recovered", "restarts"
+        "Live fault injection on taxi-nycb (recovered runs verified bit-identical; \
+         wall is the median of {REPS} runs)"
+    );
+    println!(
+        "{:<8}{:<20}{:>10}{:>18}{:>12}{:>7}{:>7}{:>8}{:>11}{:>10}",
+        "rate",
+        "mode",
+        "wall (s)",
+        "min..max (s)",
+        "overhead",
+        "ok",
+        "ident",
+        "faults",
+        "recovered",
+        "restarts"
     );
     for r in rows {
         println!(
-            "{:<8}{:<20}{:>10.3}{:>11.2}x{:>10}{:>9}{:>9}{:>11}{:>10}",
+            "{:<8}{:<20}{:>10.3}{:>18}{:>11.2}x{:>7}{:>7}{:>8}{:>11}{:>10}",
             format!("{:.2}", r.rate),
             r.mode,
-            r.wall_secs,
+            r.wall.median,
+            format!("{:.3}..{:.3}", r.wall.min, r.wall.max),
             r.overhead,
             r.completed,
             r.bit_identical,
             r.faults_injected,
-            r.task_retries + r.partitions_recomputed,
+            r.partitions_recomputed,
             r.restarts
         );
     }
@@ -343,9 +338,8 @@ fn print_tables(rows: &[LiveRow], failover: &[FailoverRow]) {
 fn write_json(
     scale: &f64,
     threads: usize,
-    spark_base_secs: f64,
-    ispmc_base_secs: f64,
-    pool_base_secs: f64,
+    spark: Spread,
+    ispmc: Spread,
     rows: &[LiveRow],
     failover: &[FailoverRow],
 ) -> std::io::Result<&'static str> {
@@ -356,6 +350,7 @@ fn write_json(
     let _ = writeln!(json, "  \"seed\": {SEED},");
     let _ = writeln!(json, "  \"scale\": {scale},");
     let _ = writeln!(json, "  \"threads\": {threads},");
+    let _ = writeln!(json, "  \"reps\": {REPS},");
     let mut rates = String::new();
     for (i, r) in RATES.iter().enumerate() {
         let _ = write!(rates, "{}{r}", if i == 0 { "" } else { ", " });
@@ -363,13 +358,17 @@ fn write_json(
     let _ = writeln!(json, "  \"rates\": [{rates}],");
     let _ = writeln!(
         json,
-        "  \"note\": \"live chaos injection through the real executors; overhead is wall time \
-         over the mode's fault-free baseline; impala restarts use fresh fault draws\","
+        "  \"note\": \"live chaos injection through the real executors; wall_secs is the median \
+         of reps runs (min and max beside it); overhead is that median over the mode's median \
+         fault-free wall time; every repetition draws the same seeded faults; impala restarts \
+         use fresh fault draws\","
     );
     let _ = writeln!(
         json,
-        "  \"fault_free\": {{\"spark_secs\": {spark_base_secs:.6}, \
-         \"ispmc_secs\": {ispmc_base_secs:.6}, \"pool_secs\": {pool_base_secs:.6}}},"
+        "  \"fault_free\": {{\"spark_secs\": {:.6}, \"spark_min_secs\": {:.6}, \
+         \"spark_max_secs\": {:.6}, \"ispmc_secs\": {:.6}, \"ispmc_min_secs\": {:.6}, \
+         \"ispmc_max_secs\": {:.6}}},",
+        spark.median, spark.min, spark.max, ispmc.median, ispmc.min, ispmc.max
     );
     let _ = writeln!(json, "  \"live\": [");
     for (i, r) in rows.iter().enumerate() {
@@ -377,17 +376,18 @@ fn write_json(
         let _ = writeln!(
             json,
             "    {{\"rate\": {}, \"mode\": \"{}\", \"completed\": {}, \
-             \"wall_secs\": {:.6}, \"overhead\": {:.4}, \"bit_identical\": {}, \
-             \"faults_injected\": {}, \"task_retries\": {}, \
+             \"wall_secs\": {:.6}, \"wall_min_secs\": {:.6}, \"wall_max_secs\": {:.6}, \
+             \"overhead\": {:.4}, \"bit_identical\": {}, \"faults_injected\": {}, \
              \"partitions_recomputed\": {}, \"restarts\": {}}}{comma}",
             r.rate,
             r.mode,
             r.completed,
-            r.wall_secs,
+            r.wall.median,
+            r.wall.min,
+            r.wall.max,
             r.overhead,
             r.bit_identical,
             r.faults_injected,
-            r.task_retries,
             r.partitions_recomputed,
             r.restarts
         );

@@ -13,8 +13,8 @@
 //! Four fault kinds are modelled, mirroring the failure modes a
 //! Hadoop/Spark/Impala deployment sees:
 //!
-//! * **worker panic mid-morsel** — the task closure panics *after*
-//!   appending its output, so recovery must roll back a complete
+//! * **worker panic mid-task** — the task closure panics *after*
+//!   appending its output, so the pool must roll back a complete
 //!   segment (the worst case for the order-preserving stitch);
 //! * **corrupted DFS block replica** — decided per `(block, replica)`
 //!   so `minihdfs` checksum fail-over can be driven deterministically;
@@ -41,9 +41,6 @@ pub enum ChaosSite {
     /// A sparklet stage task: a [`crate::dispatch`] unit that yields
     /// one partition.
     Task,
-    /// A probe morsel: a [`crate::dispatch`] unit that appends one
-    /// slice's join pairs.
-    Morsel,
     /// A DFS block read (transient errors) or `(block, replica)`
     /// corruption decision.
     BlockRead,
@@ -55,7 +52,6 @@ impl ChaosSite {
     fn salt(self) -> u64 {
         match self {
             ChaosSite::Task => 0x7461_736b,
-            ChaosSite::Morsel => 0x6d6f_7273,
             ChaosSite::BlockRead => 0x626c_6f63,
             ChaosSite::Fragment => 0x6672_6167,
         }
@@ -76,7 +72,7 @@ pub enum FaultKind {
 pub struct ChaosEvent {
     pub site: ChaosSite,
     pub kind: FaultKind,
-    /// Task / morsel / block / fragment index at the site.
+    /// Task / block / fragment index at the site.
     pub index: u64,
     /// Zero-based attempt the fault hit.
     pub attempt: u32,
@@ -88,7 +84,7 @@ pub struct ChaosEvent {
 pub struct ChaosConfig {
     /// Seed for the per-decision hash; same seed ⇒ same faults.
     pub seed: u64,
-    /// Probability a task/morsel/fragment attempt panics.
+    /// Probability a task/fragment attempt panics.
     pub panic_rate: f64,
     /// Probability a `(block, replica)` pair is corrupted on disk.
     pub corrupt_rate: f64,
@@ -293,7 +289,7 @@ mod tests {
             assert!(!c.panic_fires(ChaosSite::Task, i, 0));
             assert!(!c.read_fault_fires(i, 0));
             assert!(!c.replica_corrupt(i, 0));
-            c.inject(ChaosSite::Morsel, i, 0); // must not panic
+            c.inject(ChaosSite::Task, i, 0); // must not panic
         }
         assert_eq!(c.fault_count(), 0);
     }
@@ -305,16 +301,15 @@ mod tests {
         let c = Chaos::new(ChaosConfig::uniform(43, 0.3));
         let draws = |ch: &Chaos| -> Vec<bool> {
             (0..256)
-                .map(|i| ch.panic_fires(ChaosSite::Morsel, i, 0))
+                .map(|i| ch.panic_fires(ChaosSite::Task, i, 0))
                 .collect()
         };
         assert_eq!(draws(&a), draws(&b), "same seed, same faults");
         assert_ne!(draws(&a), draws(&c), "different seed, different faults");
         // Attempts draw independently: a fault at attempt 0 does not
         // imply one at attempt 1 (rate 0.3 ⇒ some index recovers).
-        let recovers = (0..256).any(|i| {
-            a.panic_fires(ChaosSite::Morsel, i, 0) && !a.panic_fires(ChaosSite::Morsel, i, 1)
-        });
+        let recovers = (0..256)
+            .any(|i| a.panic_fires(ChaosSite::Task, i, 0) && !a.panic_fires(ChaosSite::Task, i, 1));
         assert!(recovers, "expected at least one index to recover on retry");
     }
 
@@ -352,9 +347,9 @@ mod tests {
         let task: Vec<bool> = (0..128)
             .map(|i| c.panic_fires(ChaosSite::Task, i, 0))
             .collect();
-        let morsel: Vec<bool> = (0..128)
-            .map(|i| c.panic_fires(ChaosSite::Morsel, i, 0))
+        let fragment: Vec<bool> = (0..128)
+            .map(|i| c.panic_fires(ChaosSite::Fragment, i, 0))
             .collect();
-        assert_ne!(task, morsel);
+        assert_ne!(task, fragment);
     }
 }

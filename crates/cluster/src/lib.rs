@@ -25,6 +25,6 @@ pub mod topology;
 
 pub use chaos::{Chaos, ChaosConfig, ChaosEvent, ChaosSite, FaultKind};
 pub use network::NetworkModel;
-pub use pool::{dispatch, Dispatch, Dispatched, ScheduleMode, TaskFailure, TaskTiming};
+pub use pool::{dispatch, Dispatched, ScheduleMode, TaskFailure, TaskTiming};
 pub use sim::{scan_range_assignment, simulate, Scheduler, SimReport, TaskSpec};
 pub use topology::ClusterSpec;

@@ -11,10 +11,10 @@
 //! its worker's buffer (a task is a unit that appends exactly one); the
 //! driver stitches the buffers back in unit order, so the concatenated
 //! output is identical to running the units serially. Every unit runs
-//! under `catch_unwind` with bounded in-place retry: a panicking attempt
-//! has its partial output rolled back, and a unit that exhausts its
-//! attempts is reported as a [`TaskFailure`] instead of unwinding the
-//! driver.
+//! once under `catch_unwind`: a panicking unit has its partial output
+//! rolled back and is reported as a [`TaskFailure`] instead of
+//! unwinding the driver. Recovery is the caller's policy (sparklet
+//! recomputes lost partitions, ISP-MC restarts the query).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,44 +36,18 @@ pub struct TaskTiming {
     pub index: usize,
     /// Worker thread that ran the unit.
     pub worker: usize,
-    /// Wall-clock seconds the unit took, across all its attempts.
+    /// Wall-clock seconds the unit took.
     pub secs: f64,
 }
 
-/// One unit that still had a panic in flight after every permitted
-/// attempt. The panic payload is flattened to its message so failures
-/// stay `Send + Clone` and printable.
+/// One unit that panicked. The panic payload is flattened to its
+/// message so failures stay `Send + Clone` and printable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskFailure {
     /// Unit index in the input order.
     pub index: usize,
-    /// Attempts consumed (equals [`Dispatch::attempts`]).
-    pub attempts: u32,
-    /// The panic message of the final attempt.
+    /// The panic message.
     pub message: String,
-}
-
-/// How a [`dispatch`] call hands out and retries its units.
-#[derive(Debug, Clone, Copy)]
-pub struct Dispatch {
-    /// Worker threads; 1 runs every unit inline on the calling thread.
-    pub threads: usize,
-    /// How units are handed to workers.
-    pub mode: ScheduleMode,
-    /// Total attempts per unit, including the first (clamped to ≥ 1).
-    /// One attempt is fail-fast: a panic fails the unit immediately.
-    pub attempts: u32,
-}
-
-impl Dispatch {
-    /// `threads` workers under `mode`, one attempt per unit.
-    pub fn new(threads: usize, mode: ScheduleMode) -> Self {
-        Dispatch {
-            threads,
-            mode,
-            attempts: 1,
-        }
-    }
 }
 
 /// What a [`dispatch`] produced.
@@ -85,7 +59,7 @@ pub struct Dispatched<R> {
     pub out: Vec<R>,
     /// Timings of successful units, in unit order.
     pub timings: Vec<TaskTiming>,
-    /// Units that exhausted every attempt, in unit order.
+    /// Units that panicked, in unit order.
     pub failures: Vec<TaskFailure>,
     /// Scoped-worker counters (zero when the units ran inline on the
     /// calling thread, where counts land in the caller's cells) plus
@@ -122,28 +96,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one unit to completion or exhaustion of `attempts`, capturing
-/// panics with `catch_unwind`. Returns the panic message and attempts
-/// consumed on failure. The body receives the zero-based attempt number
-/// so a deterministic injector can fail early attempts and pass later
-/// ones.
-fn attempt_loop(attempts: u32, mut body: impl FnMut(u32)) -> Result<(), (u32, String)> {
-    let max = attempts.max(1);
-    let mut attempt = 0u32;
-    loop {
-        match catch_unwind(AssertUnwindSafe(|| body(attempt))) {
-            Ok(()) => return Ok(()),
-            Err(payload) => {
-                attempt += 1;
-                if attempt >= max {
-                    return Err((attempt, panic_message(payload.as_ref())));
-                }
-                obs::task_retry();
-            }
-        }
-    }
-}
-
 /// One worker's share of a dispatch: its output buffer, the
 /// `(unit, segment length, secs)` of every successful unit in increasing
 /// unit order, its failures and its accounting.
@@ -156,40 +108,43 @@ struct WorkerOut<R> {
 }
 
 /// The loop every worker runs: pick units by schedule mode, run each
-/// under [`attempt_loop`], and roll back the partial output of failed
-/// attempts so the stitch contract holds.
-fn run_worker<R, F>(w: usize, n: usize, d: &Dispatch, next: &AtomicUsize, f: &F) -> WorkerOut<R>
+/// once under `catch_unwind`, and roll back the partial output of a
+/// failed unit so the stitch contract holds.
+fn run_worker<R, F>(
+    w: usize,
+    n: usize,
+    threads: usize,
+    mode: ScheduleMode,
+    next: &AtomicUsize,
+    f: &F,
+) -> WorkerOut<R>
 where
-    F: Fn(usize, u32, &mut Vec<R>),
+    F: Fn(usize, &mut Vec<R>),
 {
     let wall0 = Instant::now();
     let mut busy_ns: u64 = 0;
     let mut buf: Vec<R> = Vec::new();
-    let mut segs = Vec::with_capacity(n / d.threads + 1);
+    let mut segs = Vec::with_capacity(n / threads + 1);
     let mut failures = Vec::new();
     let mut run = |i: usize| {
         let before = buf.len();
         let t0 = Instant::now();
-        let outcome = attempt_loop(d.attempts, |attempt| {
-            buf.truncate(before);
-            f(i, attempt, &mut buf);
-        });
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(i, &mut buf)));
         let elapsed = t0.elapsed();
         busy_ns = busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
         obs::morsel();
         match outcome {
             Ok(()) => segs.push((i, buf.len() - before, elapsed.as_secs_f64())),
-            Err((attempts, message)) => {
+            Err(payload) => {
                 buf.truncate(before);
                 failures.push(TaskFailure {
                     index: i,
-                    attempts,
-                    message,
+                    message: panic_message(payload.as_ref()),
                 });
             }
         }
     };
-    match d.mode {
+    match mode {
         ScheduleMode::Dynamic => loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
@@ -197,10 +152,10 @@ where
             }
             run(i);
         },
-        ScheduleMode::Static => (w * n / d.threads..(w + 1) * n / d.threads).for_each(&mut run),
+        ScheduleMode::Static => (w * n / threads..(w + 1) * n / threads).for_each(&mut run),
     }
     // The inline worker has no queue to wait on.
-    let wait_ns = if d.threads == 1 {
+    let wait_ns = if threads == 1 {
         0
     } else {
         elapsed_ns(wall0).saturating_sub(busy_ns)
@@ -219,22 +174,20 @@ where
     }
 }
 
-/// Runs units `0..n` under `d`, `f(unit, attempt, out)` appending each
-/// unit's output to its worker's buffer, and returns the output of
-/// every successful unit concatenated in unit order.
+/// Runs units `0..n` once each on `threads` workers under `mode`,
+/// `f(unit, out)` appending each unit's output to its worker's buffer,
+/// and returns the output of every successful unit concatenated in
+/// unit order.
 ///
 /// Output and failures are bit-identical at any thread count and
 /// schedule mode; scheduling only decides *who* runs a unit. With
 /// `threads == 1` the units run inline on the calling thread.
-pub fn dispatch<R, F>(n: usize, d: &Dispatch, f: F) -> Dispatched<R>
+pub fn dispatch<R, F>(n: usize, threads: usize, mode: ScheduleMode, f: F) -> Dispatched<R>
 where
     R: Send,
-    F: Fn(usize, u32, &mut Vec<R>) + Sync,
+    F: Fn(usize, &mut Vec<R>) + Sync,
 {
-    let d = Dispatch {
-        threads: d.threads.max(1),
-        ..*d
-    };
+    let threads = threads.max(1);
     let mut done = Dispatched {
         out: Vec::new(),
         timings: Vec::with_capacity(n),
@@ -245,15 +198,15 @@ where
         return done;
     }
     let next = AtomicUsize::new(0);
-    let workers: Vec<WorkerOut<R>> = if d.threads == 1 {
-        vec![run_worker(0, n, &d, &next, &f)]
+    let workers: Vec<WorkerOut<R>> = if threads == 1 {
+        vec![run_worker(0, n, threads, mode, &next, &f)]
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..d.threads)
+            let handles: Vec<_> = (0..threads)
                 .map(|w| {
-                    let (d, next, f) = (&d, &next, &f);
+                    let (next, f) = (&next, &f);
                     scope.spawn(move || {
-                        let mut out = run_worker(w, n, d, next, f);
+                        let mut out = run_worker(w, n, threads, mode, next, f);
                         // Fresh scoped threads start with zeroed cells,
                         // so the drain is exactly this worker's counts.
                         out.counters = obs::take_thread();
@@ -265,7 +218,7 @@ where
                 .into_iter()
                 .map(|h| match h.join() {
                     Ok(out) => out,
-                    // Units cannot unwind out of attempt_loop; a join
+                    // Units cannot unwind past `catch_unwind`; a join
                     // error means the runtime itself failed.
                     Err(payload) => std::panic::resume_unwind(payload),
                 })
@@ -321,10 +274,7 @@ mod tests {
         mode: ScheduleMode,
         f: impl Fn(&T) -> R + Sync,
     ) -> (Vec<R>, Vec<TaskTiming>) {
-        let run = dispatch(items.len(), &Dispatch::new(threads, mode), |i, _, out| {
-            out.push(f(&items[i]))
-        })
-        .or_raise();
+        let run = dispatch(items.len(), threads, mode, |i, out| out.push(f(&items[i]))).or_raise();
         (run.out, run.timings)
     }
 
@@ -335,8 +285,7 @@ mod tests {
         mode: ScheduleMode,
         f: impl Fn(&[T], &mut Vec<R>) + Sync,
     ) -> (Vec<R>, Vec<TaskTiming>) {
-        let d = Dispatch::new(threads, mode);
-        let run = dispatch(morsels.len(), &d, |i, _, out| f(morsels[i], out)).or_raise();
+        let run = dispatch(morsels.len(), threads, mode, |i, out| f(morsels[i], out)).or_raise();
         (run.out, run.timings)
     }
 
@@ -456,7 +405,7 @@ mod tests {
 
     #[test]
     fn morsels_empty_input() {
-        let run = dispatch::<u8, _>(0, &Dispatch::new(4, ScheduleMode::Static), |_, _, _| {});
+        let run = dispatch::<u8, _>(0, 4, ScheduleMode::Static, |_, _| {});
         assert!(run.out.is_empty() && run.timings.is_empty() && run.failures.is_empty());
     }
 
@@ -476,11 +425,7 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(|&x| x * 3).collect();
         for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
             for threads in [1, 2, 7] {
-                let d = Dispatch {
-                    attempts: 3,
-                    ..Dispatch::new(threads, mode)
-                };
-                let run = dispatch(items.len(), &d, |i, _, out| out.push(items[i] * 3));
+                let run = dispatch(items.len(), threads, mode, |i, out| out.push(items[i] * 3));
                 assert!(run.failures.is_empty());
                 assert_eq!(run.out, expected);
                 assert_eq!(run.timings.len(), items.len());
@@ -489,38 +434,10 @@ mod tests {
     }
 
     #[test]
-    fn faulted_tasks_retry_recovers_and_preserves_order() {
-        let items: Vec<u64> = (0..200).collect();
-        let expected: Vec<u64> = items.iter().map(|&x| x + 1).collect();
-        for threads in [1, 4] {
-            let d = Dispatch {
-                attempts: 2,
-                ..Dispatch::new(threads, ScheduleMode::Dynamic)
-            };
-            let run = quiet_panics(|| {
-                dispatch(items.len(), &d, |i, attempt, out| {
-                    // Every third item dies on its first attempt.
-                    assert!(attempt < 2);
-                    if i % 3 == 0 && attempt == 0 {
-                        std::panic::panic_any(format!("injected at {i}"));
-                    }
-                    out.push(items[i] + 1);
-                })
-            });
-            assert!(run.failures.is_empty(), "threads={threads}");
-            assert_eq!(run.out, expected);
-        }
-    }
-
-    #[test]
     fn faulted_tasks_exhausted_attempts_reported() {
         let items: Vec<u64> = (0..50).collect();
-        let d = Dispatch {
-            attempts: 3,
-            ..Dispatch::new(4, ScheduleMode::Static)
-        };
         let run = quiet_panics(|| {
-            dispatch(items.len(), &d, |i, _, out| {
+            dispatch(items.len(), 4, ScheduleMode::Static, |i, out| {
                 if i == 17 {
                     std::panic::panic_any("always dies".to_string());
                 }
@@ -529,7 +446,6 @@ mod tests {
         });
         assert_eq!(run.failures.len(), 1);
         assert_eq!(run.failures[0].index, 17);
-        assert_eq!(run.failures[0].attempts, 3);
         assert_eq!(run.failures[0].message, "always dies");
         // The failed task leaves a gap: every other result, in order.
         let expected: Vec<u64> = items.iter().copied().filter(|&x| x != 17).collect();
@@ -541,26 +457,29 @@ mod tests {
     fn faulted_morsels_roll_back_partial_output() {
         let items: Vec<u64> = (0..400).collect();
         let ms = chunked(&items, 16);
-        let serial: Vec<u64> = items.iter().map(|&x| x * 2).collect();
+        // Every morsel except the failed ones (i % 4 == 1), in order.
+        let survivors: Vec<u64> = items
+            .iter()
+            .filter(|&&x| (x / 16) % 4 != 1)
+            .map(|&x| x * 2)
+            .collect();
         for threads in [1, 2, 7] {
-            let d = Dispatch {
-                attempts: 2,
-                ..Dispatch::new(threads, ScheduleMode::Dynamic)
-            };
             let run = quiet_panics(|| {
-                dispatch(ms.len(), &d, |i, attempt, buf| {
+                dispatch(ms.len(), threads, ScheduleMode::Dynamic, |i, buf| {
                     for &x in ms[i] {
                         buf.push(x * 2);
                     }
-                    // Panic *after* appending output: recovery must
-                    // discard the partial segment before retrying.
-                    if i % 4 == 1 && attempt == 0 {
+                    // Panic *after* appending output: the failed
+                    // morsel's partial segment must be discarded.
+                    if i % 4 == 1 {
                         std::panic::panic_any(format!("mid-morsel {i}"));
                     }
                 })
             });
-            assert!(run.failures.is_empty(), "threads={threads}");
-            assert_eq!(run.out, serial, "threads={threads}");
+            let failed: Vec<usize> = run.failures.iter().map(|f| f.index).collect();
+            let expected: Vec<usize> = (0..ms.len()).filter(|i| i % 4 == 1).collect();
+            assert_eq!(failed, expected, "threads={threads}");
+            assert_eq!(run.out, survivors, "threads={threads}");
         }
     }
 
@@ -569,16 +488,12 @@ mod tests {
         let items: Vec<u64> = (0..100).collect();
         let ms = chunked(&items, 10);
         let run = quiet_panics(|| {
-            dispatch(
-                ms.len(),
-                &Dispatch::new(3, ScheduleMode::Static),
-                |i, _, buf| {
-                    buf.extend_from_slice(ms[i]);
-                    if i == 5 {
-                        std::panic::panic_any("fragment lost".to_string());
-                    }
-                },
-            )
+            dispatch(ms.len(), 3, ScheduleMode::Static, |i, buf| {
+                buf.extend_from_slice(ms[i]);
+                if i == 5 {
+                    std::panic::panic_any("fragment lost".to_string());
+                }
+            })
         });
         assert_eq!(run.failures.len(), 1);
         assert_eq!(run.failures[0].index, 5);
@@ -608,16 +523,12 @@ mod tests {
         let items: Vec<u64> = (0..40).collect();
         for threads in [1, 4] {
             let run = quiet_panics(|| {
-                dispatch(
-                    items.len(),
-                    &Dispatch::new(threads, ScheduleMode::Dynamic),
-                    |i, attempt, out| {
-                        out.push(items[i]);
-                        if i == 9 {
-                            std::panic::panic_any(format!("unit {i} attempt {attempt}"));
-                        }
-                    },
-                )
+                dispatch(items.len(), threads, ScheduleMode::Dynamic, |i, out| {
+                    out.push(items[i]);
+                    if i == 9 {
+                        std::panic::panic_any(format!("unit {i} failed"));
+                    }
+                })
             });
             // The panicking unit left no row, and is reported exactly
             // once with its message.
@@ -627,8 +538,7 @@ mod tests {
                 run.failures,
                 vec![TaskFailure {
                     index: 9,
-                    attempts: 1,
-                    message: "unit 9 attempt 0".into(),
+                    message: "unit 9 failed".into(),
                 }],
                 "threads={threads}"
             );
@@ -636,7 +546,7 @@ mod tests {
             let payload = quiet_panics(|| {
                 catch_unwind(AssertUnwindSafe(|| run.or_raise())).expect_err("must re-raise")
             });
-            assert_eq!(panic_message(payload.as_ref()), "unit 9 attempt 0");
+            assert_eq!(panic_message(payload.as_ref()), "unit 9 failed");
         }
     }
 
@@ -646,11 +556,9 @@ mod tests {
         std::thread::spawn(move || {
             for threads in [1, 3] {
                 let before = obs::thread_snapshot();
-                let run = dispatch(
-                    items.len(),
-                    &Dispatch::new(threads, ScheduleMode::Dynamic),
-                    |i, _, out| out.push(items[i]),
-                );
+                let run = dispatch(items.len(), threads, ScheduleMode::Dynamic, |i, out| {
+                    out.push(items[i])
+                });
                 let caller = obs::thread_snapshot().minus(&before);
                 // Every unit counts once, either inline on the caller or
                 // in the scoped workers' drained counters — never both.

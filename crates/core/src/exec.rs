@@ -8,7 +8,7 @@
 //! refinement. Any fragment dying fails the query: Impala has no
 //! lineage to recompute from.
 
-use cluster::{ChaosSite, Dispatch, ScheduleMode, TaskFailure, TaskSpec, TaskTiming};
+use cluster::{ChaosSite, ScheduleMode, TaskFailure, TaskSpec, TaskTiming};
 use geom::engine::NaiveEngine;
 use impalite::exec::ProbeBatch;
 use impalite::plan::plan_query;
@@ -18,7 +18,6 @@ use impalite::{parse_query, ImpalaError, PhysicalPlan, QueryMetrics, QueryResult
 use crate::ispmc::IspMc;
 use crate::parallel::PreparedSet;
 use crate::reader::RecordReader;
-use crate::JoinPair;
 
 /// Strips a leading `EXPLAIN` keyword, returning the remainder. The
 /// keyword must end at whitespace or the end of the statement.
@@ -92,7 +91,8 @@ impl IspMc {
     }
 
     /// Runs one plan fragment's `n` units statically chunked over the
-    /// daemon's threads, each unit's fault draw keyed by `key | unit`.
+    /// daemon's threads, each unit's fault draw keyed by `key | unit`
+    /// at attempt 0: a unit runs once.
     /// Fail-fast: Impala fixes the plan before execution and cannot
     /// reschedule, so any unit dying — an injected fault or a bug in
     /// the unit — fails the query, and the surviving units' output is
@@ -104,11 +104,9 @@ impl IspMc {
         n: usize,
         f: impl Fn(usize, &mut Vec<R>) + Sync,
     ) -> Result<(Vec<R>, Vec<TaskTiming>), ImpalaError> {
-        let d = Dispatch::new(self.conf.threads, ScheduleMode::Static);
-        let run = cluster::dispatch(n, &d, |i, attempt, out| {
+        let run = cluster::dispatch(n, self.conf.threads, ScheduleMode::Static, |i, out| {
             f(i, out);
-            self.chaos
-                .inject(ChaosSite::Fragment, key | i as u64, attempt);
+            self.chaos.inject(ChaosSite::Fragment, key | i as u64, 0);
         });
         obs::add_thread(&run.exec.worker_counters);
         if !run.failures.is_empty() {
@@ -216,16 +214,6 @@ impl IspMc {
             probe_batches[chunk_batch[t.index]].chunk_costs.push(t.secs);
         }
 
-        let mut pairs: Vec<JoinPair> = pairs;
-        if plan.group_count {
-            // Hash aggregation at the coordinator: (right id, count).
-            let mut counts: std::collections::HashMap<i64, i64> = std::collections::HashMap::new();
-            for &(_, rid) in &pairs {
-                *counts.entry(rid).or_insert(0) += 1;
-            }
-            pairs = counts.into_iter().collect();
-            pairs.sort_unstable();
-        }
         let result_rows = pairs.len();
         Ok(QueryResult {
             pairs,
@@ -245,6 +233,7 @@ impl IspMc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JoinPair;
     use cluster::{Chaos, ChaosConfig};
     use impalite::ImpaladConf;
     use minihdfs::MiniDfs;
@@ -411,37 +400,6 @@ mod tests {
         let run = sys.execute_sql(&format!("EXPLAIN\t{JOIN_SQL}")).unwrap();
         assert_eq!(run.pair_count(), 0);
         assert!(run.result.plan.explain().contains("SPATIAL_JOIN"));
-    }
-
-    #[test]
-    fn count_group_by_aggregates() {
-        let sys = system();
-        let result = sys
-            .execute(
-                "SELECT poly.id, COUNT(*) FROM pnt SPATIAL JOIN poly \
-                 WHERE ST_WITHIN (pnt.geom, poly.geom) GROUP BY poly.id",
-            )
-            .unwrap();
-        // Four quadrants x 25 interior points each.
-        assert_eq!(result.pairs, vec![(0, 25), (1, 25), (2, 25), (3, 25)]);
-        assert!(result.plan.explain().contains("AGGREGATE"));
-        // Malformed aggregates are rejected.
-        assert!(
-            sys.execute(
-                "SELECT poly.id, COUNT(*) FROM pnt SPATIAL JOIN poly \
-                 WHERE ST_WITHIN (pnt.geom, poly.geom)"
-            )
-            .is_err(),
-            "missing GROUP BY"
-        );
-        assert!(
-            sys.execute(
-                "SELECT pnt.id, COUNT(*) FROM pnt SPATIAL JOIN poly \
-                 WHERE ST_WITHIN (pnt.geom, poly.geom) GROUP BY pnt.id"
-            )
-            .is_err(),
-            "grouping by the probe side is unsupported"
-        );
     }
 
     #[test]

@@ -30,10 +30,7 @@
 //! stitched back in input order by the driver. Scheduling only decides
 //! *who* runs a morsel, never what it appends.
 
-use cluster::{
-    dispatch, Chaos, ChaosSite, Dispatch, Dispatched, ScheduleMode, TaskFailure, TaskSpec,
-    TaskTiming,
-};
+use cluster::{dispatch, Dispatched, ScheduleMode, TaskFailure, TaskSpec, TaskTiming};
 use geom::cells::CellGrid;
 use geom::engine::{RefinementEngine, SpatialPredicate};
 use geom::{Envelope, HasEnvelope, Point};
@@ -299,8 +296,7 @@ impl<E: RefinementEngine> PreparedSet<E> {
         units: usize,
         unit: impl Fn(usize, &mut Vec<Entry<E::Prepared>>) + Sync,
     ) -> Dispatched<Entry<E::Prepared>> {
-        let d = Dispatch::new(threads, ScheduleMode::Dynamic);
-        let run = dispatch(units, &d, |i, _, out| unit(i, out));
+        let run = dispatch(units, threads, ScheduleMode::Dynamic, unit);
         obs::add_thread(&run.exec.worker_counters);
         run
     }
@@ -393,72 +389,30 @@ impl<E: RefinementEngine> PreparedSet<E> {
         engine: &E,
         cfg: MorselConfig,
     ) -> (Vec<JoinPair>, Vec<TaskTiming>, obs::ExecStats) {
-        let run = self
-            .dispatch_probe(left, engine, cfg, 1, &Chaos::disabled())
-            .or_raise();
-        (run.out, run.timings, run.exec)
-    }
-
-    /// [`PreparedSet::par_probe_observed`] under fault injection: each
-    /// morsel's panic draw is consulted *after* its output is appended
-    /// (so recovery exercises the partial-segment rollback), and
-    /// panicking morsels are retried in place up to `attempts` times —
-    /// the worker-local bounded re-dispatch recovery mode. Worker
-    /// counters are folded into the calling thread.
-    ///
-    /// Returns the pairs and timings on full recovery — bit-identical
-    /// to the fault-free probe at any thread count — or the failures of
-    /// morsels that exhausted their attempts.
-    pub fn par_probe_faulted(
-        &self,
-        left: &[PointRecord],
-        engine: &E,
-        cfg: MorselConfig,
-        chaos: &Chaos,
-        attempts: u32,
-    ) -> Result<(Vec<JoinPair>, Vec<TaskTiming>), Vec<TaskFailure>> {
-        let run = self.dispatch_probe(left, engine, cfg, attempts, chaos);
-        obs::add_thread(&run.exec.worker_counters);
-        if run.failures.is_empty() {
-            Ok((run.out, run.timings))
-        } else {
-            Err(run.failures)
-        }
-    }
-
-    /// The morsel loop behind both probes.
-    fn dispatch_probe(
-        &self,
-        left: &[PointRecord],
-        engine: &E,
-        cfg: MorselConfig,
-        attempts: u32,
-        chaos: &Chaos,
-    ) -> Dispatched<JoinPair> {
-        dispatch_morsels(left, cfg, attempts, |i, attempt, morsel, out| {
+        let run = dispatch_morsels(left, cfg, |morsel, out| {
             self.probe_slice(engine, morsel, out);
-            chaos.inject(ChaosSite::Morsel, i as u64, attempt);
         })
+        .or_raise();
+        (run.out, run.timings, run.exec)
     }
 }
 
-/// Runs `body(i, attempt, morsel, out)` over `left` in morsels of
+/// Runs `body(morsel, out)` over `left` in morsels of
 /// `cfg.morsel_size` on the dispatch pool.
 fn dispatch_morsels(
     left: &[PointRecord],
     cfg: MorselConfig,
-    attempts: u32,
-    body: impl Fn(usize, u32, &[PointRecord], &mut Vec<JoinPair>) + Sync,
+    body: impl Fn(&[PointRecord], &mut Vec<JoinPair>) + Sync,
 ) -> Dispatched<JoinPair> {
     let size = cfg.morsel_size.max(1);
-    let d = Dispatch {
-        attempts,
-        ..Dispatch::new(cfg.threads, cfg.mode)
-    };
-    dispatch(left.len().div_ceil(size), &d, |i, attempt, out| {
-        let morsel = &left[i * size..((i + 1) * size).min(left.len())];
-        body(i, attempt, morsel, out);
-    })
+    dispatch(
+        left.len().div_ceil(size),
+        cfg.threads,
+        cfg.mode,
+        |i, out| {
+            body(&left[i * size..((i + 1) * size).min(left.len())], out);
+        },
+    )
 }
 
 /// Grid cells per axis for a covering of `n` right-side records:
@@ -522,20 +476,24 @@ impl<'s, E: RefinementEngine> CellCover<'s, E> {
             .fold(Envelope::EMPTY, |e, (env, _)| e.union(env));
         let grid = CellGrid::new(extent, grid_side(entries.len()));
         let order = set.tree.visit_order();
-        let d = Dispatch::new(threads, ScheduleMode::Dynamic);
         let units = order.len().div_ceil(BUILD_CHUNK);
-        let run = dispatch(units, &d, |i, _, out: &mut Vec<(u32, u32)>| {
-            let mut cells = Vec::new();
-            for &pos in &order[i * BUILD_CHUNK..((i + 1) * BUILD_CHUNK).min(order.len())] {
-                cells.clear();
-                cover(&entries[pos as usize].1 .1, &grid, &mut cells);
-                out.extend(
-                    cells
-                        .iter()
-                        .map(|&(cell, interior)| (cell, pos << 1 | u32::from(interior))),
-                );
-            }
-        })
+        let run = dispatch(
+            units,
+            threads,
+            ScheduleMode::Dynamic,
+            |i, out: &mut Vec<(u32, u32)>| {
+                let mut cells = Vec::new();
+                for &pos in &order[i * BUILD_CHUNK..((i + 1) * BUILD_CHUNK).min(order.len())] {
+                    cells.clear();
+                    cover(&entries[pos as usize].1 .1, &grid, &mut cells);
+                    out.extend(
+                        cells
+                            .iter()
+                            .map(|&(cell, interior)| (cell, pos << 1 | u32::from(interior))),
+                    );
+                }
+            },
+        )
         .or_raise();
         obs::add_thread(&run.exec.worker_counters);
 
@@ -610,7 +568,7 @@ impl<'s, E: RefinementEngine> CellCover<'s, E> {
         engine: &E,
         cfg: MorselConfig,
     ) -> (Vec<JoinPair>, obs::ExecStats) {
-        let run = dispatch_morsels(left, cfg, 1, |_, _, morsel, out| {
+        let run = dispatch_morsels(left, cfg, |morsel, out| {
             self.probe_slice(engine, morsel, out);
         })
         .or_raise();
@@ -842,93 +800,6 @@ mod tests {
             assert_eq!(pairs, serial, "{mode:?}");
             assert_eq!(timings.len(), partitions.len(), "{mode:?}");
         }
-    }
-
-    fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let r = f();
-        std::panic::set_hook(hook);
-        r
-    }
-
-    #[test]
-    fn faulted_probe_recovers_bit_identical_to_plain() {
-        let left = grid_points(20);
-        let right = quadrant_polys(10.0);
-        let engine = PreparedEngine;
-        let set = PreparedSet::prepare(&right, SpatialPredicate::Within, &engine);
-        let cfg = MorselConfig {
-            threads: 1,
-            mode: ScheduleMode::Dynamic,
-            morsel_size: 16,
-        };
-        let serial = set.par_probe_observed(&left, &engine, cfg).0;
-        let n_morsels = left.len().div_ceil(cfg.morsel_size);
-        let attempts = 4;
-        // Deterministic draws make "every morsel recovers" a pure
-        // function of the seed — search for one where faults fire but
-        // all clear within the retry budget.
-        let seed = (0..10_000u64)
-            .find(|&s| {
-                let probe = cluster::Chaos::new(cluster::ChaosConfig::uniform(s, 0.3));
-                let fired =
-                    (0..n_morsels).any(|i| probe.panic_fires(ChaosSite::Morsel, i as u64, 0));
-                let recovers = (0..n_morsels).all(|i| {
-                    (0..attempts).any(|a| !probe.panic_fires(ChaosSite::Morsel, i as u64, a))
-                });
-                fired && recovers
-            })
-            .expect("some seed recovers");
-        for threads in [1, 2, 7] {
-            let chaos = cluster::Chaos::new(cluster::ChaosConfig::uniform(seed, 0.3));
-            let cfg = MorselConfig { threads, ..cfg };
-            let (pairs, timings) = quiet_panics(|| {
-                set.par_probe_faulted(&left, &engine, cfg, &chaos, attempts)
-                    .expect("all morsels recover")
-            });
-            assert_eq!(pairs, serial, "threads={threads}");
-            assert_eq!(timings.len(), n_morsels);
-            assert!(chaos.fault_count() > 0, "faults must actually fire");
-        }
-    }
-
-    /// A disabled injector never fires, so the faulted probe emits
-    /// exactly the fault-free probe's pairs through the same loop.
-    #[test]
-    fn faulted_probe_disabled_takes_plain_path() {
-        let left = grid_points(10);
-        let right = quadrant_polys(5.0);
-        let engine = PreparedEngine;
-        let set = PreparedSet::prepare(&right, SpatialPredicate::Within, &engine);
-        let cfg = MorselConfig::new(3);
-        let chaos = cluster::Chaos::disabled();
-        let (pairs, _) = set
-            .par_probe_faulted(&left, &engine, cfg, &chaos, 1)
-            .expect("no faults possible");
-        assert_eq!(pairs, set.par_probe_observed(&left, &engine, cfg).0);
-        assert_eq!(chaos.fault_count(), 0);
-    }
-
-    #[test]
-    fn faulted_probe_reports_exhausted_morsels() {
-        let left = grid_points(12);
-        let right = quadrant_polys(6.0);
-        let engine = PreparedEngine;
-        let set = PreparedSet::prepare(&right, SpatialPredicate::Within, &engine);
-        let cfg = MorselConfig {
-            threads: 2,
-            mode: ScheduleMode::Static,
-            morsel_size: 16,
-        };
-        let chaos = cluster::Chaos::new(cluster::ChaosConfig {
-            panic_rate: 1.0,
-            ..cluster::ChaosConfig::uniform(5, 0.0)
-        });
-        let failures = quiet_panics(|| set.par_probe_faulted(&left, &engine, cfg, &chaos, 2))
-            .expect_err("every attempt panics");
-        assert_eq!(failures.len(), left.len().div_ceil(cfg.morsel_size));
-        assert!(failures.iter().all(|f| f.attempts == 2));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! Four properties, matching the recovery semantics of each layer:
 //!
 //! 1. chaos at rate zero (and delay-only chaos) is bit-identical to
-//!    the fault-free run at 1/2/7 threads;
-//! 2. any run that *recovers* from injected panics — pool retry or
-//!    sparklet lineage recompute — is bit-identical to fault-free;
+//!    the fault-free run on SpatialSpark and ISP-MC at 1/2/7 threads;
+//! 2. any sparklet run that *recovers* from injected panics by lineage
+//!    recompute is bit-identical to fault-free;
 //! 3. impalite is fail-fast: under fragment faults it either completes
 //!    bit-identically or returns `Err`, and with certain faults it
 //!    always errors — never partial rows;
@@ -17,16 +17,14 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use cluster::{Chaos, ChaosConfig, ScheduleMode};
-use geom::engine::PreparedEngine;
+use cluster::ChaosConfig;
 use geom::{Envelope, Geometry, Point, Polygon};
 use impalite::ImpaladConf;
 use minihdfs::{DfsError, MiniDfs};
 use proph::{check_with, f64_range, usize_range, vec_of, Config, GenExt};
 use sparklet::SparkConf;
 use spatialjoin::{
-    GeomRecord, IspMc, MorselConfig, PointRecord, PreparedSet, SpatialJoinError, SpatialPredicate,
-    SpatialSpark,
+    GeomRecord, IspMc, JoinPair, PointRecord, SpatialJoinError, SpatialPredicate, SpatialSpark,
 };
 
 /// Restores the default panic hook when dropped. Injected worker
@@ -121,8 +119,7 @@ fn zero_rate_chaos_is_bit_identical_at_every_thread_count() {
         "zero-rate chaos is bit-identical",
         &gen,
         |(points, seed)| {
-            let engine = PreparedEngine;
-            let set = PreparedSet::prepare(&quadrant_polys(), SpatialPredicate::Within, &engine);
+            let dfs = dfs_with(&points);
             // Delay-only chaos fires straggler faults without any
             // destructive fault.
             let delay_only = ChaosConfig {
@@ -132,18 +129,36 @@ fn zero_rate_chaos_is_bit_identical_at_every_thread_count() {
                 ..ChaosConfig::disabled()
             };
             for threads in [1, 2, 7] {
-                let cfg = MorselConfig {
-                    threads,
-                    mode: ScheduleMode::Dynamic,
-                    morsel_size: 5,
+                let spark = |chaos| -> Vec<JoinPair> {
+                    let conf = SparkConf {
+                        threads,
+                        chaos,
+                        ..SparkConf::default()
+                    };
+                    SpatialSpark::new(conf, dfs.clone())
+                        .broadcast_spatial_join("/pnt", "/poly", SpatialPredicate::Within)
+                        .expect("no destructive fault configured")
+                        .pairs
                 };
-                let plain = set.par_probe_observed(&points, &engine, cfg).0;
-                for chaos_cfg in [ChaosConfig::uniform(seed, 0.0), delay_only] {
-                    let chaos = Chaos::new(chaos_cfg);
-                    let (pairs, _) = set
-                        .par_probe_faulted(&points, &engine, cfg, &chaos, 1)
-                        .expect("no destructive fault configured");
-                    assert_eq!(pairs, plain, "threads={threads}");
+                let ispmc = |chaos| -> Vec<JoinPair> {
+                    let conf = ImpaladConf {
+                        threads,
+                        chaos,
+                        ..ImpaladConf::default()
+                    };
+                    IspMc::new(conf, dfs.clone(), ("pnt", "/pnt"), ("poly", "/poly"))
+                        .spatial_join("pnt", "poly", SpatialPredicate::Within)
+                        .expect("no destructive fault configured")
+                        .pairs()
+                        .to_vec()
+                };
+                let (spark_plain, ispmc_plain) = (
+                    spark(ChaosConfig::disabled()),
+                    ispmc(ChaosConfig::disabled()),
+                );
+                for chaos in [ChaosConfig::uniform(seed, 0.0), delay_only] {
+                    assert_eq!(spark(chaos), spark_plain, "spark threads={threads}");
+                    assert_eq!(ispmc(chaos), ispmc_plain, "ispmc threads={threads}");
                 }
             }
         },
@@ -161,21 +176,8 @@ fn recovered_pool_and_sparklet_runs_are_bit_identical() {
         "recovered chaos runs are bit-identical",
         &gen,
         |(points, seed, rate)| {
-            // Pool path: in-place bounded retry.
-            let engine = PreparedEngine;
-            let set = PreparedSet::prepare(&quadrant_polys(), SpatialPredicate::Within, &engine);
-            let cfg = MorselConfig {
-                threads: 4,
-                mode: ScheduleMode::Dynamic,
-                morsel_size: 5,
-            };
-            let plain = set.par_probe_observed(&points, &engine, cfg).0;
-            let chaos = Chaos::new(ChaosConfig::uniform(seed, rate));
-            if let Ok((pairs, _)) = set.par_probe_faulted(&points, &engine, cfg, &chaos, 10) {
-                assert_eq!(pairs, plain, "pool recovery diverged (seed {seed})");
-            }
-
-            // Sparklet path: driver-level lineage recompute.
+            // Sparklet's stages run on the shared pool, each unit once;
+            // the driver recomputes lost partitions from lineage.
             let dfs = dfs_with(&points);
             let base = SpatialSpark::new(
                 SparkConf {

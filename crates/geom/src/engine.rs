@@ -89,7 +89,8 @@ pub trait RefinementEngine: Send + Sync {
     fn within(&self, p: Point, target: &Self::Prepared) -> bool;
 
     /// `ST_NearestD(point, target, d)` — true when the point is within
-    /// distance `d` of the target polyline.
+    /// distance `d` of the target: exactly `distance(p, target) <= d`,
+    /// so a point inside a polygon is within any `d`.
     fn within_distance(&self, p: Point, target: &Self::Prepared, d: f64) -> bool;
 
     /// Exact distance from the point to the target geometry (0 inside a
@@ -194,7 +195,8 @@ impl RefinementEngine for FlatEngine {
                 .iter()
                 .any(|ls| point_within_distance_of_linestring(p, ls, d)),
             Geometry::Point(q) => p.distance(*q) <= d,
-            _ => false,
+            // `self.distance` without charging the edges twice.
+            _ => target.distance_to_point(p) <= d,
         }
     }
 
@@ -249,7 +251,7 @@ impl RefinementEngine for PreparedEngine {
         match target {
             FastPrepared::Line(line) => line.within_distance(p, d),
             FastPrepared::Other(Geometry::Point(q)) => p.distance(*q) <= d,
-            _ => false,
+            _ => self.distance(p, target) <= d,
         }
     }
 
@@ -400,7 +402,23 @@ mod tests {
         let fast = PreparedEngine;
         let p = Point::new(0.5, 0.0);
         assert!(!fast.within(p, &fast.prepare(&line)));
-        assert!(!fast.within_distance(p, &fast.prepare(&poly), 10.0));
+        // On polygons `within_distance` is `distance <= d`: true inside
+        // or near the polygon, false beyond `d`, on every engine.
+        let far = Point::new(0.5, 5.0);
+        let inside = Point::new(0.5, 0.5);
+        let cases = [
+            (p, 10.0, true),
+            (inside, 0.0, true),
+            (far, 3.9, false),
+            (far, 4.0, true),
+        ];
+        let fp = fast.prepare(&poly);
+        for (q, d, expected) in cases {
+            assert_eq!(fast.within_distance(q, &fp, d), expected, "{q:?} {d}");
+            assert_eq!(fast.distance(q, &fp) <= d, expected, "{q:?} {d}");
+            assert_eq!(FlatEngine.within_distance(q, &poly, d), expected);
+            assert_eq!(NaiveEngine.within_distance(q, &poly, d), expected);
+        }
     }
 
     #[test]

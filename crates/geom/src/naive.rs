@@ -206,7 +206,7 @@ pub fn geometry_within_distance(geom: &Geometry, p: Point, distance: f64) -> boo
             .iter()
             .any(|ls| within_distance_of_linestring(ls, p, distance)),
         Geometry::Point(q) => p.distance(*q) <= distance,
-        _ => false,
+        other => geometry_distance(other, p) <= distance,
     }
 }
 
@@ -261,9 +261,11 @@ mod tests {
         let line = Geometry::LineString(LineString::new(vec![0.0, 0.0, 1.0, 0.0]).unwrap());
         assert!(geometry_within_distance(&line, Point::new(0.5, 0.3), 0.5));
         assert!(!geometry_within_distance(&line, Point::new(0.5, 0.6), 0.5));
-        // Within is false for non-areal geometry; distance false for areal.
+        // Within is false for non-areal geometry; within-distance of an
+        // areal one is its distance (0 inside) against the bound.
         assert!(!geometry_contains_point(&line, Point::new(0.5, 0.0)));
-        assert!(!geometry_within_distance(&poly, Point::new(0.5, 0.5), 1.0));
+        assert!(geometry_within_distance(&poly, Point::new(0.5, 0.5), 0.0));
+        assert!(!geometry_within_distance(&poly, Point::new(2.0, 0.5), 0.9));
     }
 
     #[test]

@@ -39,8 +39,6 @@ pub enum PlanNode {
         left: Box<PlanNode>,
         right: Box<PlanNode>,
     },
-    /// Hash aggregation: `COUNT(*) GROUP BY` the right-side id.
-    Aggregate { input: Box<PlanNode> },
     /// Return rows to the coordinator.
     Sink { input: Box<PlanNode> },
 }
@@ -65,10 +63,6 @@ impl PlanNode {
                 left.render(indent + 1, out);
                 right.render(indent + 1, out);
             }
-            PlanNode::Aggregate { input } => {
-                out.push_str(&format!("{pad}AGGREGATE count(*) group by right.id\n"));
-                input.render(indent + 1, out);
-            }
             PlanNode::Sink { input } => {
                 out.push_str(&format!("{pad}SINK\n"));
                 input.render(indent + 1, out);
@@ -90,8 +84,6 @@ pub struct Fragment {
 pub struct PhysicalPlan {
     pub fragments: Vec<Fragment>,
     pub predicate: SpatialPredicate,
-    /// True for `COUNT(*) GROUP BY` queries.
-    pub group_count: bool,
     pub left_path: String,
     pub right_path: String,
     pub left_geom_col: usize,
@@ -137,15 +129,8 @@ pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<PhysicalPlan, Impa
         left: Box::new(left_scan),
         right: Box::new(broadcast),
     };
-    let join_or_agg = if query.group_count {
-        PlanNode::Aggregate {
-            input: Box::new(join),
-        }
-    } else {
-        join
-    };
     let sink = PlanNode::Sink {
-        input: Box::new(join_or_agg),
+        input: Box::new(join),
     };
 
     Ok(PhysicalPlan {
@@ -165,7 +150,6 @@ pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<PhysicalPlan, Impa
             },
         ],
         predicate: query.predicate,
-        group_count: query.group_count,
         left_path: left.path.clone(),
         right_path: right.path.clone(),
         left_geom_col: left.geom_col,

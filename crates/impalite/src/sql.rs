@@ -28,11 +28,8 @@ pub struct ColRef {
 /// A parsed spatial-join query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
-    /// Projected columns (the dialect requires exactly two, or one
-    /// plus `COUNT(*)` for aggregates).
+    /// Projected columns (the dialect requires exactly two).
     pub select: Vec<ColRef>,
-    /// True for `SELECT r.id, COUNT(*) … GROUP BY r.id` queries.
-    pub group_count: bool,
     /// Left (probe/point) table name.
     pub left_table: String,
     /// Alias used for the left table in the statement.
@@ -53,7 +50,6 @@ enum Token {
     Dot,
     LParen,
     RParen,
-    Star,
     Semicolon,
 }
 
@@ -83,10 +79,6 @@ fn tokenize(sql: &str) -> Result<Vec<Token>, ImpalaError> {
             }
             b';' => {
                 tokens.push(Token::Semicolon);
-                i += 1;
-            }
-            b'*' => {
-                tokens.push(Token::Star);
                 i += 1;
             }
             b'0'..=b'9' | b'-' | b'+' => {
@@ -219,17 +211,7 @@ pub fn parse_query(sql: &str) -> Result<Query, ImpalaError> {
     p.expect_keyword("SELECT")?;
     let first = p.col_ref()?;
     p.expect_token(Token::Comma)?;
-    // Second projection: a column, or COUNT(*).
-    let (second, group_count) = match p.peek() {
-        Some(Token::Ident(s)) if s.eq_ignore_ascii_case("COUNT") => {
-            p.pos += 1;
-            p.expect_token(Token::LParen)?;
-            p.expect_token(Token::Star)?;
-            p.expect_token(Token::RParen)?;
-            (None, true)
-        }
-        _ => (Some(p.col_ref()?), false),
-    };
+    let second = p.col_ref()?;
     p.expect_keyword("FROM")?;
     let (left_table, left_alias) = p.table_with_alias()?;
     p.expect_keyword("SPATIAL")?;
@@ -268,19 +250,6 @@ pub fn parse_query(sql: &str) -> Result<Query, ImpalaError> {
         return Err(p.err(format!("unknown spatial predicate {func}")));
     };
 
-    // Optional GROUP BY for aggregate queries.
-    if group_count {
-        p.expect_keyword("GROUP")?;
-        p.expect_keyword("BY")?;
-        let g = p.col_ref()?;
-        if g != first {
-            return Err(p.err(format!(
-                "GROUP BY column must match the projected column {}.{}",
-                first.table, first.column
-            )));
-        }
-    }
-
     // Optional trailing semicolon, then end of input.
     if p.peek() == Some(&Token::Semicolon) {
         p.pos += 1;
@@ -290,20 +259,11 @@ pub fn parse_query(sql: &str) -> Result<Query, ImpalaError> {
     }
 
     // Validate the projection aliases.
-    let mut select = vec![first];
-    if let Some(second) = second {
-        select.push(second);
-    }
+    let select = vec![first, second];
     for c in &select {
         if c.table != left_alias && c.table != right_alias {
             return Err(ImpalaError::UnknownAlias(c.table.clone()));
         }
-    }
-    if group_count && select[0].table != right_alias {
-        return Err(ImpalaError::UnknownAlias(format!(
-            "GROUP BY must reference the right (build) table, got {}",
-            select[0].table
-        )));
     }
 
     Ok(Query {
@@ -313,7 +273,6 @@ pub fn parse_query(sql: &str) -> Result<Query, ImpalaError> {
         right_table,
         right_alias,
         predicate,
-        group_count,
     })
 }
 
@@ -396,6 +355,17 @@ mod tests {
             "SELECT a.id, b.id FROM a SPATIAL JOIN b WHERE ST_WITHIN (a.geom, b.geom) extra"
         )
         .is_err());
+        // The dialect has no aggregates.
+        for sql in [
+            "SELECT b.id, COUNT(*) FROM a SPATIAL JOIN b WHERE ST_WITHIN (a.geom, b.geom) \
+             GROUP BY b.id",
+            "SELECT b.id, COUNT(*) FROM a SPATIAL JOIN b WHERE ST_WITHIN (a.geom, b.geom)",
+        ] {
+            assert!(
+                matches!(parse_query(sql), Err(ImpalaError::Sql { .. })),
+                "{sql}"
+            );
+        }
     }
 
     #[test]

@@ -141,8 +141,6 @@ counters! {
     /// Faults injected by the chaos layer (panics, corruptions,
     /// transient errors, straggler delays).
     faults_injected,
-    /// Task/morsel attempts re-dispatched after a captured panic.
-    task_retries,
     /// Block reads served by a non-primary replica after a checksum
     /// failure on an earlier replica.
     blocks_failed_over,
@@ -241,13 +239,6 @@ pub fn row_batches(n: u64) {
 #[inline]
 pub fn faults_injected(n: u64) {
     CELLS.with(|c| bump(&c.faults_injected, n));
-}
-
-/// Records one task/morsel attempt re-dispatched after a captured
-/// panic.
-#[inline]
-pub fn task_retry() {
-    CELLS.with(|c| bump(&c.task_retries, 1));
 }
 
 /// Records one block read that failed over to a surviving replica.
@@ -518,7 +509,6 @@ mod tests {
             records(9, 1);
             row_batches(3);
             faults_injected(4);
-            task_retry();
             block_failed_over();
             partitions_recomputed(2);
             cell_counts(6, 4, 3);
@@ -535,7 +525,6 @@ mod tests {
             assert_eq!(snap.records_skipped, 1);
             assert_eq!(snap.row_batches, 3);
             assert_eq!(snap.faults_injected, 4);
-            assert_eq!(snap.task_retries, 1);
             assert_eq!(snap.blocks_failed_over, 1);
             assert_eq!(snap.partitions_recomputed, 2);
             // Snapshot does not reset; take does.

@@ -345,6 +345,8 @@ where
             attempts += 1;
             if run_one(gen, prop, &candidate).is_err() {
                 stream = candidate;
+                // The shorter stream may no longer fit the same cut.
+                cut = cut.min(stream.len());
                 improved = true;
             } else {
                 cut /= 2;
@@ -435,6 +437,24 @@ mod tests {
         assert!(
             tail.starts_with('[') && tail.matches(',').count() == 0,
             "expected single-element vec, got: {tail}"
+        );
+    }
+
+    #[test]
+    fn always_failing_property_shrinks_to_the_empty_stream() {
+        // Every truncation keeps failing, so step 1 cuts the stream
+        // down to nothing without running past its end.
+        let gen = vec_of(usize_range(0, 100), 4, 20);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            check("always fails", &gen, |_| panic!("always"));
+        }));
+        let msg = match result {
+            Ok(()) => panic!("property should have failed"),
+            Err(p) => p.downcast_ref::<String>().cloned().unwrap_or_default(),
+        };
+        assert!(
+            msg.contains("minimal failing input: [0, 0, 0, 0]"),
+            "message: {msg}"
         );
     }
 

@@ -2,9 +2,7 @@
 
 use std::sync::Arc;
 
-use cluster::{
-    Chaos, ChaosConfig, ChaosSite, ClusterSpec, Dispatch, NetworkModel, ScheduleMode, TaskSpec,
-};
+use cluster::{Chaos, ChaosConfig, ChaosSite, ClusterSpec, NetworkModel, ScheduleMode, TaskSpec};
 use minihdfs::{DfsError, MiniDfs};
 use sync::Mutex;
 
@@ -197,8 +195,7 @@ impl SparkContext {
             } else {
                 threads.saturating_sub(1).max(1)
             };
-            let d = Dispatch::new(alive, ScheduleMode::Dynamic);
-            let run = cluster::dispatch(pending.len(), &d, |k, _, out| {
+            let run = cluster::dispatch(pending.len(), alive, ScheduleMode::Dynamic, |k, out| {
                 let i = pending[k];
                 out.push(f(&items[i]));
                 // Inject *after* the work: a lost executor has done

@@ -1,7 +1,7 @@
 //! Property tests over the unified [`spatialjoin::JoinRequest`] API,
 //! on the in-tree `proph` harness.
 //!
-//! Two contracts:
+//! Three contracts:
 //!
 //! * **Bit-identity** — the broadcast strategy matches the hand-rolled
 //!   build-index-then-probe loop, the nested-loop strategy matches an
@@ -14,13 +14,15 @@
 //!   calls plus interior-cell pairs, per-worker busy time is bounded by
 //!   the run wall time, and counters do not depend on the thread count
 //!   at all.
+//! * **Predicate agreement** — every `Nearest(d)` pair is a
+//!   `NearestD(d)` pair on every engine, polygon targets included.
 
 use cluster::ScheduleMode;
-use geom::engine::{FlatEngine, PreparedEngine, RefinementEngine, SpatialPredicate};
+use geom::engine::{FlatEngine, NaiveEngine, PreparedEngine, RefinementEngine, SpatialPredicate};
 use geom::{Envelope, Geometry, Point, Polygon};
 use proph::{check_with, f64_range, vec_of, Config, Gen, GenExt};
 use spatialjoin::join::{build_right_index, probe};
-use spatialjoin::{GeomRecord, JoinRequest, MorselConfig, PointRecord};
+use spatialjoin::{GeomRecord, JoinPair, JoinRequest, MorselConfig, PointRecord};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
@@ -151,6 +153,40 @@ fn nested_loop_nearest_matches_broadcast() {
                 .nested_loop()
                 .run();
             assert_eq!(nested.pairs, broadcast.pairs);
+        },
+    );
+}
+
+/// Every `Nearest(d)` pair of `engine` is also a `NearestD(d)` pair:
+/// both predicates measure the same distance, 0 inside a polygon.
+fn assert_nearest_within_nearestd<E: RefinementEngine>(
+    engine: &E,
+    left: &[PointRecord],
+    right: &[GeomRecord],
+) {
+    let join = |predicate| {
+        JoinRequest::new(left, right, engine)
+            .predicate(predicate)
+            .run()
+            .pairs
+    };
+    let within_d: std::collections::HashSet<JoinPair> =
+        join(SpatialPredicate::NearestD(3.0)).into_iter().collect();
+    for pair in join(SpatialPredicate::Nearest(3.0)) {
+        assert!(within_d.contains(&pair), "{}: {pair:?}", engine.name());
+    }
+}
+
+#[test]
+fn nearest_pairs_are_nearestd_pairs_on_polygons() {
+    check_with(
+        cfg(),
+        "nearest_pairs_are_nearestd_pairs_on_polygons",
+        &(left_points(), right_rects()),
+        |(left, right)| {
+            assert_nearest_within_nearestd(&PreparedEngine, &left, &right);
+            assert_nearest_within_nearestd(&FlatEngine, &left, &right);
+            assert_nearest_within_nearestd(&NaiveEngine, &left, &right);
         },
     );
 }
