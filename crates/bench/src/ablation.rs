@@ -21,18 +21,135 @@
 //! most of it (distinct partitions round-robin across nodes), and
 //! `Dynamic` wins overall.
 
-use crate::{BenchError, Experiment, Replay, Workload};
-use cluster::{scan_range_assignment, simulate, ClusterSpec, ScheduleMode, Scheduler, TaskSpec};
-use geom::engine::RefinementEngine;
-use spatialjoin::parallel::{
-    morsel_partitions, partition_blocks, spatial_sort_points, timings_to_taskspecs, MorselConfig,
-    PreparedSet, DEFAULT_MORSEL_SIZE, LOCALITY_GRID_SIDE,
+use crate::{BenchError, Experiment, Replay, Workload, NODES};
+use cluster::{
+    scan_range_assignment, simulate, ClusterSpec, ScheduleMode, Scheduler, TaskSpec, TaskTiming,
 };
-use spatialjoin::RecordReader;
+use geom::engine::NaiveEngine;
+use geom::{Envelope, Point};
+use spatialjoin::parallel::{MorselConfig, PreparedSet, DEFAULT_MORSEL_SIZE};
+use spatialjoin::{PointRecord, RecordReader};
 use std::fmt::Write as _;
 
-/// Node counts of the paper's Fig. 4/5 sweep.
-pub const ABLATION_NODES: [usize; 4] = [4, 6, 8, 10];
+/// Side of the uniform grid used to derive morsel locality: each morsel
+/// is tagged with its dominant cell on a `SIDE × SIDE` grid over the
+/// left extent. The cell id stands in for the HDFS block / scan-range
+/// id Impala pins tasks to; 16×16 = 256 cells keeps many distinct
+/// "blocks" per node at the paper's 4–10 node counts.
+const LOCALITY_GRID_SIDE: usize = 16;
+
+/// Cell of `p` on a `side × side` grid over `extent` (row-major).
+/// Degenerate extents collapse to cell 0.
+fn grid_cell(p: Point, extent: &Envelope, side: usize) -> usize {
+    let w = extent.width();
+    let h = extent.height();
+    let col = if w > 0.0 {
+        (((p.x - extent.min_x) / w * side as f64) as usize).min(side - 1)
+    } else {
+        0
+    };
+    let row = if h > 0.0 {
+        (((p.y - extent.min_y) / h * side as f64) as usize).min(side - 1)
+    } else {
+        0
+    };
+    row * side + col
+}
+
+/// Envelope of the left points (the grid's frame).
+fn points_extent(left: &[PointRecord]) -> Envelope {
+    let mut extent = Envelope::EMPTY;
+    for &(_, p) in left {
+        extent.expand_to(p.x, p.y);
+    }
+    extent
+}
+
+/// Tags each morsel of `left` (chunks of `morsel_size`) with its
+/// **dominant partition**: the grid cell holding the plurality of the
+/// morsel's points, ties to the lower cell id. This is the
+/// preferred-node hint the simulator's locality-aware replay consumes
+/// — the grid partition standing in for HDFS block locality.
+fn morsel_partitions(left: &[PointRecord], morsel_size: usize, side: usize) -> Vec<usize> {
+    let side = side.max(1);
+    let extent = points_extent(left);
+    if extent.is_empty() {
+        return Vec::new();
+    }
+    let mut counts = vec![0u32; side * side];
+    let mut out = Vec::with_capacity(left.len().div_ceil(morsel_size.max(1)));
+    for morsel in left.chunks(morsel_size.max(1)) {
+        counts.iter_mut().for_each(|c| *c = 0);
+        for &(_, p) in morsel {
+            counts[grid_cell(p, &extent, side)] += 1;
+        }
+        let dominant = counts
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
+            .map(|(cell, _)| cell)
+            .unwrap_or(0);
+        out.push(dominant);
+    }
+    out
+}
+
+/// Splits per-morsel partition tags into bounded-size *block* ids.
+///
+/// HDFS blocks have a fixed byte size, so a dense grid cell spans many
+/// blocks that a locality scheduler places independently — it never
+/// pins an arbitrarily hot region to one node wholesale. This renames
+/// each run of equal partition tags into fresh ids, starting a new id
+/// whenever the run reaches `max_block_morsels`. Tags must be in file
+/// (morsel) order; spatially sorted input keeps each block's morsels
+/// within one grid cell, so the block is still a locality unit.
+fn partition_blocks(partitions: &[usize], max_block_morsels: usize) -> Vec<usize> {
+    let cap = max_block_morsels.max(1);
+    let mut out = Vec::with_capacity(partitions.len());
+    let mut block = 0usize;
+    let mut run_len = 0usize;
+    let mut prev: Option<usize> = None;
+    for &tag in partitions {
+        if prev.is_some_and(|p| p != tag) || run_len == cap {
+            block += 1;
+            run_len = 0;
+        }
+        prev = Some(tag);
+        run_len += 1;
+        out.push(block);
+    }
+    out
+}
+
+/// Sorts points by their grid cell (stable within a cell), mimicking
+/// the spatially ordered HDFS files the paper's datasets ship as —
+/// this is what makes hot regions *contiguous* in task order, the
+/// precondition for the static-chunking imbalance of §V.
+fn spatial_sort_points(left: &mut [PointRecord], side: usize) {
+    let side = side.max(1);
+    let extent = points_extent(left);
+    if extent.is_empty() {
+        return;
+    }
+    left.sort_by_key(|&(_, p)| grid_cell(p, &extent, side));
+}
+
+/// Converts measured per-morsel timings plus their dominant-partition
+/// tags into simulator task specs: `cost` is the measured wall-clock,
+/// `locality` the partition id (the simulator maps it onto a node with
+/// `partition % num_nodes`). Timings are emitted in morsel (input)
+/// order; a missing tag yields a task with no locality preference.
+fn timings_to_taskspecs(timings: &[TaskTiming], partitions: &[usize]) -> Vec<TaskSpec> {
+    let mut ordered: Vec<&TaskTiming> = timings.iter().collect();
+    ordered.sort_by_key(|t| t.index);
+    ordered
+        .into_iter()
+        .map(|t| TaskSpec {
+            cost: t.secs,
+            locality: partitions.get(t.index).copied(),
+        })
+        .collect()
+}
 
 /// The three policies under ablation, in report order.
 pub const ABLATION_SCHEDULERS: [Scheduler; 3] = [
@@ -105,21 +222,20 @@ impl ExperimentAblation {
 /// Runs one experiment's probe for real and replays its measured
 /// morsel timings under every scheduler × node count.
 ///
-/// `engine` selects the refinement path the figure's system uses
-/// (JTS-like prepared geometries for Fig. 4's SpatialSpark, GEOS-like
-/// naive refinement for Fig. 5's ISP-MC), so the measured skew is the
-/// system's own.
+/// The probe refines on the GEOS-like [`NaiveEngine`], ISP-MC's
+/// engine: ISP-MC's static schedule is what §V.B blames for the
+/// imbalance, so the measured skew is that system's own.
 ///
 /// # Errors
 /// Propagates DFS read failures; a schedule mode diverging from the
 /// serial output is a bug and panics.
-pub fn ablate_experiment<E: RefinementEngine>(
+pub fn ablate_experiment(
     w: &Workload,
     exp: Experiment,
-    engine: &E,
     threads: usize,
     replay: &Replay,
 ) -> Result<ExperimentAblation, BenchError> {
+    let engine = &NaiveEngine;
     // Counter window: parsing plus the first (reference) measurement
     // pass below, but not the build between them, whose pool units
     // would otherwise count as probe morsels. Both run inline on this
@@ -217,8 +333,8 @@ pub fn ablate_experiment<E: RefinementEngine>(
     let block_cap = (tasks.len() / 100).max(1);
     let blocks = partition_blocks(&partitions, block_cap);
 
-    let mut cells = Vec::with_capacity(ABLATION_NODES.len() * ABLATION_SCHEDULERS.len());
-    for &nodes in &ABLATION_NODES {
+    let mut cells = Vec::with_capacity(NODES.len() * ABLATION_SCHEDULERS.len());
+    for &nodes in &NODES {
         let spec = ClusterSpec::ec2_with_nodes(nodes);
         // Block -> node placement for this node count: Impala's
         // scan-range assignment (whole blocks, balanced task counts).
@@ -262,13 +378,13 @@ pub fn print_ablation(row: &ExperimentAblation) {
         row.experiment, row.morsels, row.identical_to_serial
     );
     print!("  {:<16}", "scheduler");
-    for n in ABLATION_NODES {
+    for n in NODES {
         print!("{n:>10}");
     }
     println!("{:>14}", "imbalance@10");
     for &scheduler in &ABLATION_SCHEDULERS {
         print!("  {:<16}", scheduler_name(scheduler));
-        for n in ABLATION_NODES {
+        for n in NODES {
             let t = row
                 .cell(scheduler, n)
                 .map(|c| c.runtime_secs)
@@ -287,7 +403,6 @@ pub fn print_ablation(row: &ExperimentAblation) {
 /// (hand-rolled JSON, matching the other bench artifacts) and returns
 /// the path written.
 pub fn write_ablation_json(
-    figure: &str,
     replay: &Replay,
     threads: usize,
     rows: &[ExperimentAblation],
@@ -295,7 +410,7 @@ pub fn write_ablation_json(
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"fig45_schedule_ablation\",");
-    let _ = writeln!(json, "  \"figure\": \"{figure}\",");
+    let _ = writeln!(json, "  \"engine\": \"geos-like\",");
     let _ = writeln!(json, "  \"scale\": {},", replay.scale);
     let _ = writeln!(json, "  \"calibration\": {},", replay.calibration);
     let _ = writeln!(json, "  \"threads\": {threads},");
@@ -354,7 +469,6 @@ pub fn write_ablation_json(
 /// counter delta of the serial reference pass plus every measured
 /// morsel (index, partition, seconds). Returns the path written.
 pub fn write_obs_stats_json(
-    figure: &str,
     replay: &Replay,
     threads: usize,
     rows: &[ExperimentAblation],
@@ -362,7 +476,7 @@ pub fn write_obs_stats_json(
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"obs_stats\",");
-    let _ = writeln!(json, "  \"figure\": \"{figure}\",");
+    let _ = writeln!(json, "  \"engine\": \"geos-like\",");
     let _ = writeln!(json, "  \"scale\": {},", replay.scale);
     let _ = writeln!(json, "  \"calibration\": {},", replay.calibration);
     let _ = writeln!(json, "  \"threads\": {threads},");
@@ -425,21 +539,11 @@ mod tests {
 
     #[test]
     fn tiny_ablation_end_to_end() {
-        let w = crate::build_small_workload(0.00005, 0.01, 7).expect("workload");
+        let w = crate::build_workload(0.00005, 0.01, 7).expect("workload");
         let replay = Replay::new(0.00005);
-        let row = ablate_experiment(
-            &w,
-            Experiment::TaxiNycb,
-            &geom::engine::PreparedEngine,
-            2,
-            &replay,
-        )
-        .expect("ablation");
+        let row = ablate_experiment(&w, Experiment::TaxiNycb, 2, &replay).expect("ablation");
         assert!(row.identical_to_serial);
-        assert_eq!(
-            row.cells.len(),
-            ABLATION_NODES.len() * ABLATION_SCHEDULERS.len()
-        );
+        assert_eq!(row.cells.len(), NODES.len() * ABLATION_SCHEDULERS.len());
         // The reference pass's counter delta covers parsing and the
         // whole probe: every emitted pair passed refinement, every
         // morsel was executed and counted.
@@ -457,5 +561,98 @@ mod tests {
             .cells
             .iter()
             .all(|c| c.utilisation > 0.0 && c.utilisation <= 1.0 + 1e-9));
+    }
+
+    #[test]
+    fn morsel_partitions_tag_dominant_cell() {
+        // Two clusters far apart: morsels made purely of one cluster
+        // must carry different tags.
+        let mut left: Vec<PointRecord> = (0..64)
+            .map(|i| (i, Point::new(0.1 + (i % 8) as f64 * 0.01, 0.1)))
+            .collect();
+        left.extend((64..128).map(|i| (i, Point::new(99.0 + (i % 8) as f64 * 0.01, 99.0))));
+        let tags = morsel_partitions(&left, 64, LOCALITY_GRID_SIDE);
+        assert_eq!(tags.len(), 2);
+        assert_ne!(
+            tags[0], tags[1],
+            "distant clusters must map to distinct cells"
+        );
+        // Degenerate inputs.
+        assert!(morsel_partitions(&[], 64, LOCALITY_GRID_SIDE).is_empty());
+        let single = vec![(0i64, Point::new(3.0, 4.0))];
+        assert_eq!(morsel_partitions(&single, 8, LOCALITY_GRID_SIDE), vec![0]);
+    }
+
+    #[test]
+    fn partition_blocks_bound_runs_and_respect_cell_edges() {
+        // A hot cell (six tags of 7) must split into blocks of <= 2;
+        // cell boundaries always start a new block.
+        let tags = [7, 7, 7, 7, 7, 7, 3, 3, 9];
+        let blocks = partition_blocks(&tags, 2);
+        assert_eq!(blocks, vec![0, 0, 1, 1, 2, 2, 3, 3, 4]);
+        // Each block stays within one original partition.
+        for b in 0..=4usize {
+            let cells: Vec<usize> = tags
+                .iter()
+                .zip(&blocks)
+                .filter(|&(_, &blk)| blk == b)
+                .map(|(&t, _)| t)
+                .collect();
+            assert!(cells.windows(2).all(|w| w[0] == w[1]));
+        }
+        assert!(partition_blocks(&[], 4).is_empty());
+        // cap 0 behaves as cap 1 rather than looping or panicking.
+        assert_eq!(partition_blocks(&[5, 5, 5], 0), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn spatial_sort_groups_cells_and_keeps_ids() {
+        let mut pts: Vec<PointRecord> = (0..100)
+            .map(|i| {
+                let x = ((i * 37) % 100) as f64;
+                let y = ((i * 53) % 100) as f64;
+                (i as i64, Point::new(x, y))
+            })
+            .collect();
+        let mut ids_before: Vec<i64> = pts.iter().map(|&(id, _)| id).collect();
+        spatial_sort_points(&mut pts, 4);
+        let mut ids_after: Vec<i64> = pts.iter().map(|&(id, _)| id).collect();
+        ids_before.sort_unstable();
+        ids_after.sort_unstable();
+        assert_eq!(ids_before, ids_after, "sort must be a permutation");
+        // Cells must appear in non-decreasing runs.
+        let extent = points_extent(&pts);
+        let cells: Vec<usize> = pts.iter().map(|&(_, p)| grid_cell(p, &extent, 4)).collect();
+        assert!(cells.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn timings_bridge_orders_by_index_and_carries_locality() {
+        let timings = vec![
+            cluster::TaskTiming {
+                index: 2,
+                worker: 0,
+                secs: 0.3,
+            },
+            cluster::TaskTiming {
+                index: 0,
+                worker: 1,
+                secs: 0.1,
+            },
+            cluster::TaskTiming {
+                index: 1,
+                worker: 0,
+                secs: 0.2,
+            },
+        ];
+        let partitions = vec![7usize, 9];
+        let specs = timings_to_taskspecs(&timings, &partitions);
+        assert_eq!(specs.len(), 3);
+        assert_eq!(specs[0].cost, 0.1);
+        assert_eq!(specs[0].locality, Some(7));
+        assert_eq!(specs[1].locality, Some(9));
+        // No tag for morsel 2: no locality preference.
+        assert_eq!(specs[2].locality, None);
+        assert_eq!(specs[2].cost, 0.3);
     }
 }

@@ -28,7 +28,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use bench::{parse_bench_args, run_ispmc, run_spark, BenchError, Experiment, Workload};
+use bench::{
+    build_workload, parse_bench_args, run_ispmc, run_spark, BenchError, Experiment, Spread,
+    Workload, REPS,
+};
 use cluster::{Chaos, ChaosConfig};
 
 const SEED: u64 = 42;
@@ -39,16 +42,6 @@ const SEED: u64 = 42;
 const RATES: [f64; 4] = [0.001, 0.05, 0.15, 0.3];
 /// Restart budget for the fail-fast mode before the harness gives up.
 const MAX_RESTARTS: u32 = 25;
-/// Timed repetitions of every baseline and every live cell.
-const REPS: usize = 5;
-
-/// Median, min and max of [`REPS`] wall-clock samples, in seconds.
-#[derive(Debug, Clone, Copy)]
-struct Spread {
-    median: f64,
-    min: f64,
-    max: f64,
-}
 
 /// Runs `f` [`REPS`] times, returning the wall-clock spread and every
 /// repetition's result.
@@ -62,13 +55,7 @@ fn repeat<T>(mut f: impl FnMut() -> T) -> (Spread, Vec<T>) {
             r
         })
         .collect();
-    secs.sort_by(f64::total_cmp);
-    let spread = Spread {
-        median: secs[REPS / 2],
-        min: secs[0],
-        max: secs[REPS - 1],
-    };
-    (spread, out)
+    (Spread::of(&secs), out)
 }
 
 /// What one live repetition of a recovery mode ended with.
@@ -136,7 +123,7 @@ fn main() -> Result<(), BenchError> {
     let args = parse_bench_args()?;
     let threads = args.threads;
     eprintln!("# generating workload at scale {} ...", args.replay.scale);
-    let w = args.build_workload(SEED)?;
+    let w = build_workload(args.replay.scale, args.right_scale, SEED)?;
     let exp = Experiment::TaxiNycb;
 
     // Injected panics are expected; keep them off stderr.

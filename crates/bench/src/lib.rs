@@ -1,14 +1,12 @@
 //! # bench — harness utilities for regenerating the paper's results
 //!
-//! The binaries in `src/bin/` regenerate every table and figure:
+//! Two binaries in `src/bin/` run everything:
 //!
-//! | binary        | artifact                                        |
-//! |---------------|-------------------------------------------------|
-//! | `table1`      | Table 1 — single-node runtimes                  |
-//! | `table2`      | Table 2 — 10-node runtimes                      |
-//! | `fig4`        | Fig. 4 — SpatialSpark scalability (4–10 nodes)  |
-//! | `fig5`        | Fig. 5 — ISP-MC scalability (4–10 nodes)        |
-//! | `jts_vs_geos` | §V.B — standalone JTS vs GEOS refinement        |
+//! * `paper` — Tables 1–2, Figs. 4–5, the §V.B refinement timing and
+//!   the schedule-mode ablation, all from one set of runs over one
+//!   workload ([`paper`], `results/BENCH_paper.json`);
+//! * `fault_tolerance` — §III's two recovery modes under live fault
+//!   injection (`results/BENCH_fault_tolerance.json`).
 //!
 //! ## Scaling methodology
 //!
@@ -26,9 +24,9 @@
 //!    at full cardinality.
 
 pub mod ablation;
-pub mod timing;
+pub mod paper;
 
-use cluster::{ChaosConfig, TaskSpec};
+use cluster::{ChaosConfig, ClusterSpec, TaskSpec};
 use geom::engine::SpatialPredicate;
 use impalite::{ImpaladConf, QueryMetrics};
 use minihdfs::MiniDfs;
@@ -55,6 +53,8 @@ pub enum BenchError {
     Dfs(minihdfs::DfsError),
     /// A system-under-test run failed.
     Join(spatialjoin::SpatialJoinError),
+    /// Two systems or engines returned different results.
+    Mismatch(String),
     /// Bad command-line usage.
     Usage(String),
 }
@@ -64,6 +64,7 @@ impl std::fmt::Display for BenchError {
         match self {
             BenchError::Dfs(e) => write!(f, "bench: dfs: {e}"),
             BenchError::Join(e) => write!(f, "bench: join: {e}"),
+            BenchError::Mismatch(msg) => write!(f, "bench: mismatch: {msg}"),
             BenchError::Usage(msg) => write!(f, "bench: usage: {msg}"),
         }
     }
@@ -90,22 +91,28 @@ pub struct Workload {
     pub scale: f64,
 }
 
+/// EC2 node counts of the Fig. 4/5 sweep; the last is Table 2's.
+pub const NODES: [usize; 4] = [4, 6, 8, 10];
+
 /// Number of simulated datanodes backing every workload (matches the
 /// paper's 10-node cluster so locality hints are meaningful).
 pub const DATANODES: usize = 10;
 
-/// Generates all five datasets at `scale` into a fresh DFS.
+/// Generates all five datasets into a fresh DFS: the point sides at
+/// `scale`, the polygon/polyline sides at `right_scale` (1.0 = the
+/// paper's full cardinalities; below that for tests and CI-speed runs,
+/// where generating 14 K detailed ecoregions would dwarf the join).
 ///
-/// Left (point) sides are scaled; right sides are full cardinality.
-/// Block size shrinks proportionally so partition counts match the
-/// paper's deployment.
+/// Block size shrinks with `scale` so partition counts match the
+/// paper's deployment, down to a 4 KiB floor.
 ///
 /// # Errors
 /// Propagates DFS configuration and write failures.
-pub fn build_workload(scale: f64, seed: u64) -> Result<Workload, BenchError> {
-    let block_size = ((minihdfs::DEFAULT_BLOCK_SIZE as f64 * scale) as usize).max(16 * 1024);
+pub fn build_workload(scale: f64, right_scale: f64, seed: u64) -> Result<Workload, BenchError> {
+    let block_size = ((minihdfs::DEFAULT_BLOCK_SIZE as f64 * scale) as usize).max(4 * 1024);
     let dfs = MiniDfs::new(DATANODES, block_size)?;
     let s = datagen::Scale(scale);
+    let r = datagen::Scale(right_scale);
 
     let taxi = datagen::taxi::geometries(s.apply(datagen::full_size::TAXI), seed);
     datagen::write_dataset(&dfs, paths::TAXI, &taxi)?;
@@ -114,45 +121,15 @@ pub fn build_workload(scale: f64, seed: u64) -> Result<Workload, BenchError> {
     datagen::write_dataset(&dfs, paths::GBIF, &gbif)?;
     drop(gbif);
 
-    let nycb = datagen::nycb::geometries(datagen::full_size::NYCB, seed);
-    datagen::write_dataset(&dfs, paths::NYCB, &nycb)?;
-    drop(nycb);
-    let lion = datagen::lion::geometries(datagen::full_size::LION, seed);
-    datagen::write_dataset(&dfs, paths::LION, &lion)?;
-    drop(lion);
-    let wwf = datagen::wwf::geometries(datagen::full_size::WWF, seed);
-    datagen::write_dataset(&dfs, paths::WWF, &wwf)?;
-    drop(wwf);
-
-    Ok(Workload { dfs, scale })
-}
-
-/// Builds a workload with reduced right-side cardinalities too — used
-/// by tests and quick runs where generating 14 K detailed ecoregions
-/// would dwarf the join itself.
-///
-/// # Errors
-/// Propagates DFS configuration and write failures.
-pub fn build_small_workload(
-    scale: f64,
-    right_scale: f64,
-    seed: u64,
-) -> Result<Workload, BenchError> {
-    let block_size = ((minihdfs::DEFAULT_BLOCK_SIZE as f64 * scale) as usize).max(4 * 1024);
-    let dfs = MiniDfs::new(DATANODES, block_size)?;
-    let s = datagen::Scale(scale);
-    let r = datagen::Scale(right_scale);
-
-    let taxi = datagen::taxi::geometries(s.apply(datagen::full_size::TAXI), seed);
-    datagen::write_dataset(&dfs, paths::TAXI, &taxi)?;
-    let gbif = datagen::gbif::geometries(s.apply(datagen::full_size::G10M), seed);
-    datagen::write_dataset(&dfs, paths::GBIF, &gbif)?;
     let nycb = datagen::nycb::geometries(r.apply(datagen::full_size::NYCB), seed);
     datagen::write_dataset(&dfs, paths::NYCB, &nycb)?;
+    drop(nycb);
     let lion = datagen::lion::geometries(r.apply(datagen::full_size::LION), seed);
     datagen::write_dataset(&dfs, paths::LION, &lion)?;
+    drop(lion);
     let wwf = datagen::wwf::geometries(r.apply(datagen::full_size::WWF), seed);
     datagen::write_dataset(&dfs, paths::WWF, &wwf)?;
+    drop(wwf);
 
     Ok(Workload { dfs, scale })
 }
@@ -221,34 +198,6 @@ impl Experiment {
             Experiment::TaxiLion500 => SpatialPredicate::NearestD(500.0),
         }
     }
-}
-
-/// Runs an experiment through SpatialSpark after one warm-up run (the
-/// first touch of a dataset pays page-fault and allocator-growth costs
-/// that are not part of the system under study).
-///
-/// # Errors
-/// Propagates run failures (usually a missing dataset path).
-pub fn run_spark_warm(
-    w: &Workload,
-    exp: Experiment,
-    threads: usize,
-) -> Result<SpatialSparkRun, BenchError> {
-    let _ = run_spark(w, exp, threads, ChaosConfig::disabled())?;
-    run_spark(w, exp, threads, ChaosConfig::disabled())
-}
-
-/// Runs an experiment through ISP-MC after one warm-up run.
-///
-/// # Errors
-/// Propagates run failures (usually a missing dataset path).
-pub fn run_ispmc_warm(
-    w: &Workload,
-    exp: Experiment,
-    threads: usize,
-) -> Result<IspMcRun, BenchError> {
-    let _ = run_ispmc(w, exp, threads, ChaosConfig::disabled())?;
-    run_ispmc(w, exp, threads, ChaosConfig::disabled())
 }
 
 /// Runs an experiment through SpatialSpark with `chaos` wired into
@@ -399,125 +348,65 @@ pub fn scale_ispmc_metrics(metrics: &QueryMetrics, replay: &Replay) -> QueryMetr
     }
 }
 
-/// Simulated SpatialSpark runtime at full scale on `nodes` EC2 nodes
-/// (Table 2, Fig. 4).
-pub fn spark_runtime_at_scale(run: &SpatialSparkRun, replay: &Replay, nodes: usize) -> f64 {
-    let report = scale_spark_report(&run.report, replay);
-    report.simulate_runtime(
-        &cluster::ClusterSpec::ec2_with_nodes(nodes),
+/// Simulated SpatialSpark runtime at full scale on `spec`: the EC2
+/// node sweep of Table 2 and Fig. 4, or the paper's single in-house
+/// 16-core machine of Table 1 (the EC2 cluster could not run below 4
+/// nodes for memory reasons).
+pub fn spark_runtime(run: &SpatialSparkRun, replay: &Replay, spec: &ClusterSpec) -> f64 {
+    scale_spark_report(&run.report, replay).simulate_runtime(
+        spec,
         &cluster::NetworkModel::ec2_spark(),
         cluster::Scheduler::Dynamic,
     )
 }
 
-/// Simulated SpatialSpark runtime at full scale on the paper's single
-/// in-house 16-core machine (Table 1 — the EC2 cluster could not run
-/// below 4 nodes for memory reasons, so single-node numbers are from
-/// that machine).
-pub fn spark_single_node_at_scale(run: &SpatialSparkRun, replay: &Replay) -> f64 {
-    let report = scale_spark_report(&run.report, replay);
-    report.simulate_runtime(
-        &cluster::ClusterSpec::single_node_highend(),
-        &cluster::NetworkModel::ec2_spark(),
-        cluster::Scheduler::Dynamic,
-    )
+/// Simulated ISP-MC runtime at full scale on `spec`.
+pub fn ispmc_runtime(run: &IspMcRun, replay: &Replay, spec: &ClusterSpec) -> f64 {
+    scale_ispmc_metrics(&run.result.metrics, replay)
+        .simulate_runtime_on(&ImpaladConf::default(), spec)
 }
 
-/// Simulated ISP-MC runtime at full scale on `nodes` EC2 nodes.
-pub fn ispmc_runtime_at_scale(run: &IspMcRun, replay: &Replay, nodes: usize) -> f64 {
-    let metrics = scale_ispmc_metrics(&run.result.metrics, replay);
-    metrics.simulate_runtime(&ImpaladConf::default(), nodes)
+/// Timed repetitions behind every reported cell.
+pub const REPS: usize = 5;
+
+/// Median, min and max of a cell's samples, with the sample count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    pub median: f64,
+    pub min: f64,
+    pub max: f64,
+    pub runs: usize,
 }
 
-/// Simulated ISP-MC runtime at full scale on the single 16-core machine
-/// (Table 1).
-pub fn ispmc_single_node_at_scale(run: &IspMcRun, replay: &Replay) -> f64 {
-    let metrics = scale_ispmc_metrics(&run.result.metrics, replay);
-    metrics.simulate_runtime_on(
-        &ImpaladConf::default(),
-        &cluster::ClusterSpec::single_node_highend(),
-    )
-}
-
-/// Simulated ISP-MC-standalone runtime at full scale (single 16-core
-/// machine).
-pub fn ispmc_standalone_at_scale(run: &IspMcRun, replay: &Replay) -> f64 {
-    let metrics = scale_ispmc_metrics(&run.result.metrics, replay);
-    metrics.simulate_standalone_on(&cluster::ClusterSpec::single_node_highend())
-}
-
-/// Estimates the full-scale in-memory footprint of an experiment:
-/// both sides resident (raw text plus ~2× object overhead for the
-/// JVM/engine structures) plus working space. This is what limited the
-/// paper to ≥4 EC2 nodes ("due to the memory limitation of the EC2
-/// instances (15 GB per node)").
-pub fn estimate_memory_footprint(
-    w: &Workload,
-    exp: Experiment,
-    replay: &Replay,
-) -> Result<u64, BenchError> {
-    let left = w.dfs.stat(exp.left_path())?.total_bytes as f64 / replay.scale;
-    let right = w.dfs.stat(exp.right_path())?.total_bytes as f64;
-    Ok(((left + right) * 3.0) as u64)
-}
-
-/// Prints which node counts of a sweep are infeasible for memory, as
-/// the paper's setup section reports.
-///
-/// # Errors
-/// Propagates DFS stat failures.
-pub fn report_memory_gate(
-    w: &Workload,
-    exp: Experiment,
-    replay: &Replay,
-) -> Result<(), BenchError> {
-    let bytes = estimate_memory_footprint(w, exp, replay)?;
-    for nodes in 1..=3usize {
-        let spec = cluster::ClusterSpec::ec2_with_nodes(nodes);
-        if !spec.fits_in_memory(bytes) {
-            eprintln!(
-                "#   {}: {} node(s) infeasible — needs ~{:.1} GB in memory, {} x 15 GB available",
-                exp.label(),
-                nodes,
-                bytes as f64 / (1u64 << 30) as f64,
-                nodes
-            );
+impl Spread {
+    /// The spread of `samples` (the upper median for an even count).
+    ///
+    /// # Panics
+    /// If `samples` is empty.
+    pub fn of(samples: &[f64]) -> Spread {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        Spread {
+            median: sorted[sorted.len() / 2],
+            min: sorted[0],
+            max: sorted[sorted.len() - 1],
+            runs: sorted.len(),
         }
     }
-    Ok(())
 }
 
-/// Parsed CLI arguments for the figure/table binaries.
+/// Parsed CLI arguments for the bench binaries.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchArgs {
     pub replay: Replay,
     pub threads: usize,
-    /// Run the schedule-mode ablation instead of the plain figure
-    /// (`fig4`/`fig5` only).
-    pub ablate: bool,
-    /// Right-side cardinality fraction (`--right-scale`, default 1.0).
-    /// Below 1.0 the workload is built with
-    /// [`build_small_workload`] — meant for CI-speed ablation runs.
+    /// Right-side cardinality fraction (`--right-scale`, default 1.0),
+    /// passed to [`build_workload`].
     pub right_scale: f64,
 }
 
-impl BenchArgs {
-    /// Builds the workload this argument set describes: the full
-    /// right-side cardinalities unless `--right-scale` shrank them.
-    ///
-    /// # Errors
-    /// Propagates DFS configuration and write failures.
-    pub fn build_workload(&self, seed: u64) -> Result<Workload, BenchError> {
-        if self.right_scale < 1.0 {
-            build_small_workload(self.replay.scale, self.right_scale, seed)
-        } else {
-            build_workload(self.replay.scale, seed)
-        }
-    }
-}
-
-/// Parses `--scale <f>`, `--threads <n>`, `--calibration <f>`,
-/// `--ablate` and `--right-scale <f>` CLI arguments with defaults.
+/// Parses `--scale <f>`, `--threads <n>`, `--calibration <f>` and
+/// `--right-scale <f>` CLI arguments with defaults.
 ///
 /// # Errors
 /// Returns [`BenchError::Usage`] for unknown flags or unparsable values.
@@ -527,7 +416,6 @@ pub fn parse_bench_args() -> Result<BenchArgs, BenchError> {
         threads: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4),
-        ablate: false,
         right_scale: 1.0,
     };
     let args: Vec<String> = std::env::args().collect();
@@ -558,35 +446,15 @@ pub fn parse_bench_args() -> Result<BenchArgs, BenchError> {
                     .map_err(|_| BenchError::Usage("--right-scale takes a float".into()))?;
                 i += 2;
             }
-            "--ablate" => {
-                parsed.ablate = true;
-                i += 1;
-            }
             other => {
                 return Err(BenchError::Usage(format!(
                     "unknown argument {other}; use --scale <f> --threads <n> --calibration <f> \
-                     [--ablate] [--right-scale <f>]"
+                     [--right-scale <f>]"
                 )));
             }
         }
     }
     Ok(parsed)
-}
-
-/// [`parse_bench_args`] restricted to the original
-/// `--scale/--threads/--calibration` trio, for binaries without an
-/// ablation mode.
-///
-/// # Errors
-/// Returns [`BenchError::Usage`] for unknown flags or unparsable values.
-pub fn parse_args() -> Result<(Replay, usize), BenchError> {
-    let parsed = parse_bench_args()?;
-    if parsed.ablate || parsed.right_scale != 1.0 {
-        return Err(BenchError::Usage(
-            "--ablate/--right-scale are only supported by fig4 and fig5".into(),
-        ));
-    }
-    Ok((parsed.replay, parsed.threads))
 }
 
 #[cfg(test)]
@@ -608,7 +476,7 @@ mod tests {
 
     #[test]
     fn small_workload_builds_and_joins() {
-        let w = build_small_workload(0.0001, 0.01, 7).expect("workload builds");
+        let w = build_workload(0.0001, 0.01, 7).expect("workload builds");
         for p in [
             paths::TAXI,
             paths::NYCB,
@@ -631,7 +499,7 @@ mod tests {
 
     #[test]
     fn scaling_applies_per_stage_factors() {
-        let w = build_small_workload(0.0001, 0.01, 8).expect("workload builds");
+        let w = build_workload(0.0001, 0.01, 8).expect("workload builds");
         let run =
             run_spark(&w, Experiment::TaxiNycb, 2, ChaosConfig::disabled()).expect("spark runs");
         let replay = Replay {

@@ -10,9 +10,9 @@ pub struct ClusterSpec {
     pub num_nodes: usize,
     /// CPU cores per node.
     pub cores_per_node: usize,
-    /// Memory per node in bytes. Used to validate that a workload fits —
-    /// the paper could not run on fewer than 4 nodes "due to the memory
-    /// limitation of the EC2 instances (15 GB per node)".
+    /// Memory per node in bytes (the paper could not run on fewer than
+    /// 4 nodes "due to the memory limitation of the EC2 instances (15 GB
+    /// per node)").
     pub mem_per_node: u64,
 }
 
@@ -47,18 +47,6 @@ impl ClusterSpec {
     pub fn total_cores(&self) -> usize {
         self.num_nodes * self.cores_per_node
     }
-
-    /// Total memory across the cluster.
-    pub fn total_memory(&self) -> u64 {
-        self.mem_per_node * self.num_nodes as u64
-    }
-
-    /// True when a workload of `bytes` in-memory footprint fits the
-    /// aggregate memory (with a 2× working-space allowance, matching the
-    /// rule of thumb the paper's minimum-node experiments imply).
-    pub fn fits_in_memory(&self, bytes: u64) -> bool {
-        bytes.saturating_mul(2) <= self.total_memory()
-    }
 }
 
 #[cfg(test)]
@@ -78,12 +66,5 @@ mod tests {
         let c = ClusterSpec::ec2_with_nodes(4);
         assert_eq!(c.num_nodes, 4);
         assert_eq!(c.cores_per_node, 8);
-    }
-
-    #[test]
-    fn memory_fit_rule() {
-        let c = ClusterSpec::ec2_with_nodes(4); // 60 GB total
-        assert!(c.fits_in_memory(20 * (1 << 30)));
-        assert!(!c.fits_in_memory(40 * (1 << 30)));
     }
 }

@@ -42,10 +42,7 @@ pub mod spark;
 pub use error::SpatialJoinError;
 pub use geom::engine::SpatialPredicate;
 pub use ispmc::{IspMc, IspMcRun};
-pub use parallel::{
-    morsel_partitions, partition_blocks, spatial_sort_points, timings_to_taskspecs, CellCover,
-    MorselConfig, PreparedSet,
-};
+pub use parallel::{CellCover, MorselConfig, PreparedSet};
 pub use reader::{RecordError, RecordReader};
 pub use request::{JoinOutcome, JoinRequest, JoinStrategy};
 pub use spark::{SpatialSpark, SpatialSparkRun};

@@ -6,8 +6,9 @@
 //! represent geometry … as binary both in-memory and on HDFS to avoid
 //! string parsing overheads … This is left for our future work" (§III).
 //! This module implements that future work: a little-endian,
-//! WKB-flavoured tagged encoding, with `benches/representation.rs`
-//! quantifying the parse-cost gap against WKT.
+//! WKB-flavoured tagged encoding. perfbench's traced layers measure
+//! the parse-cost gap against WKT on every run (`reader.parse_right_s`
+//! for WKT, `exchange.decode_s` for this encoding).
 //!
 //! Layout (all integers little-endian `u32`, coordinates `f64`):
 //!
@@ -135,7 +136,7 @@ impl Cursor<'_> {
 
     // The fixed-width readers and coordinate fill loops run once per
     // coordinate of every decoded geometry — the per-record shuffle
-    // decode cost `benches/representation.rs` measures — so they must
+    // decode cost perfbench's `exchange.decode_s` measures — so they must
     // not allocate or panic; buffers are sized before entering them.
     // tidy:alloc-free:start
     fn u8(&mut self) -> Result<u8, GeomError> {

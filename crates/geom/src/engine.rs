@@ -211,8 +211,9 @@ impl RefinementEngine for FlatEngine {
 /// banded point-in-polygon tests and block-pruned distance queries, and
 /// the cell-covering engine for `Within` ([`PreparedPolygon::cover`]).
 /// This goes beyond both libraries in the paper (JTS has the machinery
-/// but Fig. 2 does not use it); `benches/refinement.rs` quantifies the
-/// refinement gain over [`FlatEngine`].
+/// but Fig. 2 does not use it); the `paper` bench's refinement timing
+/// and perfbench's `geom.refine_*` layers quantify the refinement gain
+/// over [`FlatEngine`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PreparedEngine;
 

@@ -25,10 +25,11 @@ pub struct SparkConf {
     /// by default). Lost partitions are recomputed from lineage rather
     /// than failing the job — the paper's §III Spark recovery model.
     pub chaos: ChaosConfig,
-    /// Bound on lineage-recompute rounds per stage before the job is
-    /// declared unrecoverable.
-    pub max_recompute_rounds: u32,
 }
+
+/// Bound on lineage-recompute rounds per stage before the job is
+/// declared unrecoverable.
+pub const MAX_RECOMPUTE_ROUNDS: u32 = 8;
 
 impl Default for SparkConf {
     fn default() -> SparkConf {
@@ -40,7 +41,6 @@ impl Default for SparkConf {
             cluster: ClusterSpec::ec2_paper_cluster(),
             network: NetworkModel::ec2_spark(),
             chaos: ChaosConfig::disabled(),
-            max_recompute_rounds: 8,
         }
     }
 }
@@ -237,7 +237,7 @@ impl SparkContext {
                 break;
             }
             round += 1;
-            if round > self.inner.conf.max_recompute_rounds {
+            if round > MAX_RECOMPUTE_ROUNDS {
                 let message = run.failures.first().map(|fl| fl.message.as_str());
                 std::panic::panic_any(format!(
                     "stage '{name}': {} partition(s) unrecoverable after {round} rounds \
