@@ -18,9 +18,11 @@
 #                                 accounting) and parallel_build (the
 #                                 right side's per-block build ≡ the
 #                                 serial build on all three paths, and
-#                                 corrupt right-side blocks) and
+#                                 corrupt right-side blocks),
 #                                 cell_join (the cell-covering Within
-#                                 join ≡ the STR probe loop), run
+#                                 join ≡ the STR probe loop) and
+#                                 probe_order (the Z-ordered tree probe
+#                                 ≡ the input-order probe loop), run
 #                                 single-test-threaded so the executor's
 #                                 own pools of up to 7 threads are the
 #                                 only parallelism in the process
@@ -65,8 +67,8 @@
 #   2  tidy findings or tidy usage error (see its own output)
 #   3  release build failed
 #   4  tests failed (debug, or the cluster crate in release)
-#   5  parallel_join, join_request, parallel_build or cell_join suite
-#      failed
+#   5  parallel_join, join_request, parallel_build, cell_join or
+#      probe_order suite failed
 #   6  paper harness failed, wrote a malformed paper or ablation
 #      artifact, or a gated shape failed
 #   7  obs stats artifact missing or malformed
@@ -94,7 +96,7 @@ cargo test -q --release -p cluster || exit 4
 
 echo "ci: join front-door suites (RUST_TEST_THREADS=1, executor threads up to 7)"
 RUST_TEST_THREADS=1 cargo test -q --test parallel_join --test join_request \
-    --test parallel_build --test cell_join || exit 5
+    --test parallel_build --test cell_join --test probe_order || exit 5
 
 echo "ci: paper harness (tiny scale)"
 rm -f results/BENCH_paper.json results/BENCH_fig45_ablation.json results/BENCH_obs_stats.json

@@ -12,10 +12,11 @@
 //! EC2 topology under dynamic, static-chunked and static-locality
 //! scheduling.
 //!
-//! Before morselisation the left side is **spatially sorted** by grid
-//! cell, mimicking the spatially ordered files the paper's datasets
-//! ship as — that ordering is what makes hot regions contiguous in
-//! task order, the precondition for static chunking's imbalance.
+//! Before morselisation the left side is **spatially sorted** into the
+//! tree probe's own Z-order, mimicking the spatially ordered files the
+//! paper's datasets ship as — that ordering is what makes hot regions
+//! contiguous in task order, the precondition for static chunking's
+//! imbalance.
 //! Expected shape, and what the JSON records: `StaticChunked` shows
 //! the worst imbalance on skewed workloads, `StaticLocality` recovers
 //! most of it (distinct partitions round-robin across nodes), and
@@ -27,7 +28,7 @@ use cluster::{
 };
 use geom::engine::NaiveEngine;
 use geom::{Envelope, Point};
-use spatialjoin::parallel::{MorselConfig, PreparedSet, DEFAULT_MORSEL_SIZE};
+use spatialjoin::parallel::{probe_order, MorselConfig, PreparedSet, DEFAULT_MORSEL_SIZE};
 use spatialjoin::{PointRecord, RecordReader};
 use std::fmt::Write as _;
 
@@ -121,17 +122,19 @@ fn partition_blocks(partitions: &[usize], max_block_morsels: usize) -> Vec<usize
     out
 }
 
-/// Sorts points by their grid cell (stable within a cell), mimicking
-/// the spatially ordered HDFS files the paper's datasets ship as —
-/// this is what makes hot regions *contiguous* in task order, the
-/// precondition for the static-chunking imbalance of §V.
-fn spatial_sort_points(left: &mut [PointRecord], side: usize) {
-    let side = side.max(1);
-    let extent = points_extent(left);
-    if extent.is_empty() {
-        return;
-    }
-    left.sort_by_key(|&(_, p)| grid_cell(p, &extent, side));
+/// Sorts points into the tree probe's visit order ([`probe_order`]:
+/// Z-order over the extent), mimicking the spatially ordered HDFS files
+/// the paper's datasets ship as — this is what makes hot regions
+/// *contiguous* in task order, the precondition for the
+/// static-chunking imbalance of §V. The probe's own reordering of the
+/// sorted side is then the identity, so its morsels are the chunks
+/// [`morsel_partitions`] tags. Each power-of-two grid over the extent,
+/// the 16 × 16 one included, sees its cells in contiguous runs.
+fn spatial_sort_points(left: &mut Vec<PointRecord>) {
+    *left = probe_order(left)
+        .into_iter()
+        .map(|i| left[i as usize])
+        .collect();
 }
 
 /// Converts measured per-morsel timings plus their dominant-partition
@@ -252,7 +255,7 @@ pub fn ablate_experiment(
     // The paper's files are spatially ordered; replaying an unsorted
     // synthetic file would hide exactly the contiguous hot runs the
     // ablation studies.
-    spatial_sort_points(&mut left, LOCALITY_GRID_SIDE);
+    spatial_sort_points(&mut left);
 
     // Aim for ~20 tasks per core at the largest node count (10 × 8)
     // so scheduling quality, not task granularity, dominates the
@@ -615,15 +618,29 @@ mod tests {
             })
             .collect();
         let mut ids_before: Vec<i64> = pts.iter().map(|&(id, _)| id).collect();
-        spatial_sort_points(&mut pts, 4);
+        spatial_sort_points(&mut pts);
         let mut ids_after: Vec<i64> = pts.iter().map(|&(id, _)| id).collect();
         ids_before.sort_unstable();
         ids_after.sort_unstable();
         assert_eq!(ids_before, ids_after, "sort must be a permutation");
-        // Cells must appear in non-decreasing runs.
+        // Each cell of a power-of-two grid forms one contiguous run.
         let extent = points_extent(&pts);
-        let cells: Vec<usize> = pts.iter().map(|&(_, p)| grid_cell(p, &extent, 4)).collect();
-        assert!(cells.windows(2).all(|w| w[0] <= w[1]));
+        for side in [2, 4, LOCALITY_GRID_SIDE] {
+            let mut cells: Vec<usize> = pts
+                .iter()
+                .map(|&(_, p)| grid_cell(p, &extent, side))
+                .collect();
+            cells.dedup();
+            let runs = cells.len();
+            cells.sort_unstable();
+            cells.dedup();
+            assert_eq!(runs, cells.len(), "side {side}: a cell split into two runs");
+        }
+        // The probe visits the sorted side in input order.
+        assert!(probe_order(&pts)
+            .iter()
+            .enumerate()
+            .all(|(i, &k)| k as usize == i));
     }
 
     #[test]

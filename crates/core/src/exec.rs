@@ -117,7 +117,6 @@ impl IspMc {
 
     fn run_plan(&self, plan: PhysicalPlan) -> Result<QueryResult, ImpalaError> {
         let engine = NaiveEngine;
-        let nodes = self.conf.cluster.num_nodes;
 
         // --- Fragment 0: scan right table, broadcast, build R-tree ---
         // In the real system every instance receives the broadcast WKT
@@ -156,11 +155,17 @@ impl IspMc {
             obs::records(0, skipped);
             out.push(rows);
         })?;
+        // Scan tasks and probe batches carry their block's index in the
+        // file as a scan-range tag. The replay places whole scan ranges
+        // on the nodes it simulates, balanced for that node count: a
+        // cluster of N nodes stores its blocks on N datanodes, so a tag
+        // naming one of this DFS's datanodes would quantise the work
+        // into that many shares whatever N is.
         let scan_tasks: Vec<TaskSpec> = scan_timings
             .iter()
             .map(|t| TaskSpec {
                 cost: t.secs,
-                locality: Some(blocks[t.index].primary_node % nodes),
+                locality: Some(t.index),
             })
             .collect();
 
@@ -171,11 +176,11 @@ impl IspMc {
         let mut chunks: Vec<Vec<Row>> = Vec::new();
         let mut chunk_batch: Vec<usize> = Vec::new();
         let mut probe_batches: Vec<ProbeBatch> = Vec::new();
-        for (rows, block) in block_rows.into_iter().zip(&blocks) {
+        for (block_index, rows) in block_rows.into_iter().enumerate() {
             for batch in RowBatch::batches_from(rows) {
                 let batch_id = probe_batches.len();
                 probe_batches.push(ProbeBatch {
-                    locality: Some(block.primary_node % nodes),
+                    locality: Some(block_index),
                     chunk_costs: Vec::with_capacity(cores),
                 });
                 let n = batch.len();

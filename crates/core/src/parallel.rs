@@ -5,9 +5,11 @@
 //! R-tree probe in parallel — dynamic task scheduling on Spark, static
 //! OpenMP-style chunking in Impala (§IV–V). This module is the single
 //! executor behind both: the right side is prepared **once** into a
-//! shared [`PreparedSet`] (an STR tree whose entries hold each record's
-//! id and engine-prepared geometry inline under its expanded envelope),
-//! and the left side is probed in fixed-size morsels handed to
+//! shared [`PreparedSet`] (an STR tree over each record's id and
+//! engine-prepared geometry under its expanded envelope; the tree keeps
+//! the envelopes apart from these payloads, both in leaf order, so the
+//! filter streams envelopes only), and the left side is probed in
+//! fixed-size morsels of its [`probe_order`] (Z-order) handed to
 //! [`cluster::dispatch`] under any [`ScheduleMode`]. ISP-MC's fragments
 //! reuse the same set. A broadcast `Within` request on an engine with a
 //! cell covering builds a [`CellCover`] over the set and probes its
@@ -24,11 +26,15 @@
 //! Output is **bit-identical to the serial path at any thread count**:
 //! the build stitches its units in file order, so the shared tree is
 //! bulk-loaded from the same envelope sequence as the serial
-//! [`crate::join::build_right_index`] (STR packing is a
-//! stable sort over envelopes, so the entry permutation and hence
-//! traversal order are identical), and per-morsel output segments are
-//! stitched back in input order by the driver. Scheduling only decides
-//! *who* runs a morsel, never what it appends.
+//! [`crate::join::build_right_index`] (STR packing is a stable sort
+//! over envelope centres, so the entry permutation and hence traversal
+//! order are identical). The probe's visit order depends on the left
+//! side alone; each point is probed by one morsel, which appends its
+//! matches contiguously in the tree's visit order; the pool stitches
+//! morsel buffers in morsel order; and a stable counting scatter by
+//! input position puts every point's matches back at its input
+//! position. Scheduling only decides *who* runs a morsel, never what it
+//! appends.
 
 use cluster::{dispatch, Dispatched, ScheduleMode, TaskFailure, TaskTiming};
 use geom::cells::CellGrid;
@@ -94,14 +100,16 @@ type Entry<P> = (Envelope, (i64, P));
 /// The right side of a join, prepared exactly once and shared by
 /// reference across every morsel and system layer.
 pub struct PreparedSet<E: RefinementEngine> {
-    /// Filter tree over `(id, prepared geometry)` entries stored inline
-    /// in leaf order, their envelopes already expanded by the
-    /// predicate's filter radius.
+    /// Filter tree over `(id, prepared geometry)` items in leaf order,
+    /// their envelopes already expanded by the predicate's filter
+    /// radius.
     tree: RTree<(i64, E::Prepared)>,
     predicate: SpatialPredicate,
     /// Serial-equivalent build seconds: summed per-unit work plus the
     /// bulk load.
     build_work: f64,
+    /// Seconds of the STR bulk load alone.
+    bulk_load: f64,
 }
 
 impl<E: RefinementEngine> PreparedSet<E> {
@@ -188,11 +196,13 @@ impl<E: RefinementEngine> PreparedSet<E> {
     ) -> PreparedSet<E> {
         let t0 = Instant::now();
         let tree = RTree::bulk_load_entries(run.out);
+        let bulk_load = t0.elapsed().as_secs_f64();
         let unit_work: f64 = run.timings.iter().map(|t| t.secs).sum();
         PreparedSet {
             tree,
             predicate,
-            build_work: unit_work + t0.elapsed().as_secs_f64(),
+            build_work: unit_work + bulk_load,
+            bulk_load,
         }
     }
 
@@ -202,6 +212,12 @@ impl<E: RefinementEngine> PreparedSet<E> {
     /// charge this as the per-instance build cost.
     pub fn build_work(&self) -> f64 {
         self.build_work
+    }
+
+    /// Wall seconds of the build's serial STR bulk load, the part of
+    /// [`PreparedSet::build_work`] that no unit runs.
+    pub fn bulk_load_secs(&self) -> f64 {
+        self.bulk_load
     }
 
     /// Number of prepared right-side records.
@@ -217,12 +233,7 @@ impl<E: RefinementEngine> PreparedSet<E> {
     /// Right-side ids in the tree's leaf order, which depends only on
     /// the input records, never on the build's thread count.
     pub fn ids(&self) -> Vec<i64> {
-        self.tree.entries().iter().map(|(_, (id, _))| *id).collect()
-    }
-
-    /// The tree's entries in leaf order.
-    pub(crate) fn entries(&self) -> &[Entry<E::Prepared>] {
-        self.tree.entries()
+        self.tree.items().iter().map(|(id, _)| *id).collect()
     }
 
     /// The predicate the set was prepared for.
@@ -230,34 +241,33 @@ impl<E: RefinementEngine> PreparedSet<E> {
         self.predicate
     }
 
-    /// Probes the shared tree with one point, appending matches.
+    /// Probes the shared tree with one point, appending
+    /// `(left, right id)` matches: `left` is the left record's id, or
+    /// any other key the caller collects pairs under.
     #[inline]
-    pub fn probe_into(&self, engine: &E, left_id: i64, p: Point, out: &mut Vec<JoinPair>) {
+    pub fn probe_into<L: Copy>(&self, engine: &E, left: L, p: Point, out: &mut Vec<(L, i64)>) {
         probe_with(
             &self.tree,
             self.predicate,
             engine,
-            left_id,
+            left,
             p,
             |(id, prepared)| (*id, prepared),
             out,
         );
     }
 
-    /// Probes one morsel of left points — the body every worker thread
-    /// runs.
-    pub fn probe_slice(&self, engine: &E, morsel: &[PointRecord], out: &mut Vec<JoinPair>) {
-        // tidy:alloc-free:start
-        for &(id, p) in morsel {
-            self.probe_into(engine, id, p, out);
-        }
-        // tidy:alloc-free:end
-    }
-
     /// Probes `left` in parallel morsels, returning pairs in the same
-    /// order the serial loop would emit them, per-morsel wall-clock
-    /// timings (indexed by morsel position, for replay through the
-    /// cluster simulator) and the pool's [`obs::ExecStats`].
+    /// order the serial loop of [`PreparedSet::probe_into`] would emit
+    /// them, per-morsel wall-clock timings (indexed by morsel position,
+    /// for replay through the cluster simulator) and the pool's
+    /// [`obs::ExecStats`].
+    ///
+    /// The points are visited in [`probe_order`], so consecutive probes
+    /// walk nearby tree paths; morsels are chunks of that order. Each
+    /// unit emits `(input position, right id)` and a stable counting
+    /// scatter writes the pairs back in input order, keeping each
+    /// point's matches in the tree's visit order.
     ///
     /// Scoped-worker counters are returned, **not** folded into the
     /// calling thread: [`crate::JoinRequest`] and traced runs add
@@ -269,30 +279,86 @@ impl<E: RefinementEngine> PreparedSet<E> {
         engine: &E,
         cfg: MorselConfig,
     ) -> (Vec<JoinPair>, Vec<TaskTiming>, obs::ExecStats) {
-        let run = dispatch_morsels(left, cfg, |morsel, out| {
-            self.probe_slice(engine, morsel, out);
-        })
+        let order = probe_order(left);
+        let size = cfg.morsel_size.max(1);
+        let run = dispatch(
+            order.len().div_ceil(size),
+            cfg.threads,
+            cfg.mode,
+            |i, out: &mut Vec<(u32, i64)>| {
+                // tidy:alloc-free:start
+                for &pos in &order[i * size..((i + 1) * size).min(order.len())] {
+                    self.probe_into(engine, pos, left[pos as usize].1, out);
+                }
+                // tidy:alloc-free:end
+            },
+        )
         .or_raise();
-        (run.out, run.timings, run.exec)
+        (scatter(left, &run.out), run.timings, run.exec)
     }
 }
 
-/// Runs `body(morsel, out)` over `left` in morsels of
-/// `cfg.morsel_size` on the dispatch pool.
-fn dispatch_morsels(
-    left: &[PointRecord],
-    cfg: MorselConfig,
-    body: impl Fn(&[PointRecord], &mut Vec<JoinPair>) + Sync,
-) -> Dispatched<JoinPair> {
-    let size = cfg.morsel_size.max(1);
-    dispatch(
-        left.len().div_ceil(size),
-        cfg.threads,
-        cfg.mode,
-        |i, out| {
-            body(&left[i * size..((i + 1) * size).min(left.len())], out);
-        },
-    )
+/// The order the tree probe visits `left` in: input positions sorted by
+/// the Morton (Z-order) key of each point on a 2¹⁶ × 2¹⁶ grid over the
+/// points' extent, ties by position. It depends only on `left`.
+/// Non-finite coordinates get some cell (the casts saturate) and never
+/// panic. A side already in this order maps to the identity.
+pub fn probe_order(left: &[PointRecord]) -> Vec<u32> {
+    let mut extent = Envelope::EMPTY;
+    for &(_, p) in left {
+        extent.expand_to(p.x, p.y);
+    }
+    let cell = |v: f64, lo: f64, span: f64| -> u64 {
+        if span > 0.0 {
+            // `as` saturates: NaN goes to 0, overflow to the last cell.
+            (((v - lo) / span * 65536.0) as u64).min(65535)
+        } else {
+            0
+        }
+    };
+    let (w, h) = (extent.width(), extent.height());
+    let mut keys: Vec<u64> = left
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, p))| {
+            let z = spread_bits(cell(p.x, extent.min_x, w))
+                | spread_bits(cell(p.y, extent.min_y, h)) << 1;
+            z << 32 | i as u64
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|k| k as u32).collect()
+}
+
+/// Spreads the low 16 bits of `v` to the even bit positions.
+fn spread_bits(v: u64) -> u64 {
+    let mut v = v & 0xFFFF;
+    v = (v | v << 8) & 0x00FF_00FF;
+    v = (v | v << 4) & 0x0F0F_0F0F;
+    v = (v | v << 2) & 0x3333_3333;
+    (v | v << 1) & 0x5555_5555
+}
+
+/// Writes `(position, right id)` hits back as `(left id, right id)`
+/// pairs in input-position order: a stable counting sort by position,
+/// so one position's hits keep their relative order.
+fn scatter(left: &[PointRecord], hits: &[(u32, i64)]) -> Vec<JoinPair> {
+    let mut next = vec![0usize; left.len() + 1];
+    for &(pos, _) in hits {
+        next[pos as usize + 1] += 1;
+    }
+    for i in 0..left.len() {
+        next[i + 1] += next[i];
+    }
+    let mut out = vec![(0, 0); hits.len()];
+    // tidy:alloc-free:start
+    for &(pos, right_id) in hits {
+        let slot = &mut next[pos as usize];
+        out[*slot] = (left[pos as usize].0, right_id);
+        *slot += 1;
+    }
+    // tidy:alloc-free:end
+    out
 }
 
 /// Grid cells per axis for a covering of `n` right-side records:
@@ -350,11 +416,13 @@ impl<'s, E: RefinementEngine> CellCover<'s, E> {
         if set.predicate != SpatialPredicate::Within {
             return None;
         }
-        let entries = set.entries();
-        let extent = entries
+        let items = set.tree.items();
+        let extent = set
+            .tree
+            .envelopes()
             .iter()
-            .fold(Envelope::EMPTY, |e, (env, _)| e.union(env));
-        let grid = CellGrid::new(extent, grid_side(entries.len()));
+            .fold(Envelope::EMPTY, |e, env| e.union(env));
+        let grid = CellGrid::new(extent, grid_side(items.len()));
         let order = set.tree.visit_order();
         let units = order.len().div_ceil(BUILD_CHUNK);
         let run = dispatch(
@@ -365,7 +433,7 @@ impl<'s, E: RefinementEngine> CellCover<'s, E> {
                 let mut cells = Vec::new();
                 for &pos in &order[i * BUILD_CHUNK..((i + 1) * BUILD_CHUNK).min(order.len())] {
                     cells.clear();
-                    cover(&entries[pos as usize].1 .1, &grid, &mut cells);
+                    cover(&items[pos as usize].1, &grid, &mut cells);
                     out.extend(
                         cells
                             .iter()
@@ -411,7 +479,7 @@ impl<'s, E: RefinementEngine> CellCover<'s, E> {
     /// Probes one morsel of left points through the cells, flushing
     /// its counts once.
     fn probe_slice(&self, engine: &E, morsel: &[PointRecord], out: &mut Vec<JoinPair>) {
-        let entries = self.set.entries();
+        let items = self.set.tree.items();
         let (mut interior, mut boundary, mut accepts) = (0u64, 0u64, 0u64);
         // tidy:alloc-free:start
         for &(left_id, p) in morsel {
@@ -420,7 +488,7 @@ impl<'s, E: RefinementEngine> CellCover<'s, E> {
             };
             let c = cell as usize;
             for &item in &self.items[self.offsets[c] as usize..self.offsets[c + 1] as usize] {
-                let (right_id, target) = &entries[(item >> 1) as usize].1;
+                let (right_id, target) = &items[(item >> 1) as usize];
                 if item & INTERIOR != 0 {
                     interior += 1;
                     out.push((left_id, *right_id));
@@ -437,8 +505,10 @@ impl<'s, E: RefinementEngine> CellCover<'s, E> {
         obs::cell_counts(interior, boundary, accepts);
     }
 
-    /// Probes `left` in parallel morsels, returning pairs in input
-    /// order and the pool's [`obs::ExecStats`]. Like
+    /// Probes `left` in parallel morsels of input order (a cell probe
+    /// touches one cell list, so visiting the points in Z-order costs
+    /// about what it saves), returning pairs in input order and the
+    /// pool's [`obs::ExecStats`]. Like
     /// [`PreparedSet::par_probe_observed`], worker counters are
     /// returned, not folded into the calling thread; a panicking morsel
     /// is re-raised.
@@ -448,9 +518,19 @@ impl<'s, E: RefinementEngine> CellCover<'s, E> {
         engine: &E,
         cfg: MorselConfig,
     ) -> (Vec<JoinPair>, obs::ExecStats) {
-        let run = dispatch_morsels(left, cfg, |morsel, out| {
-            self.probe_slice(engine, morsel, out);
-        })
+        let size = cfg.morsel_size.max(1);
+        let run = dispatch(
+            left.len().div_ceil(size),
+            cfg.threads,
+            cfg.mode,
+            |i, out| {
+                self.probe_slice(
+                    engine,
+                    &left[i * size..((i + 1) * size).min(left.len())],
+                    out,
+                );
+            },
+        )
         .or_raise();
         (run.out, run.exec)
     }

@@ -90,7 +90,9 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
     }
 
     /// Executes the join. The broadcast strategy records `prepare`,
-    /// `cover` (cell path only) and `probe` spans.
+    /// `bulk_load` (the STR bulk load inside `prepare`; the rest of
+    /// `prepare` is the build units), `cover` (cell path only) and
+    /// `probe` spans.
     ///
     /// Counter collection: a thread-snapshot delta around the run
     /// captures everything counted on the calling thread (serial and
@@ -117,6 +119,11 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
                     self.cfg.threads,
                 );
                 stats.spans.push(prepare_timer.finish());
+                stats.spans.push(obs::SpanStat::from_secs(
+                    "bulk_load",
+                    1,
+                    set.bulk_load_secs(),
+                ));
                 let cover_timer = obs::SpanTimer::start("cover");
                 let cells = CellCover::build(&set, self.engine, self.cfg.threads);
                 if cells.is_some() {
@@ -256,7 +263,10 @@ mod tests {
         assert_eq!(c.filter_hits, c.cells_interior + c.cells_boundary);
         assert_eq!(c.node_visits, 0);
         assert!(outcome.stats.span("run").is_some());
-        assert!(outcome.stats.span("prepare").is_some());
+        let prepare = outcome.stats.span("prepare").expect("prepare span");
+        let bulk_load = outcome.stats.span("bulk_load").expect("bulk_load span");
+        assert_eq!(bulk_load.count, 1);
+        assert!(bulk_load.total_ns <= prepare.total_ns);
         assert!(outcome.stats.span("cover").is_some());
         assert!(outcome.stats.span("probe").is_some());
         assert!(!outcome.stats.workers.is_empty());

@@ -159,6 +159,13 @@ impl Envelope {
     /// Minimum distance from the point to this envelope; zero when the
     /// point is inside. Used for R-tree distance pruning.
     pub fn distance_to_point(&self, p: Point) -> f64 {
+        self.distance_sq_to_point(p).sqrt()
+    }
+
+    /// The square of [`Envelope::distance_to_point`], without the
+    /// square root.
+    #[inline]
+    pub fn distance_sq_to_point(&self, p: Point) -> f64 {
         let dx = if p.x < self.min_x {
             self.min_x - p.x
         } else if p.x > self.max_x {
@@ -173,7 +180,7 @@ impl Envelope {
         } else {
             0.0
         };
-        (dx * dx + dy * dy).sqrt()
+        dx * dx + dy * dy
     }
 }
 

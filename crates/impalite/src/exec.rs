@@ -4,7 +4,9 @@
 //! `spatialjoin::IspMc`, which shares its R-tree build and probe with
 //! the other query paths.
 
-use cluster::{simulate, ChaosConfig, ClusterSpec, NetworkModel, Scheduler, TaskSpec};
+use cluster::{
+    scan_range_assignment, simulate, ChaosConfig, ClusterSpec, NetworkModel, Scheduler, TaskSpec,
+};
 
 use crate::plan::PhysicalPlan;
 
@@ -44,7 +46,7 @@ impl Default for ImpaladConf {
 pub const ROW_BATCH_PIPELINE_TAX: f64 = 0.10;
 
 /// One row batch's probe work: the measured cost of each static OpenMP
-/// chunk, plus the batch's block locality.
+/// chunk, plus the scan range (source block) it came from.
 ///
 /// The chunks of a batch run under a **barrier**: the batch is done when
 /// its slowest chunk is done ("the workloads assigned to OpenMP threads
@@ -53,7 +55,8 @@ pub const ROW_BATCH_PIPELINE_TAX: f64 = 0.10;
 /// sequentially.
 #[derive(Debug, Clone)]
 pub struct ProbeBatch {
-    /// Node holding the batch's source block.
+    /// Scan-range tag of the batch's source block; the replay places
+    /// whole scan ranges on nodes.
     pub locality: Option<usize>,
     /// Measured seconds per static chunk (one chunk per core).
     pub chunk_costs: Vec<f64>,
@@ -75,7 +78,8 @@ impl ProbeBatch {
 /// `EXPLAIN` plans without executing and measures nothing: the default.
 #[derive(Debug, Clone, Default)]
 pub struct QueryMetrics {
-    /// Per-block cost of scanning/splitting the left table into rows.
+    /// Per-block cost of scanning/splitting the left table into rows,
+    /// each tagged with its block's scan range.
     pub scan_tasks: Vec<TaskSpec>,
     /// Seconds to parse + prepare the right table and build the R-tree
     /// (paid by every instance after the broadcast). The build runs
@@ -122,20 +126,55 @@ impl QueryMetrics {
         total += self.build_secs;
         total += net.stage_coordination_cost(self.scan_tasks.len() + self.probe_batches.len());
 
-        let scan = simulate(&self.scan_tasks, spec, Scheduler::StaticLocality).makespan;
+        let nodes = self.placement(num_nodes);
+        let (scan_nodes, batch_nodes) = nodes.split_at(self.scan_tasks.len());
+        let scan_tasks: Vec<TaskSpec> = self
+            .scan_tasks
+            .iter()
+            .zip(scan_nodes)
+            .map(|(t, &node)| TaskSpec {
+                cost: t.cost,
+                locality: Some(node),
+            })
+            .collect();
+        let scan = simulate(&scan_tasks, spec, Scheduler::StaticLocality).makespan;
 
         // Static inter-node assignment by locality, per-batch barriers
         // within a node.
         let concurrent_batches = (spec.cores_per_node / self.chunks_per_batch.max(1)).max(1) as f64;
         let mut node_time = vec![0.0f64; num_nodes];
-        for (i, b) in self.probe_batches.iter().enumerate() {
-            let node = b.locality.unwrap_or(i % num_nodes) % num_nodes;
+        for (b, &node) in self.probe_batches.iter().zip(batch_nodes) {
             node_time[node] += b.barrier_time() / concurrent_batches;
         }
         let probe = node_time.iter().cloned().fold(0.0, f64::max);
 
         total += (scan + probe) * (1.0 + ROW_BATCH_PIPELINE_TAX);
         total
+    }
+
+    /// The node of every scan task, then of every probe batch, on
+    /// `num_nodes` nodes. Tagged work is placed by Impala's scan-range
+    /// assignment ([`scan_range_assignment`]) over the tags of both
+    /// lists: whole tags, balancing the scans and batches each carries,
+    /// so a tag's scans and batches share a node at any node count.
+    /// Untagged work goes round-robin by its index in its list.
+    fn placement(&self, num_nodes: usize) -> Vec<usize> {
+        let tags: Vec<Option<usize>> = self
+            .scan_tasks
+            .iter()
+            .map(|t| t.locality)
+            .chain(self.probe_batches.iter().map(|b| b.locality))
+            .collect();
+        let tagged: Vec<usize> = tags.iter().flatten().copied().collect();
+        let mut placed = scan_range_assignment(&tagged, num_nodes).into_iter();
+        let scans = self.scan_tasks.len();
+        tags.iter()
+            .enumerate()
+            .map(|(i, tag)| match tag {
+                Some(_) => placed.next().unwrap_or(0),
+                None => (if i < scans { i } else { i - scans }) % num_nodes,
+            })
+            .collect()
     }
 
     /// Replays the query on `num_nodes` nodes of the configured node
@@ -261,5 +300,35 @@ mod tests {
             one_node > standalone,
             "engine machinery must cost something: {one_node} vs {standalone}"
         );
+    }
+
+    #[test]
+    fn replay_balances_scan_ranges_at_every_node_count() {
+        // 120 equal scan ranges: the busiest node holds 30, 20, 15 and
+        // 12 of them at 4, 6, 8 and 10 nodes, so every step is faster.
+        let conf = ImpaladConf::default();
+        let metrics = QueryMetrics {
+            scan_tasks: (0..120)
+                .map(|i| TaskSpec {
+                    cost: 0.01,
+                    locality: Some(i),
+                })
+                .collect(),
+            build_secs: 0.0,
+            broadcast_bytes: 0,
+            probe_batches: (0..120)
+                .map(|i| ProbeBatch {
+                    locality: Some(i),
+                    chunk_costs: vec![1.0, 1.0],
+                })
+                .collect(),
+            chunks_per_batch: 2,
+            result_rows: 0,
+        };
+        let t: Vec<f64> = [4, 6, 8, 10]
+            .iter()
+            .map(|&n| metrics.simulate_runtime(&conf, n))
+            .collect();
+        assert!(t.windows(2).all(|w| w[1] < w[0]), "{t:?}");
     }
 }

@@ -11,8 +11,10 @@ use geom::Point;
 
 use crate::RTree;
 
-/// Probes the index with one point, appending `(left_id, right_id)`
-/// matches to `out`.
+/// Probes the index with one point, appending `(left, right_id)`
+/// matches to `out`. `left` is whatever key the caller collects pairs
+/// under: a left record id, or the point's input position for a probe
+/// that runs out of input order and scatters back afterwards.
 ///
 /// `resolve` maps a stored tree payload to the right-side record id and
 /// its prepared geometry — callers store either the pair inline
@@ -22,14 +24,14 @@ use crate::RTree;
 /// applied here: at most one pair is emitted per point, ties broken by
 /// the smaller right id.
 #[inline]
-pub fn probe_with<'t, T, E, R>(
+pub fn probe_with<'t, T, E, R, L: Copy>(
     tree: &'t RTree<T>,
     predicate: SpatialPredicate,
     engine: &E,
-    left_id: i64,
+    left: L,
     p: Point,
     resolve: R,
-    out: &mut Vec<(i64, i64)>,
+    out: &mut Vec<(L, i64)>,
 ) where
     E: RefinementEngine,
     E::Prepared: 't,
@@ -60,7 +62,7 @@ pub fn probe_with<'t, T, E, R>(
             }
         });
         if let Some((_, rid)) = best {
-            out.push((left_id, rid));
+            out.push((left, rid));
         }
         obs::probe_counts(nodes, candidates, accepts);
         return;
@@ -70,7 +72,7 @@ pub fn probe_with<'t, T, E, R>(
         candidates += 1;
         if predicate.eval(engine, p, target) {
             accepts += 1;
-            out.push((left_id, rid));
+            out.push((left, rid));
         }
     });
     obs::probe_counts(nodes, candidates, accepts);
