@@ -31,12 +31,16 @@
 #                                 (4 experiments whose pairs agree, every
 #                                 cell 5 runs with min <= median <= max,
 #                                 Table 2 = the figures' 10-node points,
-#                                 paper values on table cells), that the
-#                                 shapes which hold at this scale hold,
-#                                 and that results/BENCH_fig45_ablation.json
-#                                 is produced and well-formed
-#   7. obs stats artifact         same run's results/BENCH_obs_stats.json
-#                                 carries coherent observability counters
+#                                 paper values on table cells), and that
+#                                 the shapes which hold at this scale
+#                                 hold
+#   7. obs trees                  the same artifact's per-experiment
+#                                 "obs" trees: each system's warm-up
+#                                 run accepts exactly the experiment's
+#                                 pairs, refines every filter hit and
+#                                 parses records, and both systems read
+#                                 the same filter hits, tree node visits
+#                                 and records (one STR tree, one input)
 #   8. chaos / fault tolerance    seeded chaos property suite, run
 #                                 single-test-threaded (injected panics
 #                                 + panic hooks are process-global),
@@ -69,9 +73,9 @@
 #   4  tests failed (debug, or the cluster crate in release)
 #   5  parallel_join, join_request, parallel_build, cell_join or
 #      probe_order suite failed
-#   6  paper harness failed, wrote a malformed paper or ablation
-#      artifact, or a gated shape failed
-#   7  obs stats artifact missing or malformed
+#   6  paper harness failed, wrote a malformed paper artifact, or a
+#      gated shape failed
+#   7  the paper artifact's obs trees are missing or incoherent
 #   8  chaos suite failed, or fault-tolerance artifact missing/malformed
 #   9  benchmark self-test failed (or python3 missing)
 #  10  clippy warnings
@@ -99,7 +103,7 @@ RUST_TEST_THREADS=1 cargo test -q --test parallel_join --test join_request \
     --test parallel_build --test cell_join --test probe_order || exit 5
 
 echo "ci: paper harness (tiny scale)"
-rm -f results/BENCH_paper.json results/BENCH_fig45_ablation.json results/BENCH_obs_stats.json
+rm -f results/BENCH_paper.json
 cargo run --release -q -p bench --bin paper -- \
     --scale 0.0005 --right-scale 0.05 --threads 4 || exit 6
 [ -s results/BENCH_paper.json ] || {
@@ -145,50 +149,26 @@ EOF
 else
     grep -q '"bench": "paper"' results/BENCH_paper.json || exit 6
 fi
-[ -s results/BENCH_fig45_ablation.json ] || {
-    echo "ci: ablation artifact missing or empty" >&2
-    exit 6
-}
-if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF' || exit 6
-import json
-d = json.load(open("results/BENCH_fig45_ablation.json"))
-assert d["bench"] == "fig45_schedule_ablation", d.get("bench")
-assert len(d["experiments"]) == 4, "expected 4 experiments"
-for e in d["experiments"]:
-    assert e["identical_to_serial"], e["experiment"]
-    assert len(e["cells"]) == 12, e["experiment"]
-print("ci: ablation artifact well-formed")
-EOF
-else
-    # No python3: fall back to a structural grep.
-    grep -q '"bench": "fig45_schedule_ablation"' results/BENCH_fig45_ablation.json || exit 6
-    grep -q '"scheduler": "StaticLocality"' results/BENCH_fig45_ablation.json || exit 6
-fi
 
-echo "ci: obs stats artifact (results/BENCH_obs_stats.json)"
-[ -s results/BENCH_obs_stats.json ] || {
-    echo "ci: obs stats artifact missing or empty" >&2
-    exit 7
-}
+echo "ci: obs trees (results/BENCH_paper.json)"
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF' || exit 7
 import json
-d = json.load(open("results/BENCH_obs_stats.json"))
-assert d["bench"] == "obs_stats", d.get("bench")
-assert len(d["experiments"]) == 4, "expected 4 experiments"
+d = json.load(open("results/BENCH_paper.json"))
 for e in d["experiments"]:
-    c = e["counters"]
-    assert c["refine_calls"] >= e["result_pairs"], e["experiment"]
-    assert c["filter_hits"] >= c["refine_accepts"], e["experiment"]
-    assert c["records_parsed"] > 0, e["experiment"]
-    assert c["morsels_executed"] == e["morsels"], e["experiment"]
-    assert len(e["morsel_stats"]) == e["morsels"], e["experiment"]
-print("ci: obs stats artifact well-formed")
+    name, obs = e["experiment"], e["obs"]
+    c = {k: obs[k]["counters"] for k in ("spark", "ispmc")}
+    for system, v in c.items():
+        assert v["refine_accepts"] == e["pairs"], (name, system, v)
+        assert v["filter_hits"] == v["refine_calls"], (name, system, v)
+        assert v["records_parsed"] > 0, (name, system, v)
+    for k in ("filter_hits", "node_visits", "records_parsed"):
+        assert c["spark"][k] == c["ispmc"][k], (name, k, c)
+print("ci: obs trees coherent")
 EOF
 else
-    grep -q '"bench": "obs_stats"' results/BENCH_obs_stats.json || exit 7
-    grep -q '"refine_calls"' results/BENCH_obs_stats.json || exit 7
+    grep -q '"obs": {' results/BENCH_paper.json || exit 7
+    grep -q '"refine_calls"' results/BENCH_paper.json || exit 7
 fi
 
 echo "ci: chaos property suite (RUST_TEST_THREADS=1)"

@@ -1,23 +1,17 @@
-//! The paper's evaluation (§V) from one run: Tables 1–2, Figs. 4–5, the
-//! §V.B JTS-vs-GEOS refinement timing and the static-scheduling
-//! ablation.
+//! The paper's evaluation (§V) from one run: Tables 1–2, Figs. 4–5 and
+//! the §V.B JTS-vs-GEOS refinement timing.
 //!
 //! The workload is built once. Per experiment, SpatialSpark and ISP-MC
 //! run once to warm up and then five times each, must agree on their
 //! pairs, and every run is replayed on the 16-core machine (Table 1)
 //! and on 4/6/8/10 EC2 nodes (Figs. 4–5; the 10-node points are Table
-//! 2). The schedule-mode ablation replays measured morsel costs of
-//! ISP-MC's GEOS-like engine under three schedulers. Writes
-//! `results/BENCH_paper.json` (cells with spread beside the paper's
-//! values, plus pass/fail shape predicates),
-//! `results/BENCH_fig45_ablation.json` and `results/BENCH_obs_stats.json`.
+//! 2). Writes `results/BENCH_paper.json`: cells with spread beside the
+//! paper's values, pass/fail shape predicates, and each system's
+//! warm-up run as an observability tree.
 //!
 //! Usage: `cargo run --release -p bench --bin paper -- [--scale f]
 //! [--threads n] [--calibration f] [--right-scale f]`
 
-use bench::ablation::{
-    ablate_experiment, print_ablation, write_ablation_json, write_obs_stats_json,
-};
 use bench::paper::{
     run_experiment, shapes, time_refinement, write_paper_json, ExperimentRuns, REFINE_SAMPLE,
 };
@@ -92,12 +86,9 @@ fn main() -> Result<(), BenchError> {
     let w = build_workload(replay.scale, args.right_scale, 42)?;
 
     let mut exps = Vec::new();
-    let mut ablations = Vec::new();
     for exp in Experiment::all() {
         eprintln!("# running {} ...", exp.label());
         exps.push(run_experiment(&w, exp, threads, &replay)?);
-        eprintln!("# ablating {} ...", exp.label());
-        ablations.push(ablate_experiment(&w, exp, threads, &replay)?);
     }
     let mut refine = Vec::new();
     for exp in [Experiment::TaxiNycb, Experiment::G10mWwf] {
@@ -126,11 +117,6 @@ fn main() -> Result<(), BenchError> {
     }
     println!("(paper: JTS 3.3x faster on taxi10k-nycb, 3.9x on gbif10k-wwf)");
 
-    println!("\nSchedule-mode ablation: ISP-MC probe morsels (geos-like) under three schedulers");
-    for row in &ablations {
-        print_ablation(row);
-    }
-
     let shapes = shapes(&exps, &refine);
     println!("\nShapes the paper's numbers imply (on medians):");
     for s in &shapes {
@@ -145,10 +131,6 @@ fn main() -> Result<(), BenchError> {
         move |e: std::io::Error| BenchError::Usage(format!("writing {what}: {e}"))
     };
     let path = write_paper_json(&replay, threads, &exps, &refine, &shapes).map_err(io("paper"))?;
-    println!("wrote {path}");
-    let path = write_ablation_json(&replay, threads, &ablations).map_err(io("ablation"))?;
-    println!("wrote {path}");
-    let path = write_obs_stats_json(&replay, threads, &ablations).map_err(io("obs stats"))?;
     println!("wrote {path}");
     eprintln!("# wall time {:.1} s", t0.elapsed().as_secs_f64());
 

@@ -3,8 +3,8 @@
 //! Two binaries in `src/bin/` run everything:
 //!
 //! * `paper` — Tables 1–2, Figs. 4–5, the §V.B refinement timing and
-//!   the schedule-mode ablation, all from one set of runs over one
-//!   workload ([`paper`], `results/BENCH_paper.json`);
+//!   the runs' observability counters, all from one set of runs over
+//!   one workload ([`paper`], `results/BENCH_paper.json`);
 //! * `fault_tolerance` — §III's two recovery modes under live fault
 //!   injection (`results/BENCH_fault_tolerance.json`).
 //!
@@ -23,7 +23,6 @@
 //!    left untouched because the polygon/polyline sides are generated
 //!    at full cardinality.
 
-pub mod ablation;
 pub mod paper;
 
 use cluster::{ChaosConfig, ClusterSpec, TaskSpec};

@@ -11,7 +11,10 @@
 //!
 //! Every cell reports the median, min and max of its runs beside the
 //! paper's value, and each shape the paper's numbers imply is one
-//! pass/fail [`Shape`] on the medians, quoting those numbers.
+//! pass/fail [`Shape`] on the medians, quoting those numbers. Each
+//! system's warm-up run also leaves its [`obs::RunStats`] tree, so the
+//! artifact says what the measured runs did: records parsed, filter
+//! hits, tree nodes visited, refinements and their outcomes.
 
 use crate::{
     ispmc_runtime, run_ispmc, run_spark, scale_ispmc_metrics, spark_runtime, BenchError,
@@ -49,6 +52,10 @@ pub struct ExperimentRuns {
     pub ispmc: SystemRuns,
     /// ISP-MC-standalone on the 16-core machine (Table 1, column 3).
     pub standalone: Spread,
+    /// The warm-up SpatialSpark and ISP-MC runs' `run_stats()` trees,
+    /// each with the counters the run gathered added at its root.
+    pub spark_obs: obs::RunStats,
+    pub ispmc_obs: obs::RunStats,
 }
 
 /// One reported number: ours beside the paper's.
@@ -130,8 +137,16 @@ impl ExperimentRuns {
     }
 }
 
-/// Runs one experiment through both systems (one warm-up run each,
-/// then [`REPS`] interleaved runs) and replays every run on the
+/// `stats` with the counters the calling thread gathered since
+/// `before` added at its root. The systems fold their workers' counters
+/// into the calling thread, so this is the whole run's count.
+fn with_counters(mut stats: obs::RunStats, before: &obs::Counters) -> obs::RunStats {
+    stats.counters = stats.counters.plus(&obs::thread_snapshot().minus(before));
+    stats
+}
+
+/// Runs one experiment through both systems (one observed warm-up run
+/// each, then [`REPS`] interleaved runs) and replays every run on the
 /// 16-core machine and on each of [`NODES`] EC2 nodes.
 ///
 /// # Errors
@@ -148,8 +163,14 @@ pub fn run_experiment(
 
     // The warm-up runs pay first-touch page faults and allocator growth;
     // the SpatialSpark one is the reference output.
-    let reference = normalize_pairs(run_spark(w, exp, threads, chaos())?.pairs);
-    let mut agree = normalize_pairs(run_ispmc(w, exp, threads, chaos())?.result.pairs) == reference;
+    let before = obs::thread_snapshot();
+    let spark = run_spark(w, exp, threads, chaos())?;
+    let spark_obs = with_counters(spark.run_stats(), &before);
+    let reference = normalize_pairs(spark.pairs);
+    let before = obs::thread_snapshot();
+    let ispmc = run_ispmc(w, exp, threads, chaos())?;
+    let ispmc_obs = with_counters(ispmc.run_stats(), &before);
+    let mut agree = normalize_pairs(ispmc.result.pairs) == reference;
 
     // Per run: spark single + nodes, ispmc single + nodes, standalone.
     let mut samples: Vec<[f64; 11]> = Vec::with_capacity(REPS);
@@ -186,6 +207,8 @@ pub fn run_experiment(
             nodes: [col(6), col(7), col(8), col(9)],
         },
         standalone: col(10),
+        spark_obs,
+        ispmc_obs,
     })
 }
 
@@ -444,7 +467,9 @@ pub fn write_paper_json(
         json,
         "  \"note\": \"cells: replayed full-scale seconds (a model, not a measurement) over \
          {REPS} runs after one warm-up; table2 cells are the fig4/fig5 10-node points; paper is \
-         null where the paper plots a point without printing it; shapes are checked on medians\","
+         null where the paper plots a point without printing it; shapes are checked on medians; \
+         obs: each system's warm-up run as an obs::RunStats tree, its root counters the whole \
+         run's\","
     );
     let _ = writeln!(json, "  \"experiments\": [");
     for (i, e) in exps.iter().enumerate() {
@@ -467,7 +492,12 @@ pub fn write_paper_json(
                 paper_json(c.paper),
             );
         }
-        let _ = writeln!(json, "      ]");
+        let _ = writeln!(json, "      ],");
+        let tree = |t: &obs::RunStats| t.to_json().replace('\n', "\n        ");
+        let _ = writeln!(json, "      \"obs\": {{");
+        let _ = writeln!(json, "        \"spark\": {},", tree(&e.spark_obs));
+        let _ = writeln!(json, "        \"ispmc\": {}", tree(&e.ispmc_obs));
+        let _ = writeln!(json, "      }}");
         let comma = if i + 1 == exps.len() { "" } else { "," };
         let _ = writeln!(json, "    }}{comma}");
     }
@@ -545,6 +575,8 @@ mod tests {
                         nodes: ispmc,
                     },
                     standalone: flat_spread(p.table1[2]),
+                    spark_obs: obs::RunStats::default(),
+                    ispmc_obs: obs::RunStats::default(),
                 }
             })
             .collect();
@@ -664,6 +696,17 @@ mod tests {
             .iter()
             .filter(|c| c.artifact.starts_with("table"))
             .all(|c| c.paper.is_some()));
+        // Both systems probe the same STR tree over the same records,
+        // so they read the same filter hits, node visits and records.
+        let (s, i) = (&runs.spark_obs.counters, &runs.ispmc_obs.counters);
+        for c in [s, i] {
+            assert_eq!(c.refine_accepts, runs.pairs as u64, "{c:?}");
+            assert_eq!(c.filter_hits, c.refine_calls, "{c:?}");
+            assert!(c.records_parsed > 0, "{c:?}");
+        }
+        assert_eq!(s.filter_hits, i.filter_hits);
+        assert_eq!(s.node_visits, i.node_visits);
+        assert_eq!(s.records_parsed, i.records_parsed);
     }
 
     #[test]

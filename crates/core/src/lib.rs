@@ -10,8 +10,6 @@
 //!   R-tree indexed (cell-covered for `Within` on `PreparedEngine`) and
 //!   nested-loop joins, serial or parallel, each returning its pairs
 //!   plus an `obs::RunStats`.
-//! * [`join`] — the serial building blocks: the right-side R-tree and
-//!   per-point probe, the serial reference loop.
 //! * [`parallel`] — the morsel-driven parallel executor behind both
 //!   systems: the right side prepared once into a shared
 //!   [`PreparedSet`], the left side probed in fixed-size morsels with
@@ -33,7 +31,6 @@
 pub mod error;
 pub mod exec;
 pub mod ispmc;
-pub mod join;
 pub mod parallel;
 pub mod reader;
 pub mod request;

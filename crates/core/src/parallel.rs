@@ -10,10 +10,10 @@
 //! the envelopes apart from these payloads, both in leaf order, so the
 //! filter streams envelopes only), and the left side is probed in
 //! fixed-size morsels of its [`probe_order`] (Z-order) handed to
-//! [`cluster::dispatch`] under any [`ScheduleMode`]. ISP-MC's fragments
-//! reuse the same set. A broadcast `Within` request on an engine with a
-//! cell covering builds a [`CellCover`] over the set and probes its
-//! cells instead of the tree.
+//! [`cluster::dispatch`]. ISP-MC's fragments reuse the same set. A
+//! broadcast `Within` request on an engine with a cell covering builds
+//! a [`CellCover`] over the set and probes its cells instead of the
+//! tree.
 //!
 //! The build is parallel too, on the same dispatch core: one unit per
 //! DFS block ([`PreparedSet::from_blocks`], parse then prepare) or per
@@ -25,11 +25,11 @@
 //!
 //! Output is **bit-identical to the serial path at any thread count**:
 //! the build stitches its units in file order, so the shared tree is
-//! bulk-loaded from the same envelope sequence as the serial
-//! [`crate::join::build_right_index`] (STR packing is a stable sort
-//! over envelope centres, so the entry permutation and hence traversal
-//! order are identical). The probe's visit order depends on the left
-//! side alone; each point is probed by one morsel, which appends its
+//! bulk-loaded from the same envelope sequence as a one-thread
+//! [`PreparedSet::prepare`] (STR packing is a stable sort over envelope
+//! centres, so the entry permutation and hence traversal order are
+//! identical). The probe's visit order depends on the left side alone;
+//! each point is probed by one morsel, which appends its
 //! matches contiguously in the tree's visit order; the pool stitches
 //! morsel buffers in morsel order; and a stable counting scatter by
 //! input position puts every point's matches back at its input
@@ -41,7 +41,7 @@ use geom::cells::CellGrid;
 use geom::engine::{RefinementEngine, SpatialPredicate};
 use geom::{Envelope, HasEnvelope, Point};
 use minihdfs::BlockRef;
-use rtree::{probe_with, RTree};
+use rtree::RTree;
 use std::time::Instant;
 
 use crate::reader::RecordReader;
@@ -54,10 +54,9 @@ pub const DEFAULT_MORSEL_SIZE: usize = 2048;
 /// Parallelism settings for the morsel executor.
 #[derive(Debug, Clone, Copy)]
 pub struct MorselConfig {
-    /// Worker threads (1 = serial inline execution).
+    /// Worker threads (1 = serial inline execution); morsels are
+    /// handed to them dynamically.
     pub threads: usize,
-    /// How morsels are handed to workers.
-    pub mode: ScheduleMode,
     /// Left points per morsel.
     pub morsel_size: usize,
 }
@@ -67,7 +66,6 @@ impl MorselConfig {
     pub fn new(threads: usize) -> MorselConfig {
         MorselConfig {
             threads: threads.max(1),
-            mode: ScheduleMode::Dynamic,
             morsel_size: DEFAULT_MORSEL_SIZE,
         }
     }
@@ -126,9 +124,8 @@ impl<E: RefinementEngine> PreparedSet<E> {
     /// one dispatch unit per [`BUILD_CHUNK`] records, each pushing the
     /// record's envelope expanded by the filter radius, its id and one
     /// `engine.prepare` result. Units are stitched in record order, so
-    /// the STR tree sees the same envelope sequence as the serial
-    /// [`crate::join::build_right_index`] (hence the same packing) at
-    /// any thread count. A panicking unit is re-raised.
+    /// the STR tree sees the same envelope sequence (hence the same
+    /// packing) at any thread count. A panicking unit is re-raised.
     pub fn prepare_threads(
         right: &[GeomRecord],
         predicate: SpatialPredicate,
@@ -243,18 +240,56 @@ impl<E: RefinementEngine> PreparedSet<E> {
 
     /// Probes the shared tree with one point, appending
     /// `(left, right id)` matches: `left` is the left record's id, or
-    /// any other key the caller collects pairs under.
+    /// any other key the caller collects pairs under, such as the
+    /// point's input position for a probe that runs out of input order
+    /// and scatters back afterwards.
+    ///
+    /// Entry envelopes were expanded by the filter radius at build
+    /// time, so the query itself uses radius zero. For
+    /// [`SpatialPredicate::Nearest`] the arg-min over candidates is
+    /// applied here: at most one pair is emitted per point, ties broken
+    /// by the smaller right id.
     #[inline]
     pub fn probe_into<L: Copy>(&self, engine: &E, left: L, p: Point, out: &mut Vec<(L, i64)>) {
-        probe_with(
-            &self.tree,
-            self.predicate,
-            engine,
-            left,
-            p,
-            |(id, prepared)| (*id, prepared),
-            out,
-        );
+        let (tree, predicate) = (&self.tree, self.predicate);
+        // The hot loop of every join in the workspace: one refinement
+        // call per candidate surviving the envelope filter, zero
+        // allocation. Node/candidate/accept counts accumulate in locals
+        // and flush through a single thread-local access per probe.
+        // tidy:alloc-free:start
+        let mut candidates: u64 = 0;
+        let mut accepts: u64 = 0;
+        if let SpatialPredicate::Nearest(d) = predicate {
+            let mut best: Option<(f64, i64)> = None;
+            let nodes = tree.for_each_within_distance(p, 0.0, |(rid, target)| {
+                candidates += 1;
+                let dist = engine.distance(p, target);
+                if dist <= d {
+                    accepts += 1;
+                    let better = match best {
+                        None => true,
+                        Some((bd, bid)) => dist < bd || (dist == bd && *rid < bid),
+                    };
+                    if better {
+                        best = Some((dist, *rid));
+                    }
+                }
+            });
+            if let Some((_, rid)) = best {
+                out.push((left, rid));
+            }
+            obs::probe_counts(nodes, candidates, accepts);
+            return;
+        }
+        let nodes = tree.for_each_within_distance(p, 0.0, |(rid, target)| {
+            candidates += 1;
+            if predicate.eval(engine, p, target) {
+                accepts += 1;
+                out.push((left, *rid));
+            }
+        });
+        obs::probe_counts(nodes, candidates, accepts);
+        // tidy:alloc-free:end
     }
 
     /// Probes `left` in parallel morsels, returning pairs in the same
@@ -284,7 +319,7 @@ impl<E: RefinementEngine> PreparedSet<E> {
         let run = dispatch(
             order.len().div_ceil(size),
             cfg.threads,
-            cfg.mode,
+            ScheduleMode::Dynamic,
             |i, out: &mut Vec<(u32, i64)>| {
                 // tidy:alloc-free:start
                 for &pos in &order[i * size..((i + 1) * size).min(order.len())] {
@@ -522,7 +557,7 @@ impl<'s, E: RefinementEngine> CellCover<'s, E> {
         let run = dispatch(
             left.len().div_ceil(size),
             cfg.threads,
-            cfg.mode,
+            ScheduleMode::Dynamic,
             |i, out| {
                 self.probe_slice(
                     engine,
@@ -539,25 +574,34 @@ impl<'s, E: RefinementEngine> CellCover<'s, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::{build_right_index, probe};
     use crate::JoinRequest;
     use geom::engine::PreparedEngine;
     use geom::{Geometry, Polygon};
 
-    /// The serial reference: one R-tree, one probe loop.
+    /// The serial reference: a one-thread build, then the probe loop in
+    /// input order.
     fn serial_join(left: &[PointRecord], right: &[GeomRecord]) -> Vec<JoinPair> {
-        let tree = build_right_index(right, SpatialPredicate::Within, &PreparedEngine);
+        let set = PreparedSet::prepare(right, SpatialPredicate::Within, &PreparedEngine);
         let mut out = Vec::new();
         for &(id, p) in left {
-            probe(
-                &tree,
-                SpatialPredicate::Within,
-                &PreparedEngine,
-                id,
-                p,
-                &mut out,
-            );
+            set.probe_into(&PreparedEngine, id, p, &mut out);
         }
+        out
+    }
+
+    /// Pairs one point emits against two horizontal lines at y = 0
+    /// (id 10) and y = 4 (id 11).
+    fn probe_lines(predicate: SpatialPredicate, p: Point) -> Vec<(i64, i64)> {
+        let right: Vec<GeomRecord> = [
+            (10, "LINESTRING (0 0, 10 0)"),
+            (11, "LINESTRING (0 4, 10 4)"),
+        ]
+        .into_iter()
+        .map(|(id, wkt)| (id, geom::wkt::parse(wkt).unwrap()))
+        .collect();
+        let set = PreparedSet::prepare(&right, predicate, &PreparedEngine);
+        let mut out = Vec::new();
+        set.probe_into(&PreparedEngine, 7, p, &mut out);
         out
     }
 
@@ -601,24 +645,52 @@ mod tests {
         let engine = PreparedEngine;
         let serial = serial_join(&left, &right);
         for threads in [1, 2, 4, 7] {
-            for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
-                for morsel_size in [3, 64, 100_000] {
-                    let cfg = MorselConfig {
-                        threads,
-                        mode,
-                        morsel_size,
-                    };
-                    let par = JoinRequest::new(&left, &right, &engine)
-                        .config(cfg)
-                        .run()
-                        .pairs;
-                    assert_eq!(
-                        par, serial,
-                        "threads={threads} mode={mode:?} morsel={morsel_size}"
-                    );
-                }
+            for morsel_size in [3, 64, 100_000] {
+                let cfg = MorselConfig {
+                    threads,
+                    morsel_size,
+                };
+                let par = JoinRequest::new(&left, &right, &engine)
+                    .config(cfg)
+                    .run()
+                    .pairs;
+                assert_eq!(par, serial, "threads={threads} morsel={morsel_size}");
             }
         }
+    }
+
+    #[test]
+    fn indexed_join_matches_nested_loop() {
+        let left = grid_points(10);
+        let right = quadrant_polys(5.0);
+        let indexed = crate::normalize_pairs(serial_join(&left, &right));
+        let nested = JoinRequest::new(&left, &right, &PreparedEngine)
+            .nested_loop()
+            .run()
+            .pairs;
+        assert_eq!(indexed, crate::normalize_pairs(nested));
+        assert_eq!(indexed.len(), 100);
+    }
+
+    #[test]
+    fn nearest_emits_single_argmin_pair() {
+        // y = 1 is nearer to the y = 0 line.
+        let out = probe_lines(SpatialPredicate::Nearest(5.0), Point::new(5.0, 1.0));
+        assert_eq!(out, vec![(7, 10)]);
+    }
+
+    #[test]
+    fn nearest_tie_breaks_by_smaller_right_id() {
+        // y = 2 is equidistant from both lines.
+        let out = probe_lines(SpatialPredicate::Nearest(5.0), Point::new(5.0, 2.0));
+        assert_eq!(out, vec![(7, 10)]);
+    }
+
+    #[test]
+    fn nearestd_emits_every_candidate_in_range() {
+        let mut out = probe_lines(SpatialPredicate::NearestD(3.0), Point::new(5.0, 2.0));
+        out.sort_unstable();
+        assert_eq!(out, vec![(7, 10), (7, 11)]);
     }
 
     #[test]
@@ -655,21 +727,13 @@ mod tests {
         let right = quadrant_polys(6.0);
         let engine = PreparedEngine;
         let set = PreparedSet::prepare(&right, SpatialPredicate::Within, &engine);
-        let serial = serial_join(&left, &right);
-        for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
-            let cfg = MorselConfig {
-                threads: 4,
-                mode,
-                morsel_size: 10,
-            };
-            let (pairs, timings, _) = set.par_probe_observed(&left, &engine, cfg);
-            assert_eq!(pairs, serial, "{mode:?}");
-            assert_eq!(
-                timings.len(),
-                left.len().div_ceil(cfg.morsel_size),
-                "{mode:?}"
-            );
-        }
+        let cfg = MorselConfig {
+            threads: 4,
+            morsel_size: 10,
+        };
+        let (pairs, timings, _) = set.par_probe_observed(&left, &engine, cfg);
+        assert_eq!(pairs, serial_join(&left, &right));
+        assert_eq!(timings.len(), left.len().div_ceil(cfg.morsel_size));
     }
 
     #[test]

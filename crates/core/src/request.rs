@@ -159,7 +159,7 @@ impl<'a, E: RefinementEngine> JoinRequest<'a, E> {
 /// refinement call; accepted pairs count as refine accepts. One obs
 /// flush for the whole join.
 ///
-/// For [`SpatialPredicate::Nearest`] it applies `rtree::probe_with`'s
+/// For [`SpatialPredicate::Nearest`] it applies [`PreparedSet::probe_into`]'s
 /// arg-min: among the candidates within D, the smallest distance wins,
 /// ties go to the smaller right id, and each point emits at most one
 /// pair.

@@ -27,8 +27,8 @@
 //!   testable.
 //! * **Reporting = [`RunStats`] trees.** Counters, per-worker
 //!   busy/wait nanoseconds and span timings aggregate into a named
-//!   tree that serialises to JSON next to the existing
-//!   `results/BENCH_*.json` artifacts (hand-rolled writer, no serde).
+//!   tree that serialises to JSON inside the `results/BENCH_*.json`
+//!   artifacts (hand-rolled writer, no serde).
 
 use std::cell::Cell;
 use std::fmt::Write as _;
@@ -452,16 +452,6 @@ impl RunStats {
             let _ = writeln!(out, "{pad}  ]");
         }
         let _ = write!(out, "{pad}}}");
-    }
-
-    /// Writes the tree as a JSON file at `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        let mut json = self.to_json();
-        json.push('\n');
-        std::fs::write(path, json)
     }
 }
 

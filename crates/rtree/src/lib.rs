@@ -7,8 +7,6 @@
 //!   the paper) and of the in-memory R-tree ISP-MC builds from the
 //!   broadcast right-side table (§IV).
 
-pub mod probe;
 pub mod str_tree;
 
-pub use probe::probe_with;
 pub use str_tree::RTree;

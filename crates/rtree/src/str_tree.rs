@@ -187,7 +187,8 @@ impl<T> RTree<T> {
     /// Calls `visit` for every item whose envelope lies within `distance`
     /// of `p` — the filtering step of the `NearestD` joins. Returns the
     /// number of nodes popped; the caller folds it into its own obs
-    /// flush (`probe_with` pays one TLS access per point, not two).
+    /// flush (`PreparedSet::probe_into` pays one TLS access per point,
+    /// not two).
     ///
     /// At `distance == 0` (every join probe: the envelopes are
     /// pre-expanded) the test compares the squared distance with zero,

@@ -3,7 +3,7 @@
 //!
 //! A broadcast `Within` request on `PreparedEngine` probes a cell
 //! covering instead of the STR tree. The contract is bit-identity: its
-//! pairs equal the hand-rolled `build_right_index` + `probe` loop
+//! pairs equal the hand-rolled one-thread `PreparedSet` probe loop
 //! element for element, order included, at 1, 2 and 7 threads. The
 //! inputs aim at the covering's weak spots: points on grid lines, on
 //! polygon vertices and edges and a hair off them, shared edges of a
@@ -15,7 +15,6 @@
 use geom::engine::{PreparedEngine, SpatialPredicate};
 use geom::{Envelope, Geometry, HasEnvelope, MultiPolygon, Point, Polygon};
 use proph::{check_with, f64_range, usize_range, vec_of, Config, Gen, GenExt};
-use spatialjoin::join::{build_right_index, probe};
 use spatialjoin::{CellCover, GeomRecord, JoinPair, JoinRequest, PointRecord, PreparedSet};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -29,17 +28,10 @@ fn cfg() -> Config {
 
 /// The STR reference loop, spelled out by hand.
 fn reference(left: &[PointRecord], right: &[GeomRecord]) -> Vec<JoinPair> {
-    let tree = build_right_index(right, SpatialPredicate::Within, &PreparedEngine);
+    let set = PreparedSet::prepare(right, SpatialPredicate::Within, &PreparedEngine);
     let mut out = Vec::new();
     for &(id, p) in left {
-        probe(
-            &tree,
-            SpatialPredicate::Within,
-            &PreparedEngine,
-            id,
-            p,
-            &mut out,
-        );
+        set.probe_into(&PreparedEngine, id, p, &mut out);
     }
     out
 }

@@ -4,10 +4,10 @@
 //! Three contracts:
 //!
 //! * **Bit-identity** — the broadcast strategy matches the hand-rolled
-//!   build-index-then-probe loop, the nested-loop strategy matches an
-//!   inline reference double loop (and the broadcast strategy on
-//!   arg-min `Nearest`), and the output is identical across thread
-//!   counts.
+//!   one-thread `PreparedSet` probe loop, the nested-loop strategy
+//!   matches an inline reference double loop (and the broadcast
+//!   strategy on arg-min `Nearest`), and the output is identical across
+//!   thread counts.
 //! * **Accounting** — the [`obs::RunStats`] carried by every outcome
 //!   obey the counter algebra: for `Within`, refinement accepts plus
 //!   interior-cell pairs equal the pairs, filter hits equal refinement
@@ -17,12 +17,10 @@
 //! * **Predicate agreement** — every `Nearest(d)` pair is a
 //!   `NearestD(d)` pair on every engine, polygon targets included.
 
-use cluster::ScheduleMode;
 use geom::engine::{FlatEngine, NaiveEngine, PreparedEngine, RefinementEngine, SpatialPredicate};
 use geom::{Envelope, Geometry, Point, Polygon};
 use proph::{check_with, f64_range, vec_of, Config, Gen, GenExt};
-use spatialjoin::join::{build_right_index, probe};
-use spatialjoin::{GeomRecord, JoinPair, JoinRequest, MorselConfig, PointRecord};
+use spatialjoin::{GeomRecord, JoinPair, JoinRequest, PointRecord, PreparedSet};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
@@ -79,10 +77,10 @@ fn broadcast_request_is_bit_identical_to_manual_probe_loop() {
             let engine = PreparedEngine;
             for predicate in [SpatialPredicate::Within, SpatialPredicate::NearestD(3.0)] {
                 // The serial reference loop, spelled out by hand.
-                let tree = build_right_index(&right, predicate, &engine);
+                let set = PreparedSet::prepare(&right, predicate, &engine);
                 let mut reference = Vec::new();
                 for &(id, p) in &left {
-                    probe(&tree, predicate, &engine, id, p, &mut reference);
+                    set.probe_into(&engine, id, p, &mut reference);
                 }
                 for threads in THREAD_COUNTS {
                     let outcome = JoinRequest::new(&left, &right, &engine)
@@ -248,19 +246,15 @@ fn counters_do_not_depend_on_thread_count_or_schedule() {
             let engine = PreparedEngine;
             let baseline = JoinRequest::new(&left, &right, &engine).threads(1).run();
             for threads in THREAD_COUNTS {
-                for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
-                    let outcome = JoinRequest::new(&left, &right, &engine)
-                        .config(MorselConfig {
-                            mode,
-                            ..MorselConfig::new(threads)
-                        })
-                        .run();
-                    assert_eq!(outcome.pairs, baseline.pairs);
-                    // Every counter, the morsel count included, is
-                    // deterministic.
-                    let (a, b) = (baseline.stats.counters, outcome.stats.counters);
-                    assert_eq!(a, b, "counters diverged at {threads} threads ({mode:?})");
-                }
+                let outcome = JoinRequest::new(&left, &right, &engine)
+                    .threads(threads)
+                    .run();
+                assert_eq!(outcome.pairs, baseline.pairs);
+                // Every counter, the morsel count included, is
+                // deterministic, whichever worker the dynamic schedule
+                // hands each morsel to.
+                let (a, b) = (baseline.stats.counters, outcome.stats.counters);
+                assert_eq!(a, b, "counters diverged at {threads} threads");
             }
         },
     );

@@ -91,7 +91,6 @@ fn par_probe_allocates_far_less_than_one_geometry_copy() {
     let set = PreparedSet::prepare(&right, SpatialPredicate::Within, &engine);
     let cfg = MorselConfig {
         threads: 4,
-        mode: cluster::ScheduleMode::Dynamic,
         morsel_size: 64,
     };
 

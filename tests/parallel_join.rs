@@ -2,21 +2,17 @@
 //! on the in-tree `proph` harness plus fixed adversarial cases.
 //!
 //! The contract under test (see `DESIGN.md`): a broadcast
-//! `JoinRequest` is **bit-identical** to the serial
-//! `build_right_index` + `probe` loop — same pairs, same order — at
-//! every thread count, schedule mode and morsel size, for every
-//! predicate, the arg-min `Nearest` included.
+//! `JoinRequest` is **bit-identical** to the serial loop of
+//! `PreparedSet::probe_into` in input order — same pairs, same order —
+//! at every thread count and morsel size, for every predicate, the
+//! arg-min `Nearest` included.
 
-use cluster::ScheduleMode;
 use geom::engine::{PreparedEngine, SpatialPredicate};
 use geom::{Envelope, Geometry, Point, Polygon};
 use proph::{check_with, f64_range, usize_range, vec_of, Config, Gen, GenExt};
-use spatialjoin::join::{build_right_index, probe};
-use spatialjoin::parallel::MorselConfig;
-use spatialjoin::{GeomRecord, JoinPair, JoinRequest, PointRecord};
+use spatialjoin::{GeomRecord, JoinPair, JoinRequest, MorselConfig, PointRecord, PreparedSet};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
-const MODES: [ScheduleMode; 2] = [ScheduleMode::Dynamic, ScheduleMode::Static];
 const PREDICATES: [SpatialPredicate; 3] = [
     SpatialPredicate::Within,
     SpatialPredicate::NearestD(3.0),
@@ -57,17 +53,17 @@ fn right_rects() -> impl Gen<Value = Vec<GeomRecord>> {
     })
 }
 
-/// The serial reference loop: one R-tree over the right side, every
-/// left point probed in input order.
+/// The serial reference loop: a one-thread build of the right side,
+/// every left point probed in input order.
 fn serial_join(
     left: &[PointRecord],
     right: &[GeomRecord],
     predicate: SpatialPredicate,
 ) -> Vec<JoinPair> {
-    let tree = build_right_index(right, predicate, &PreparedEngine);
+    let set = PreparedSet::prepare(right, predicate, &PreparedEngine);
     let mut out = Vec::new();
     for &(id, p) in left {
-        probe(&tree, predicate, &PreparedEngine, id, p, &mut out);
+        set.probe_into(&PreparedEngine, id, p, &mut out);
     }
     out
 }
@@ -86,7 +82,7 @@ fn broadcast_join(
 }
 
 fn small_config() -> Config {
-    // Each case sweeps 3 thread counts × 2 modes × 3 predicates, with
+    // Each case sweeps 3 thread counts × 3 predicates, with
     // real thread spawns — keep the case budget modest.
     Config {
         cases: 24,
@@ -98,18 +94,15 @@ fn assert_broadcast_equivalence(left: &[PointRecord], right: &[GeomRecord], mors
     for predicate in PREDICATES {
         let serial = serial_join(left, right, predicate);
         for threads in THREAD_COUNTS {
-            for mode in MODES {
-                let cfg = MorselConfig {
-                    threads,
-                    mode,
-                    morsel_size,
-                };
-                let par = broadcast_join(left, right, predicate, cfg);
-                assert_eq!(
-                    par, serial,
-                    "broadcast: threads={threads} mode={mode:?} morsel={morsel_size} {predicate:?}"
-                );
-            }
+            let cfg = MorselConfig {
+                threads,
+                morsel_size,
+            };
+            let par = broadcast_join(left, right, predicate, cfg);
+            assert_eq!(
+                par, serial,
+                "broadcast: threads={threads} morsel={morsel_size} {predicate:?}"
+            );
         }
     }
 }
@@ -143,7 +136,7 @@ fn empty_sides_are_equivalent() {
 #[test]
 fn all_points_in_one_cell_are_equivalent() {
     // Every left point lies in one tiny patch of space: the skewed
-    // case where static chunking gives one worker all the work.
+    // case where a few morsels carry all the work.
     let left: Vec<PointRecord> = (0..200)
         .map(|i| (i as i64, Point::new(5.0 + (i as f64) * 1e-3, 5.0)))
         .collect();
@@ -191,18 +184,12 @@ fn nearest_ties_resolve_identically_in_parallel() {
     ] {
         let serial = serial_join(&left, &right, predicate);
         for threads in THREAD_COUNTS {
-            for mode in MODES {
-                let cfg = MorselConfig {
-                    threads,
-                    mode,
-                    morsel_size: 5,
-                };
-                let par = broadcast_join(&left, &right, predicate, cfg);
-                assert_eq!(
-                    par, serial,
-                    "ties: threads={threads} mode={mode:?} {predicate:?}"
-                );
-            }
+            let cfg = MorselConfig {
+                threads,
+                morsel_size: 5,
+            };
+            let par = broadcast_join(&left, &right, predicate, cfg);
+            assert_eq!(par, serial, "ties: threads={threads} {predicate:?}");
         }
     }
 }

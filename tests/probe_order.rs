@@ -2,11 +2,10 @@
 //! scatters its pairs back to input order. This property suite pins
 //! that down: `PreparedSet::par_probe_observed` returns exactly the
 //! pairs, in exactly the order, of a serial input-order loop of
-//! `PreparedSet::probe_into`, for every predicate, thread count, morsel
-//! size and schedule mode, on left sides with duplicate ids, coincident
-//! points, points outside every envelope and degenerate extents.
+//! `PreparedSet::probe_into`, for every predicate, thread count and
+//! morsel size, on left sides with duplicate ids, coincident points,
+//! points outside every envelope and degenerate extents.
 
-use cluster::ScheduleMode;
 use geom::engine::{PreparedEngine, SpatialPredicate};
 use geom::{Geometry, LineString, Point, Polygon};
 use proph::{check_with, f64_range, i64_range, usize_range, vec_of, Config, Gen, GenExt};
@@ -115,20 +114,16 @@ fn z_ordered_probe_equals_the_input_order_loop() {
             let expected = serial(&set, &left);
             for threads in [1, 2, 3] {
                 for morsel_size in [1, 7, 2048] {
-                    for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
-                        let cfg = MorselConfig {
-                            threads,
-                            mode,
-                            morsel_size,
-                        };
-                        let (pairs, timings, _) =
-                            set.par_probe_observed(&left, &PreparedEngine, cfg);
-                        assert_eq!(
-                            pairs, expected,
-                            "{predicate:?} threads={threads} morsel={morsel_size} {mode:?}"
-                        );
-                        assert_eq!(timings.len(), left.len().div_ceil(morsel_size));
-                    }
+                    let cfg = MorselConfig {
+                        threads,
+                        morsel_size,
+                    };
+                    let (pairs, timings, _) = set.par_probe_observed(&left, &PreparedEngine, cfg);
+                    assert_eq!(
+                        pairs, expected,
+                        "{predicate:?} threads={threads} morsel={morsel_size}"
+                    );
+                    assert_eq!(timings.len(), left.len().div_ceil(morsel_size));
                 }
             }
         }

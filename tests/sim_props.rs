@@ -1,11 +1,13 @@
 //! Property tests for the cluster replay simulator, on the in-tree
 //! `proph` harness.
 //!
-//! These pin the invariants the Fig. 4/5 schedule-mode ablation leans
-//! on: no scheduler beats the work/cores lower bound, utilisation is a
-//! true fraction, `StaticLocality` really honours its hints, and
-//! dynamic scheduling never loses to static chunking on the hot-front
-//! task sets that spatially sorted skewed data produces.
+//! These pin the invariants the Fig. 4/5 replays lean on (SpatialSpark
+//! replays under `Dynamic`; ISP-MC's replay uses `StaticLocality` for
+//! its scan ranges and `StaticChunked` within a node): no scheduler
+//! beats the work/cores lower bound, utilisation is a true fraction,
+//! `StaticLocality` really honours its hints, and dynamic scheduling
+//! never loses to static chunking on the hot-front task sets that
+//! spatially sorted skewed data produces.
 
 use cluster::{simulate, ClusterSpec, Scheduler, SimReport, TaskSpec};
 use proph::{check_with, f64_range, usize_range, vec_of, Config, Gen, GenExt};
