@@ -180,7 +180,7 @@ fn main() -> Result<(), BenchError> {
         &failover,
     )
     .map_err(|e| BenchError::Usage(format!("writing artifact: {e}")))?;
-    eprintln!("# wrote {path}");
+    eprintln!("# wrote {}", path.display());
     Ok(())
 }
 
@@ -268,7 +268,7 @@ fn checksum_failover_rows(w: &Workload) -> Result<Vec<FailoverRow>, BenchError> 
         let before = obs::thread_snapshot();
         let read = dfs.read_all_lines("/replicated");
         let delta = obs::thread_snapshot().minus(&before);
-        let read_ok = matches!(&read, Ok(got) if *got == lines);
+        let read_ok = matches!(&read, Ok(got) if got.iter().eq(&lines));
         out.push(FailoverRow {
             rate,
             replicas_corrupted: corrupted,
@@ -329,7 +329,7 @@ fn write_json(
     ispmc: Spread,
     rows: &[LiveRow],
     failover: &[FailoverRow],
-) -> std::io::Result<&'static str> {
+) -> std::io::Result<std::path::PathBuf> {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"fault_tolerance\",");
@@ -393,10 +393,7 @@ fn write_json(
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
 
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_fault_tolerance.json"
-    );
-    std::fs::write(path, &json)?;
+    let path = bench::results_path("BENCH_fault_tolerance.json")?;
+    std::fs::write(&path, &json)?;
     Ok(path)
 }

@@ -131,7 +131,7 @@ fn main() -> Result<(), BenchError> {
         move |e: std::io::Error| BenchError::Usage(format!("writing {what}: {e}"))
     };
     let path = write_paper_json(&replay, threads, &exps, &refine, &shapes).map_err(io("paper"))?;
-    println!("wrote {path}");
+    println!("wrote {}", path.display());
     eprintln!("# wall time {:.1} s", t0.elapsed().as_secs_f64());
 
     match exps.iter().find(|e| !e.pairs_agree) {

@@ -41,6 +41,29 @@ pub mod paths {
     pub const WWF: &str = "/data/wwf";
 }
 
+/// The artifact `results/<name>` of the workspace the binary runs in,
+/// found at run time: the nearest ancestor of the current directory
+/// whose `Cargo.toml` declares `[workspace]`. A path fixed at build time
+/// would let a binary built in one checkout overwrite another's
+/// artifact.
+///
+/// # Errors
+/// `NotFound` when no ancestor of the current directory is a workspace
+/// root.
+pub fn results_path(name: &str) -> std::io::Result<std::path::PathBuf> {
+    let cwd = std::env::current_dir()?;
+    let is_root = |dir: &&std::path::Path| {
+        std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|t| t.contains("[workspace]"))
+    };
+    let root = cwd.ancestors().find(is_root).ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            format!("no Cargo workspace above {}", cwd.display()),
+        )
+    })?;
+    Ok(root.join("results").join(name))
+}
+
 /// Harness failure: dataset generation, a system run, or CLI usage.
 ///
 /// The binaries return this from `main` instead of panicking, so a
@@ -471,6 +494,17 @@ mod tests {
             Experiment::TaxiLion500.predicate(),
             SpatialPredicate::NearestD(500.0)
         );
+    }
+
+    #[test]
+    fn results_path_is_under_the_running_workspace() {
+        // Tests run in the crate's directory, two levels below the root.
+        let path = results_path("BENCH_x.json").unwrap();
+        assert!(path.ends_with("results/BENCH_x.json"), "{path:?}");
+        let root = path.parent().and_then(std::path::Path::parent).unwrap();
+        let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
+        assert!(manifest.contains("[workspace]"));
+        assert!(std::env::current_dir().unwrap().starts_with(root));
     }
 
     #[test]

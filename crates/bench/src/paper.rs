@@ -456,7 +456,7 @@ pub fn write_paper_json(
     exps: &[ExperimentRuns],
     refine: &[RefinementRow],
     shapes: &[Shape],
-) -> std::io::Result<&'static str> {
+) -> std::io::Result<std::path::PathBuf> {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"paper\",");
@@ -534,11 +534,8 @@ pub fn write_paper_json(
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
 
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_paper.json"
-    );
-    std::fs::write(path, &json)?;
+    let path = crate::results_path("BENCH_paper.json")?;
+    std::fs::write(&path, &json)?;
     Ok(path)
 }
 

@@ -51,12 +51,6 @@ impl IspMcRun {
         self.result.metrics.simulate_runtime(&self.conf, num_nodes)
     }
 
-    /// Simulated runtime of the standalone single-node program (the
-    /// last column of Table 1).
-    pub fn standalone_runtime(&self) -> f64 {
-        self.result.metrics.simulate_standalone(&self.conf)
-    }
-
     /// Total measured CPU seconds.
     pub fn total_work(&self) -> f64 {
         self.result.metrics.total_work()
@@ -184,7 +178,9 @@ mod tests {
             .spatial_join("pnt", "poly", SpatialPredicate::Within)
             .unwrap();
         assert_eq!(run.pair_count(), 100);
-        assert!(run.standalone_runtime() <= run.simulated_runtime(1));
+        let cluster = ImpaladConf::default().cluster;
+        let standalone = run.result.metrics.simulate_standalone_on(&cluster);
+        assert!(standalone <= run.simulated_runtime(1));
         assert!(run.sql.contains("ST_WITHIN"));
         let stats = run.run_stats();
         assert_eq!(stats.name, "ispmc");

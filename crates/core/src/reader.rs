@@ -112,29 +112,43 @@ impl RecordReader {
     }
 
     /// Parses many lines into point records, dropping malformed lines.
-    /// Returns the records plus the number of lines skipped; one obs
-    /// flush for the whole batch.
-    pub fn read_points(&self, lines: &[String]) -> (Vec<PointRecord>, usize) {
-        let mut out = Vec::with_capacity(lines.len());
-        let mut skipped = 0usize;
-        for line in lines {
-            match self.parse_point(line) {
-                Ok(rec) => out.push(rec),
-                Err(_) => skipped += 1,
-            }
-        }
-        obs::records(out.len() as u64, skipped as u64);
-        (out, skipped)
+    /// Takes any line source, such as a `&Vec<String>` or the borrowed
+    /// view `MiniDfs::read_all_lines` returns. Returns the records plus
+    /// the number of lines skipped; one obs flush for the whole batch.
+    pub fn read_points<I>(&self, lines: I) -> (Vec<PointRecord>, usize)
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
+        self.read_all(lines, |line| self.parse_point(line))
     }
 
     /// Parses many lines into geometry records, dropping malformed
-    /// lines. Returns the records plus the number of lines skipped; one
-    /// obs flush for the whole batch.
-    pub fn read_geoms(&self, lines: &[String]) -> (Vec<GeomRecord>, usize) {
-        let mut out = Vec::with_capacity(lines.len());
+    /// lines, like [`RecordReader::read_points`].
+    pub fn read_geoms<I>(&self, lines: I) -> (Vec<GeomRecord>, usize)
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
+        self.read_all(lines, |line| self.parse_geom(line))
+    }
+
+    /// The batch loop behind both readers. The output is sized by the
+    /// source's record count (its size hint) before the first parse.
+    fn read_all<I, R>(
+        &self,
+        lines: I,
+        parse: impl Fn(&str) -> Result<R, RecordError>,
+    ) -> (Vec<R>, usize)
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
+        let lines = lines.into_iter();
+        let mut out = Vec::with_capacity(lines.size_hint().0);
         let mut skipped = 0usize;
         for line in lines {
-            match self.parse_geom(line) {
+            match parse(line.as_ref()) {
                 Ok(rec) => out.push(rec),
                 Err(_) => skipped += 1,
             }

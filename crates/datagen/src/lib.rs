@@ -134,7 +134,7 @@ mod tests {
         let stat = write_dataset(&dfs, "/pts", &geoms).unwrap();
         assert_eq!(stat.total_records, 1);
         let lines = dfs.read_all_lines("/pts").unwrap();
-        let wkt_col = lines[0].split('\t').nth(1).unwrap();
+        let wkt_col = lines.iter().next().unwrap().split('\t').nth(1).unwrap();
         assert_eq!(
             geom::wkt::parse(wkt_col).unwrap().as_point(),
             Some(Point::new(5.0, 6.0))

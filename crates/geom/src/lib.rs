@@ -30,6 +30,7 @@
 pub mod algorithms;
 pub mod binary;
 pub mod cells;
+mod decimal;
 pub mod engine;
 pub mod envelope;
 pub mod error;

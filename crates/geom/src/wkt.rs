@@ -5,7 +5,17 @@
 //! strings in the Well-Known-Text format", §IV), so the parser here is a
 //! hot path and written as a single-pass recursive-descent scanner over
 //! the input bytes with no intermediate token vector.
+//!
+//! Coordinates, nearly all of the bytes, are read in that same pass: the
+//! number kernel (`decimal`) accumulates each token's significand while
+//! it scans it and converts it exactly (Clinger's fast path, else
+//! Eisel–Lemire), so no byte is looked at twice. A token outside the
+//! kernel's strict grammar (a leading `+`, more than 19 significant
+//! digits, a subnormal or non-finite value) is scanned again and handed
+//! to `str::parse`, which yields the same double and the same errors at
+//! the same offsets as before the kernel existed.
 
+use crate::decimal;
 use crate::error::GeomError;
 use crate::geometry::Geometry;
 use crate::linestring::LineString;
@@ -183,17 +193,30 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Reads one finite coordinate. A token that overflows `f64` (say
-    /// `1e999`) would parse as an infinity, which no envelope, index or
-    /// predicate handles, so it is malformed like any other bad number.
+    /// Reads one finite coordinate in a single pass over its bytes
+    /// ([`decimal::parse`]); a token that pass declines takes
+    /// [`Parser::general_number`].
+    #[inline]
     fn number(&mut self) -> Result<f64, GeomError> {
         self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len() {
-            match self.bytes[self.pos] {
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E' => self.pos += 1,
-                _ => break,
+        match decimal::parse(&self.bytes[self.pos..]) {
+            Some((v, len)) => {
+                self.pos += len;
+                Ok(v)
             }
+            None => self.general_number(),
+        }
+    }
+
+    /// Scans the longest run of number bytes and hands it to
+    /// `str::parse`. A token that overflows `f64` (say `1e999`) would
+    /// parse as an infinity, which no envelope, index or predicate
+    /// handles, so it is malformed like any other bad number.
+    #[cold]
+    fn general_number(&mut self) -> Result<f64, GeomError> {
+        let start = self.pos;
+        while self.pos < self.bytes.len() && decimal::is_number_byte(self.bytes[self.pos]) {
+            self.pos += 1;
         }
         if self.pos == start {
             return Err(self.error("expected a number"));

@@ -201,11 +201,6 @@ impl QueryMetrics {
             + simulate(&self.probe_tasks(), &single, Scheduler::StaticChunked).makespan
     }
 
-    /// Standalone replay on the configured node type.
-    pub fn simulate_standalone(&self, conf: &ImpaladConf) -> f64 {
-        self.simulate_standalone_on(&conf.cluster)
-    }
-
     /// Number of row batches the left side produced.
     pub fn num_batches(&self) -> usize {
         self.probe_batches.len()
@@ -294,7 +289,7 @@ mod tests {
             chunks_per_batch: 2,
             result_rows: 100,
         };
-        let standalone = metrics.simulate_standalone(&conf);
+        let standalone = metrics.simulate_standalone_on(&conf.cluster);
         let one_node = metrics.simulate_runtime(&conf, 1);
         assert!(
             one_node > standalone,

@@ -1,11 +1,14 @@
-//! Cheap-to-clone immutable byte buffers for block payloads.
+//! Cheap-to-clone immutable buffers for block payloads.
 //!
 //! A minimal in-tree replacement for the `bytes` crate: block payloads
 //! are written once and then shared read-only between the namenode map
 //! and every reader handle, so an `Arc<[u8]>` with slicing-free
-//! semantics is all the file system needs.
+//! semantics is all the file system needs. [`Text`] is the same buffer
+//! once it is known to be UTF-8, so readers borrow `&str` lines from it
+//! without checking the bytes again.
 
 use std::ops::Deref;
+use std::str::Utf8Error;
 use std::sync::Arc;
 
 /// An immutable, reference-counted byte buffer. Cloning is O(1).
@@ -92,6 +95,43 @@ impl std::fmt::Debug for Bytes {
     }
 }
 
+/// An immutable, reference-counted UTF-8 buffer. Cloning is O(1).
+#[derive(Clone, PartialEq, Eq)]
+pub struct Text {
+    data: Arc<str>,
+}
+
+impl Deref for Text {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.data
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Text {
+        Text { data: s.into() }
+    }
+}
+
+impl TryFrom<&Bytes> for Text {
+    type Error = Utf8Error;
+
+    /// Checks the bytes once and copies them into a text buffer.
+    fn try_from(b: &Bytes) -> Result<Text, Utf8Error> {
+        Ok(Text {
+            data: std::str::from_utf8(b)?.into(),
+        })
+    }
+}
+
+impl std::fmt::Debug for Text {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Text({} bytes)", self.data.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,6 +151,16 @@ mod tests {
         let a = Bytes::from(vec![1u8, 2, 3]);
         let b = a.clone();
         assert_eq!(a.as_ref().as_ptr(), b.as_ref().as_ptr());
+    }
+
+    #[test]
+    fn text_checks_utf8_once() {
+        let t = Text::try_from(&Bytes::from(String::from("a\nb\n"))).unwrap();
+        assert_eq!(&*t, "a\nb\n");
+        assert_eq!(t, Text::from(String::from("a\nb\n")));
+        assert_eq!(t.clone().as_ptr(), t.as_ptr());
+        assert!(Text::try_from(&Bytes::from(vec![b'a', 0xC3, 0x28])).is_err());
+        assert_eq!(format!("{t:?}"), "Text(4 bytes)");
     }
 
     #[test]

@@ -20,6 +20,14 @@ pub enum DfsError {
         /// Index of the block within the file.
         block: usize,
     },
+    /// A block's payload passed checksum verification but is not UTF-8
+    /// text, so it holds no records a reader could split.
+    NotUtf8 {
+        /// Path of the file holding the block.
+        path: String,
+        /// Index of the block within the file.
+        block: usize,
+    },
 }
 
 impl fmt::Display for DfsError {
@@ -32,6 +40,9 @@ impl fmt::Display for DfsError {
                 f,
                 "block {block} of {path}: all replicas failed checksum verification"
             ),
+            DfsError::NotUtf8 { path, block } => {
+                write!(f, "block {block} of {path}: payload is not UTF-8 text")
+            }
         }
     }
 }

@@ -5,14 +5,16 @@ use std::sync::Arc;
 
 use sync::RwLock;
 
-use crate::bytes::Bytes;
+use crate::bytes::{Bytes, Text};
 use crate::checksum::crc32;
 use crate::error::DfsError;
 
 /// One stored block: payload plus placement plus integrity metadata.
 #[derive(Debug, Clone)]
 struct Block {
-    data: Bytes,
+    /// The clean payload, text by construction (`write_lines` joins
+    /// `&str` records).
+    data: Text,
     /// Datanodes holding a replica; the first is the primary.
     replicas: Vec<usize>,
     num_records: usize,
@@ -27,10 +29,10 @@ struct Block {
 
 impl Block {
     /// The bytes replica slot `r` would serve.
-    fn replica_payload(&self, r: usize) -> &Bytes {
+    fn replica_payload(&self, r: usize) -> &[u8] {
         match self.replica_data.get(r).and_then(|d| d.as_ref()) {
             Some(bytes) => bytes,
-            None => &self.data,
+            None => self.data.as_bytes(),
         }
     }
 }
@@ -43,7 +45,7 @@ struct File {
 }
 
 /// A lightweight handle describing one block of a file, as returned to
-/// readers. Cloning is cheap ([`Bytes`] is reference counted).
+/// readers. Cloning is cheap ([`Text`] is reference counted).
 #[derive(Debug, Clone)]
 pub struct BlockRef {
     /// Position of the block within its file.
@@ -53,19 +55,22 @@ pub struct BlockRef {
     pub primary_node: usize,
     /// All datanodes holding a replica.
     pub replicas: Vec<usize>,
-    /// The block payload (UTF-8 text, newline-separated records).
-    pub data: Bytes,
+    /// The verified block payload: UTF-8 text, newline-separated
+    /// records.
+    pub data: Text,
     /// Number of records (lines) in the block.
     pub num_records: usize,
 }
 
 impl BlockRef {
-    /// Iterates over the records (lines) of this block.
-    ///
-    /// Blocks are always valid UTF-8 because `write_lines` produces
-    /// them; a corrupted block yields no records rather than panicking.
-    pub fn lines(&self) -> impl Iterator<Item = &str> {
-        std::str::from_utf8(&self.data).unwrap_or_default().lines()
+    // Every record of every read passes through these iterators.
+    // tidy:alloc-free:start
+
+    /// Iterates over the records (lines) of this block. The read that
+    /// produced the handle established that the payload is text, so
+    /// this neither fails nor checks the bytes again.
+    pub fn lines(&self) -> std::str::Lines<'_> {
+        self.data.lines()
     }
 
     /// Payload size in bytes.
@@ -78,6 +83,77 @@ impl BlockRef {
         self.data.is_empty()
     }
 }
+
+/// A whole file's records, borrowed from its verified blocks, as
+/// [`MiniDfs::read_all_lines`] returns them. Iterating `&FileLines`
+/// yields each line as a `&str` into its block, in file order, without
+/// copying it; [`FileLines::len`] is the file's record count, known
+/// before any line is split.
+#[derive(Debug, Clone)]
+pub struct FileLines {
+    blocks: Vec<BlockRef>,
+    records: usize,
+}
+
+impl FileLines {
+    /// Number of records in the file.
+    pub fn len(&self) -> usize {
+        self.records
+    }
+
+    /// True for a file with no records.
+    pub fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    /// The lines in file order.
+    pub fn iter(&self) -> Lines<'_> {
+        Lines {
+            blocks: self.blocks.iter(),
+            current: "".lines(),
+            remaining: self.records,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a FileLines {
+    type Item = &'a str;
+    type IntoIter = Lines<'a>;
+
+    fn into_iter(self) -> Lines<'a> {
+        self.iter()
+    }
+}
+
+/// The iterator over a [`FileLines`]: each block's lines in turn.
+#[derive(Debug, Clone)]
+pub struct Lines<'a> {
+    blocks: std::slice::Iter<'a, BlockRef>,
+    current: std::str::Lines<'a>,
+    /// Records not yet yielded; the size hint's lower bound (a record
+    /// holding a newline splits in two, so it is not an upper bound).
+    remaining: usize,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = &'a str;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a str> {
+        loop {
+            if let Some(line) = self.current.next() {
+                self.remaining = self.remaining.saturating_sub(1);
+                return Some(line);
+            }
+            self.current = self.blocks.next()?.lines();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, None)
+    }
+}
+// tidy:alloc-free:end
 
 /// File-level metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,8 +255,8 @@ impl MiniDfs {
                 return;
             }
             let replicas = self.place_block();
-            let data = Bytes::from(std::mem::take(buf));
-            let checksum = crc32(&data);
+            let data = Text::from(std::mem::take(buf));
+            let checksum = crc32(data.as_bytes());
             let replica_slots = replicas.len();
             blocks.push(Block {
                 data,
@@ -263,12 +339,15 @@ impl MiniDfs {
     /// skipped and the read silently fails over to the next one
     /// (counted on `obs::blocks_failed_over`); the returned
     /// [`BlockRef::primary_node`] is the replica that actually served
-    /// the read, so locality hints follow the surviving copy.
+    /// the read, so locality hints follow the surviving copy. The clean
+    /// payload is text by construction; a diverged replica that still
+    /// verifies has its bytes checked for UTF-8 once, here.
     ///
     /// # Errors
-    /// Fails with [`DfsError::NotFound`] for unknown paths and with
+    /// Fails with [`DfsError::NotFound`] for unknown paths, with
     /// [`DfsError::CorruptBlock`] when *every* replica of some block
-    /// fails verification.
+    /// fails verification, and with [`DfsError::NotUtf8`] when the
+    /// replica that verifies is not text.
     pub fn blocks(&self, path: &str) -> Result<Vec<BlockRef>, DfsError> {
         let files = self.inner.files.read();
         let f = files
@@ -276,19 +355,19 @@ impl MiniDfs {
             .ok_or_else(|| DfsError::NotFound(path.to_string()))?;
         let mut out = Vec::with_capacity(f.blocks.len());
         for (index, b) in f.blocks.iter().enumerate() {
-            let mut served = None;
-            for r in 0..b.replicas.len() {
-                let payload = b.replica_payload(r);
-                if crc32(payload) == b.checksum {
-                    served = Some((r, payload.clone()));
-                    break;
-                }
-            }
-            let Some((r, data)) = served else {
+            let served = (0..b.replicas.len()).find(|&r| crc32(b.replica_payload(r)) == b.checksum);
+            let Some(r) = served else {
                 return Err(DfsError::CorruptBlock {
                     path: path.to_string(),
                     block: index,
                 });
+            };
+            let data = match b.replica_data.get(r).and_then(Option::as_ref) {
+                None => b.data.clone(),
+                Some(bytes) => Text::try_from(bytes).map_err(|_| DfsError::NotUtf8 {
+                    path: path.to_string(),
+                    block: index,
+                })?,
             };
             if r > 0 {
                 obs::block_failed_over();
@@ -335,7 +414,7 @@ impl MiniDfs {
         // Flip a byte of the *clean* payload, not whatever the replica
         // currently serves: corrupting an already-corrupt replica must
         // leave it corrupt, never accidentally restore it.
-        let mut bad: Vec<u8> = b.data.as_slice().to_vec();
+        let mut bad: Vec<u8> = b.data.as_bytes().to_vec();
         match bad.first_mut() {
             Some(byte) => *byte ^= 0xFF,
             // A zero-byte payload cannot exist (write_lines never
@@ -386,18 +465,17 @@ impl MiniDfs {
         Ok(())
     }
 
-    /// Reads the whole file back as owned lines (test / example helper;
-    /// engines read block-wise for locality).
+    /// Reads the whole file as one borrowed view over its verified
+    /// blocks (the serial reader's input; engines read block-wise for
+    /// locality). No line is copied: iterating the view splits them out
+    /// of the block payloads.
     ///
     /// # Errors
-    /// Fails with [`DfsError::NotFound`] for unknown paths.
-    pub fn read_all_lines(&self, path: &str) -> Result<Vec<String>, DfsError> {
+    /// The same as [`MiniDfs::blocks`].
+    pub fn read_all_lines(&self, path: &str) -> Result<FileLines, DfsError> {
         let blocks = self.blocks(path)?;
-        let mut out = Vec::with_capacity(blocks.iter().map(|b| b.num_records).sum());
-        for b in blocks {
-            out.extend(b.lines().map(str::to_string));
-        }
-        Ok(out)
+        let records = blocks.iter().map(|b| b.num_records).sum();
+        Ok(FileLines { blocks, records })
     }
 }
 
@@ -407,6 +485,12 @@ mod tests {
 
     fn dfs() -> MiniDfs {
         MiniDfs::new(4, 64).unwrap() // tiny blocks to force splitting
+    }
+
+    /// The file's lines, copied out of the borrowed view.
+    fn read(dfs: &MiniDfs, path: &str) -> Vec<String> {
+        let view = dfs.read_all_lines(path).unwrap();
+        view.iter().map(str::to_string).collect()
     }
 
     #[test]
@@ -423,7 +507,7 @@ mod tests {
         let stat = dfs.write_lines("/data/test.txt", &lines).unwrap();
         assert_eq!(stat.total_records, 100);
         assert!(stat.num_blocks > 1, "64-byte blocks must split 100 lines");
-        assert_eq!(dfs.read_all_lines("/data/test.txt").unwrap(), lines);
+        assert_eq!(read(&dfs, "/data/test.txt"), lines);
     }
 
     #[test]
@@ -436,7 +520,7 @@ mod tests {
         assert_eq!(total, 50);
         for b in &blocks {
             // Every block ends with a full record.
-            assert!(b.data.ends_with(b"\n"));
+            assert!(b.data.ends_with('\n'));
             assert_eq!(b.lines().count(), b.num_records);
         }
     }
@@ -475,7 +559,7 @@ mod tests {
             Err(DfsError::AlreadyExists("/f".into()))
         );
         assert!(dfs.exists("/f"));
-        assert_eq!(dfs.read_all_lines("/f").unwrap(), vec!["x".to_string()]);
+        assert_eq!(read(&dfs, "/f"), ["x"]);
     }
 
     #[test]
@@ -510,10 +594,10 @@ mod tests {
         let after = dfs.blocks("/f").unwrap();
         assert_eq!(after[0].data, clean[0].data);
         assert_eq!(after[0].primary_node, clean[0].replicas[1]);
-        assert_eq!(dfs.read_all_lines("/f").unwrap(), lines);
+        assert_eq!(read(&dfs, "/f"), lines);
         // Corrupt replica 1 too: replica 2 still serves.
         dfs.corrupt_replica("/f", 0, 1).unwrap();
-        assert_eq!(dfs.read_all_lines("/f").unwrap(), lines);
+        assert_eq!(read(&dfs, "/f"), lines);
         // All three gone: the read reports the corrupt block.
         dfs.corrupt_replica("/f", 0, 2).unwrap();
         assert_eq!(
@@ -525,7 +609,7 @@ mod tests {
         );
         // Healing restores the clean payload everywhere.
         dfs.heal("/f").unwrap();
-        assert_eq!(dfs.read_all_lines("/f").unwrap(), lines);
+        assert_eq!(read(&dfs, "/f"), lines);
         let healed = dfs.blocks("/f").unwrap();
         assert_eq!(healed[0].primary_node, clean[0].primary_node);
     }
@@ -577,6 +661,52 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    #[test]
+    fn borrowed_view_yields_the_written_lines_in_order() {
+        let dfs = MiniDfs::with_replication(4, 64, 2).unwrap();
+        let lines: Vec<String> = (0..300)
+            .map(|i| format!("{i}\t{}", "y".repeat(i % 7)))
+            .collect();
+        let stat = dfs.write_lines("/many", &lines).unwrap();
+        assert!(stat.num_blocks > 20, "64-byte blocks must split 300 lines");
+        let view = dfs.read_all_lines("/many").unwrap();
+        assert_eq!(view.len(), 300);
+        assert_eq!(view.iter().size_hint(), (300, None));
+        assert!(view.iter().eq(&lines));
+        // Fail-over from corrupt primaries serves the same lines.
+        for b in (0..stat.num_blocks).step_by(3) {
+            dfs.corrupt_replica("/many", b, 0).unwrap();
+        }
+        assert_eq!(read(&dfs, "/many"), lines);
+        // An empty file is an empty view.
+        dfs.write_lines("/empty", Vec::<String>::new()).unwrap();
+        let empty = dfs.read_all_lines("/empty").unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(empty.iter().next(), None);
+    }
+
+    #[test]
+    fn replica_that_verifies_but_is_not_text_fails_the_read() {
+        let dfs = MiniDfs::with_replication(4, 64, 2).unwrap();
+        dfs.write_lines("/f", ["ok", "fine"]).unwrap();
+        // Plant a non-UTF-8 payload on the primary and record its CRC as
+        // the block's checksum, so it passes verification.
+        let bad = Bytes::from(vec![b'o', b'k', 0xC3, 0x28, b'\n']);
+        {
+            let mut files = dfs.inner.files.write();
+            let b = &mut files.get_mut("/f").unwrap().blocks[0];
+            b.checksum = crc32(&bad);
+            b.replica_data[0] = Some(bad);
+        }
+        let err = DfsError::NotUtf8 {
+            path: "/f".into(),
+            block: 0,
+        };
+        assert_eq!(dfs.blocks("/f").unwrap_err(), err);
+        assert_eq!(dfs.read_all_lines("/f").unwrap_err(), err);
+        assert_eq!(err.to_string(), "block 0 of /f: payload is not UTF-8 text");
     }
 
     #[test]

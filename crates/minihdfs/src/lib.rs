@@ -17,10 +17,10 @@ pub mod checksum;
 pub mod error;
 pub mod fs;
 
-pub use bytes::Bytes;
+pub use bytes::{Bytes, Text};
 pub use checksum::crc32;
 pub use error::DfsError;
-pub use fs::{BlockRef, FileStat, MiniDfs};
+pub use fs::{BlockRef, FileLines, FileStat, Lines, MiniDfs};
 
 /// Default block size: 4 MiB. Real HDFS uses 128 MiB; the scale factor
 /// of this reproduction's datasets is correspondingly smaller so that

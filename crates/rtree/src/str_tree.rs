@@ -172,18 +172,6 @@ impl<T> RTree<T> {
         self.height
     }
 
-    /// Calls `visit` for every item whose envelope intersects `query`.
-    pub fn for_each_intersecting<'a, F: FnMut(&'a T)>(&'a self, query: &Envelope, visit: F) {
-        self.walk(|env| !env.intersects(query), visit);
-    }
-
-    /// Collects references to all items intersecting `query`.
-    pub fn query(&self, query: &Envelope) -> Vec<&T> {
-        let mut out = Vec::new();
-        self.for_each_intersecting(query, |t| out.push(t));
-        out
-    }
-
     /// Calls `visit` for every item whose envelope lies within `distance`
     /// of `p` — the filtering step of the `NearestD` joins. Returns the
     /// number of nodes popped; the caller folds it into its own obs
@@ -342,11 +330,23 @@ mod tests {
         v
     }
 
+    /// The items whose envelopes hold `p`: the point query of every
+    /// join probe, distance 0.
+    fn at_point(tree: &RTree<usize>, p: Point) -> Vec<usize> {
+        let mut got = Vec::new();
+        tree.for_each_within_distance(p, 0.0, |&id| got.push(id));
+        got.sort_unstable();
+        got
+    }
+
     #[test]
     fn empty_tree() {
         let t: RTree<usize> = RTree::bulk_load_entries(vec![]);
         assert!(t.is_empty());
-        assert_eq!(t.query(&Envelope::new(0.0, 0.0, 1.0, 1.0)).len(), 0);
+        assert_eq!(
+            t.for_each_within_distance(Point::new(0.5, 0.5), 0.0, |_| {}),
+            0
+        );
     }
 
     #[test]
@@ -355,22 +355,23 @@ mod tests {
         let tree = RTree::bulk_load_entries(boxes.clone());
         assert_eq!(tree.len(), 400);
         assert!(tree.height() > 1);
-        for query in [
-            Envelope::new(0.5, 0.5, 2.5, 2.5),
-            Envelope::new(-5.0, -5.0, -1.0, -1.0),
-            Envelope::new(0.0, 0.0, 20.0, 20.0),
-            Envelope::new(10.0, 10.0, 10.0, 10.0),
+        // Interior, outside, a corner four boxes share, an edge two
+        // share, and the far corner.
+        for p in [
+            Point::new(1.5, 2.5),
+            Point::new(-5.0, -1.0),
+            Point::new(10.0, 10.0),
+            Point::new(3.0, 7.5),
+            Point::new(20.0, 20.0),
         ] {
-            let mut expected: Vec<usize> = boxes
+            let expected: Vec<usize> = boxes
                 .iter()
-                .filter(|(e, _)| e.intersects(&query))
+                .filter(|(e, _)| e.contains(p.x, p.y))
                 .map(|&(_, id)| id)
                 .collect();
-            let mut got: Vec<usize> = tree.query(&query).into_iter().copied().collect();
-            expected.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(got, expected, "query {query:?}");
+            assert_eq!(at_point(&tree, p), expected, "point {p:?}");
         }
+        assert_eq!(at_point(&tree, Point::new(10.0, 10.0)).len(), 4);
     }
 
     #[test]
@@ -399,7 +400,7 @@ mod tests {
             (Envelope::new(2.0, 2.0, 3.0, 3.0), 2usize),
         ]);
         assert_eq!(tree.height(), 1);
-        assert_eq!(tree.query(&Envelope::new(0.5, 0.5, 0.6, 0.6)), vec![&1]);
+        assert_eq!(at_point(&tree, Point::new(0.5, 0.6)), vec![1]);
     }
 
     #[test]

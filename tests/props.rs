@@ -206,6 +206,7 @@ fn polygon_containment_respects_envelope() {
 
 #[test]
 fn rtree_query_equals_linear_scan() {
+    // The point query every join probe makes: distance 0 from `p`.
     check(
         "rtree_query_equals_linear_scan",
         &(
@@ -214,24 +215,34 @@ fn rtree_query_equals_linear_scan() {
                 1,
                 299,
             ),
-            envelope(),
+            (coord(), coord()),
         ),
-        |(boxes, query)| {
+        |(boxes, (x, y))| {
             let entries: Vec<(Envelope, usize)> = boxes
                 .iter()
                 .enumerate()
                 .map(|(i, &(x, y, w, h))| (Envelope::new(x, y, x + w, y + h), i))
                 .collect();
             let tree = RTree::bulk_load_entries(entries.clone());
-            let mut expected: Vec<usize> = entries
-                .iter()
-                .filter(|(e, _)| e.intersects(&query))
-                .map(|&(_, i)| i)
-                .collect();
-            let mut got: Vec<usize> = tree.query(&query).into_iter().copied().collect();
-            expected.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(got, expected);
+            // A random point rarely hits a box; the corners and centres
+            // of the first boxes always do, some on a boundary.
+            let mut probes = vec![Point::new(x, y)];
+            for (e, _) in entries.iter().take(8) {
+                probes.push(Point::new(e.min_x, e.min_y));
+                probes.push(e.center());
+            }
+            for p in probes {
+                let mut expected: Vec<usize> = entries
+                    .iter()
+                    .filter(|(e, _)| e.contains(p.x, p.y))
+                    .map(|&(_, i)| i)
+                    .collect();
+                let mut got = Vec::new();
+                tree.for_each_within_distance(p, 0.0, |&i| got.push(i));
+                expected.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, expected, "{p:?}");
+            }
         },
     );
 }

@@ -93,7 +93,9 @@ fn replayed_scalability_is_sane() {
     let irun = ispmc
         .spatial_join("taxi", "nycb", SpatialPredicate::Within)
         .unwrap();
-    assert!(irun.standalone_runtime() <= irun.simulated_runtime(1));
+    let cluster = impalite::ImpaladConf::default().cluster;
+    let standalone = irun.result.metrics.simulate_standalone_on(&cluster);
+    assert!(standalone <= irun.simulated_runtime(1));
     for n in [4, 6, 8, 10] {
         assert!(irun.simulated_runtime(n).is_finite());
     }
